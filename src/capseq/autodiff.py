@@ -179,10 +179,6 @@ class Tape:
                 t.grad += g
 
 
-def is_recording() -> bool:
-    return bool(_TAPES)
-
-
 def _record(out: Tensor, inputs, vjp) -> None:
     if _TAPES:
         _TAPES[-1]._entries.append((out, tuple(inputs), vjp))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import decoding
-from .optim import Adam, Sgd
+from .optim import Adam, Sgd, train_epochs
 from .reportprep import bilinear_resize
 
 logger = logging.getLogger(__name__)
@@ -391,49 +391,38 @@ def make_optimizers(model: CaptionModel, settings: CaptionTrainSettings):
 def train_teacher_forcing(model: CaptionModel, examples: list[CaptionExample],
                           settings: CaptionTrainSettings,
                           optimizers=None,
-                          epoch_callback=None) -> list[float]:
+                          epoch_callback=None, shuffle_rng=None, trace=None) -> list[float]:
     """Train with teacher forcing; returns the per-batch loss trace.
 
     When the encoder is frozen the annotation grids are computed once up
     front (they cannot change), which keeps desk-scale runs fast; with
     fine-tuning enabled the encoder runs inside the tape every batch.
+    ``shuffle_rng`` and ``trace`` are passed on to ``optim.train_epochs``.
     """
-    settings.validate()
     if not examples:
         raise ValueError("no training examples")
-    model.train_mode(True)
     dec_opt, enc_opt = optimizers if optimizers else make_optimizers(model, settings)
-    rng = np.random.default_rng(settings.shuffle_seed)
     fine_tune = model.config.fine_tune_encoder
     cached = None
     if not fine_tune:
         model.train_mode(False)
         cached = [model.encode(ex.image).data[0] for ex in examples]
-        model.train_mode(True)
-    trace: list[float] = []
-    for epoch in range(settings.epochs):
-        order = rng.permutation(len(examples))
-        for lo in range(0, len(examples), settings.batch_size):
-            idx = order[lo:lo + settings.batch_size]
-            captions = np.stack([examples[i].caption for i in idx])
-            lengths = np.array([examples[i].decode_len for i in idx])
-            captions, lengths, sort_order = sort_batch_by_length(captions, lengths)
-            sorted_idx = idx[sort_order]
-            with ad.Tape() as tape:
-                if fine_tune:
-                    images = np.stack([examples[i].image for i in sorted_idx])
-                    annotations = model.encode(images)
-                else:
-                    annotations = ad.as_constant(np.stack([cached[i] for i in sorted_idx]))
-                loss = model.sequence_loss(annotations, captions, lengths)
-            tape.backward(loss)
-            dec_opt.step()
-            if fine_tune:
-                enc_opt.step()
-            trace.append(loss.item())
-        if epoch_callback is not None:
-            epoch_callback(epoch, model)
-    return trace
+    model.train_mode(True)
+
+    def batch_loss(idx):
+        captions = np.stack([examples[i].caption for i in idx])
+        lengths = np.array([examples[i].decode_len for i in idx])
+        captions, lengths, sort_order = sort_batch_by_length(captions, lengths)
+        sorted_idx = idx[sort_order]
+        if fine_tune:
+            annotations = model.encode(np.stack([examples[i].image for i in sorted_idx]))
+        else:
+            annotations = ad.as_constant(np.stack([cached[i] for i in sorted_idx]))
+        return model.sequence_loss(annotations, captions, lengths)
+
+    return train_epochs(model, settings, len(examples), batch_loss,
+                        [dec_opt, enc_opt] if fine_tune else [dec_opt],
+                        epoch_callback, shuffle_rng, trace)
 
 
 # ---------------------------------------------------------------------------

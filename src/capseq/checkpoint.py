@@ -3,11 +3,13 @@
 Layout (all integers little-endian): magic ``CSQ1``, u32 format version,
 u32 parameter count, then per parameter: u32 name length + UTF-8 name,
 u32 rank, rank u64 extents, and the raw little-endian float64 values in
-row-major order. Round trips are bit-exact.
+row-major order. Round trips are bit-exact. Checkpoints are written through
+``write_atomic``, so a crash leaves either the old file or the new one.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,13 @@ VERSION = 1
 
 class CheckpointError(BinaryFormatError):
     pass
+
+
+def write_atomic(path, payload: bytes) -> None:
+    """Write ``<path>.tmp`` and rename it over ``path``."""
+    tmp = Path(f"{path}.tmp")
+    tmp.write_bytes(payload)
+    os.replace(tmp, path)
 
 
 def save_tensors(path, named) -> None:
@@ -39,7 +48,7 @@ def save_tensors(path, named) -> None:
         for extent in arr.shape:
             w.u64(extent)
         w.f64_array(arr)
-    Path(path).write_bytes(w.getvalue())
+    write_atomic(path, w.getvalue())
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:

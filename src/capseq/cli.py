@@ -9,9 +9,9 @@ seed: primary outputs carry no timestamps, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
-import shutil
 import sys
 from pathlib import Path
 
@@ -196,7 +196,9 @@ def _prepare_out_dir(args, stem: str) -> Path:
     return out_dir
 
 
-def _split_records(args):
+def _split_records(args) -> tuple[list[PackedRecord], list[PackedRecord]]:
+    """Training and validation records; an empty validation split falls back
+    to the training split."""
     records = load_dataset(_require_file(args.dataset, "packed dataset"))
     manifest = _load_manifest(args.manifest)
     by_id = _records_by_id(records)
@@ -207,7 +209,9 @@ def _split_records(args):
         if missing:
             raise CliValidationError(f"manifest ids missing from dataset: {missing[:5]}")
         out[part] = [by_id[i] for i in ids]
-    return out
+    if not out["train"]:
+        raise CliValidationError("training split is empty")
+    return out["train"], out["validation"] or out["train"]
 
 
 def _caption_examples(records, vocab: WordVocabulary, max_len: int) -> list[CaptionExample]:
@@ -228,17 +232,83 @@ def _caption_references(records, max_len: int) -> dict[str, list[str]]:
     return {r.study_id: r.tokens[: max_len - 2] for r in records}
 
 
+def _train_stage(args, out_dir: Path, stage: str, model, optimizers: dict, settings,
+                 train, validate) -> int:
+    """Epoch driver shared by train-sat and train-lm.
+
+    ``train(epoch_callback=, shuffle_rng=, trace=)`` runs ``settings.epochs``
+    epochs; after each one ``validate(model)`` returns the validation pairs,
+    scored by geometric-mean BLEU. Each epoch appends its rows to
+    ``{stage}-loss.tsv`` and ``{stage}-val-metrics.tsv``, saves
+    ``{stage}-last.ckpt``, the Adam moments (``{stage}-last.opt``, keys
+    prefixed per entry of ``optimizers``) and, on a new best score,
+    ``{stage}-best.ckpt``. ``{stage}-state.json`` is written last: the next
+    epoch, the best epoch and the shuffle and model RNG states, from which
+    --resume continues bit for bit.
+    """
+    path = {name: out_dir / f"{stage}-{name}" for name in (
+        "last.ckpt", "best.ckpt", "last.opt", "state.json", "loss.tsv", "val-metrics.tsv")}
+    rngs = {"shuffle": np.random.default_rng(settings.shuffle_seed), "model": model._rng}
+    save_opt = all(isinstance(opt, Adam) for opt in optimizers.values())
+    start_epoch = 0
+    best = {"epoch": -1, "gm_bleu": -1.0}
+    if args.resume and path["state.json"].exists():
+        state = json.loads(path["state.json"].read_text(encoding="utf-8"))
+        start_epoch, best = state["next_epoch"], state["best"]
+        checkpoint.load_into_model(path["last.ckpt"], model.parameters())
+        if save_opt and path["last.opt"].exists():
+            arrays = checkpoint.load_tensors(path["last.opt"])
+            for prefix, opt in optimizers.items():
+                opt.load_state_arrays(
+                    {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)})
+        for name, rng in rngs.items():
+            rng.bit_generator.state = state["rng"][name]
+        logger.info("resuming from epoch %d", start_epoch)
+    if start_epoch >= settings.epochs:
+        print(f"nothing to do: {start_epoch} epochs already trained")
+        return 0
+    for name in ("loss.tsv", "val-metrics.tsv"):  # keep the rows of finished epochs only
+        rows = path[name].read_text(encoding="utf-8").splitlines(True) if start_epoch else []
+        kept = [r for r in rows if int(r.split(None, 1)[0]) < start_epoch]
+        path[name].write_text("".join(kept), encoding="utf-8")
+    trace: list[float] = []
+
+    def on_epoch(epoch_offset: int, model) -> None:
+        epoch = start_epoch + epoch_offset
+        pairs = validate(model)
+        gm = geometric_mean_bleu([bleu_n(pairs, n) for n in range(1, 5)])
+        with open(path["loss.tsv"], "a", encoding="utf-8") as fh:
+            fh.writelines(f"{epoch}\t{i}\t{v:.12g}\n" for i, v in enumerate(trace))
+        with open(path["val-metrics.tsv"], "a", encoding="utf-8") as fh:
+            fh.write(f"{epoch} {gm:.6f}\n")
+        trace.clear()
+        checkpoint.save_model(path["last.ckpt"], model.parameters())
+        if save_opt:
+            checkpoint.save_tensors(path["last.opt"], {
+                prefix + k: v for prefix, opt in optimizers.items()
+                for k, v in opt.state_arrays().items()})
+        if gm > best["gm_bleu"]:
+            best.update(epoch=epoch, gm_bleu=gm)
+            checkpoint.write_atomic(path["best.ckpt"], path["last.ckpt"].read_bytes())
+        state = {"next_epoch": epoch + 1, "best": best,
+                 "rng": {name: rng.bit_generator.state for name, rng in rngs.items()}}
+        checkpoint.write_atomic(path["state.json"],
+                                (json.dumps(state, sort_keys=True) + "\n").encode("utf-8"))
+
+    settings.epochs -= start_epoch
+    train(epoch_callback=on_epoch, shuffle_rng=rngs["shuffle"], trace=trace)
+    print(f"trained {settings.epochs} epochs; best epoch {best['epoch']} "
+          f"(GM-BLEU {best['gm_bleu']:.6f})")
+    print(f"checkpoints: {path['last.ckpt']} (last), {path['best.ckpt']} (best)")
+    return 0
+
+
 def cmd_train_sat(args) -> int:
     cfg = _config_from(args)
     out_dir = _prepare_out_dir(args, "sat")
-    parts = _split_records(args)
-    train_records = parts["train"]
-    if not train_records:
-        raise CliValidationError("training split is empty")
-    val_records = parts["validation"] or train_records
+    train_records, val_records = _split_records(args)
     vocab = WordVocabulary.build([r.tokens for r in train_records], cfg.min_word_freq)
-    vocab_path = out_dir / "words.vocab"
-    vocab.save(vocab_path)
+    vocab.save(out_dir / "words.vocab")
     examples = _caption_examples(train_records, vocab, cfg.sat_max_caption_len)
     refs = _caption_references(val_records, cfg.sat_max_caption_len)
 
@@ -249,69 +319,21 @@ def cmd_train_sat(args) -> int:
         clip_norm=cfg.sat_clip_norm, optimizer=cfg.sat_optimizer,
         adam_eps=cfg.sat_adam_eps, shuffle_seed=cfg.seed,
     )
-    optimizers = make_optimizers(model, settings)
-    last_ckpt = out_dir / "sat-last.ckpt"
-    best_ckpt = out_dir / "sat-best.ckpt"
-    state_path = out_dir / "sat-state.json"
-    opt_path = out_dir / "sat-last.opt"
-    start_epoch = 0
-    best = {"epoch": -1, "gm_bleu": -1.0}
-    if args.resume and state_path.exists():
-        state = json.loads(state_path.read_text(encoding="utf-8"))
-        start_epoch = state["next_epoch"]
-        best = state["best"]
-        checkpoint.load_into_model(last_ckpt, model.parameters())
-        if isinstance(optimizers[0], Adam) and opt_path.exists():
-            arrays = checkpoint.load_tensors(opt_path)
-            optimizers[0].load_state_arrays(
-                {k[4:]: v for k, v in arrays.items() if k.startswith("dec.")})
-            optimizers[1].load_state_arrays(
-                {k[4:]: v for k, v in arrays.items() if k.startswith("enc.")})
-        logger.info("resuming from epoch %d", start_epoch)
-    if start_epoch >= cfg.sat_epochs:
-        print(f"nothing to do: {start_epoch} epochs already trained")
-        return 0
+    dec_opt, enc_opt = make_optimizers(model, settings)
 
-    metrics_rows: list[str] = []
-
-    def on_epoch(epoch_offset: int, model: CaptionModel) -> None:
-        epoch = start_epoch + epoch_offset
+    def validate(model: CaptionModel) -> list[EvalPair]:
         model.train_mode(False)
         pairs = []
         for rec in val_records:
             ids, _ = model.decode_caption(rec.image, strategy="greedy")
             pairs.append(EvalPair(vocab.decode(ids) or [""], [refs[rec.study_id]]))
         model.train_mode(True)
-        gm = geometric_mean_bleu([bleu_n(pairs, n) for n in range(1, 5)])
-        metrics_rows.append(f"{epoch} {gm:.6f}")
-        checkpoint.save_model(last_ckpt, model.parameters())
-        if isinstance(optimizers[0], Adam):
-            arrays = {f"dec.{k}": v for k, v in optimizers[0].state_arrays().items()}
-            arrays.update({f"enc.{k}": v for k, v in optimizers[1].state_arrays().items()})
-            checkpoint.save_tensors(opt_path, arrays)
-        if gm > best["gm_bleu"]:
-            best["epoch"] = epoch
-            best["gm_bleu"] = gm
-            shutil.copyfile(last_ckpt, best_ckpt)
-        state_path.write_text(json.dumps(
-            {"next_epoch": epoch + 1, "best": best}, sort_keys=True) + "\n", encoding="utf-8")
+        return pairs
 
-    settings.epochs = cfg.sat_epochs - start_epoch
-    trace = train_teacher_forcing(model, examples, settings,
-                                  optimizers=optimizers, epoch_callback=on_epoch)
-    batches_per_epoch = len(trace) // settings.epochs
-    trace_path = out_dir / "sat-loss.tsv"
-    mode = "a" if (args.resume and start_epoch > 0) else "w"
-    with open(trace_path, mode, encoding="utf-8") as fh:
-        for i, value in enumerate(trace):
-            epoch = start_epoch + i // batches_per_epoch
-            fh.write(f"{epoch}\t{i % batches_per_epoch}\t{value:.12g}\n")
-    with open(out_dir / "sat-val-metrics.tsv", mode, encoding="utf-8") as fh:
-        fh.write("\n".join(metrics_rows) + "\n")
-    print(f"trained {settings.epochs} epochs; best epoch {best['epoch']} "
-          f"(GM-BLEU {best['gm_bleu']:.6f})")
-    print(f"checkpoints: {last_ckpt} (last), {best_ckpt} (best)")
-    return 0
+    train = functools.partial(train_teacher_forcing, model, examples, settings,
+                              optimizers=(dec_opt, enc_opt))
+    return _train_stage(args, out_dir, "sat", model, {"dec.": dec_opt, "enc.": enc_opt},
+                        settings, train, validate)
 
 
 def cmd_train_lm(args) -> int:
@@ -326,16 +348,11 @@ def cmd_train_lm(args) -> int:
         train_lines = lines
         val_tokens = [normalize_text(l) for l in lines]
     else:
-        parts = _split_records(args)
-        train_records = parts["train"]
-        if not train_records:
-            raise CliValidationError("training split is empty")
-        val_records = parts["validation"] or train_records
+        train_records, val_records = _split_records(args)
         train_lines = [_detok(r.tokens) for r in train_records]
         val_tokens = [r.tokens for r in val_records]
     vocab = BpeVocabulary.train("\n".join(train_lines), cfg.lm_merges)
-    vocab_path = out_dir / "bpe.vocab"
-    vocab.save(vocab_path)
+    vocab.save(out_dir / "bpe.vocab")
     stream = build_token_stream(train_lines, vocab)
     model = TransformerLm(_lm_config(cfg), vocab, cfg.seed)
     settings = LmTrainSettings(
@@ -344,68 +361,23 @@ def cmd_train_lm(args) -> int:
     )
     optimizer = Adam(list(model.parameters().values()), lr=settings.lr,
                      eps=settings.adam_eps, clip_norm=settings.clip_norm)
-    last_ckpt = out_dir / "lm-last.ckpt"
-    best_ckpt = out_dir / "lm-best.ckpt"
-    state_path = out_dir / "lm-state.json"
-    opt_path = out_dir / "lm-last.opt"
-    start_epoch = 0
-    best = {"epoch": -1, "gm_bleu": -1.0}
-    if args.resume and state_path.exists():
-        state = json.loads(state_path.read_text(encoding="utf-8"))
-        start_epoch = state["next_epoch"]
-        best = state["best"]
-        checkpoint.load_into_model(last_ckpt, model.parameters())
-        if opt_path.exists():
-            optimizer.load_state_arrays(checkpoint.load_tensors(opt_path))
-        logger.info("resuming from epoch %d", start_epoch)
-    if start_epoch >= cfg.lm_epochs:
-        print(f"nothing to do: {start_epoch} epochs already trained")
-        return 0
 
-    # validation: continue the first half of each held-out report, score the
-    # continuation against the second half
-    val_pairs_src = []
-    for tokens in val_tokens:
-        mid = max(1, len(tokens) // 2)
-        val_pairs_src.append((_detok(tokens[:mid]), tokens[mid:] or ["."]))
-
-    metrics_rows: list[str] = []
-
-    def on_epoch(epoch_offset: int, model: TransformerLm) -> None:
-        epoch = start_epoch + epoch_offset
+    def validate(model: TransformerLm) -> list[EvalPair]:
+        # continue the first half of each held-out report, score the
+        # continuation against the second half
         pairs = []
-        for seed_text, ref_tokens in val_pairs_src:
-            seed_ids = list(vocab.encode(seed_text + " <start>").ids)
+        for tokens in val_tokens:
+            mid = max(1, len(tokens) // 2)
+            seed_ids = list(vocab.encode(_detok(tokens[:mid]) + " <start>").ids)
             seed_ids = seed_ids[-(model.config.block_size - 1):]
             cont = model.generate_continuation(seed_ids, max_new=cfg.lm_max_new,
                                                strategy="greedy")
             candidate = normalize_text(vocab.decode(cont)) or [""]
-            pairs.append(EvalPair(candidate, [ref_tokens]))
-        gm = geometric_mean_bleu([bleu_n(pairs, n) for n in range(1, 5)])
-        metrics_rows.append(f"{epoch} {gm:.6f}")
-        checkpoint.save_model(last_ckpt, model.parameters())
-        checkpoint.save_tensors(opt_path, optimizer.state_arrays())
-        if gm > best["gm_bleu"]:
-            best["epoch"] = epoch
-            best["gm_bleu"] = gm
-            shutil.copyfile(last_ckpt, best_ckpt)
-        state_path.write_text(json.dumps(
-            {"next_epoch": epoch + 1, "best": best}, sort_keys=True) + "\n", encoding="utf-8")
+            pairs.append(EvalPair(candidate, [tokens[mid:] or ["."]]))
+        return pairs
 
-    settings.epochs = cfg.lm_epochs - start_epoch
-    trace = train_lm(model, stream, settings, optimizer=optimizer, epoch_callback=on_epoch)
-    batches_per_epoch = len(trace) // settings.epochs
-    mode = "a" if (args.resume and start_epoch > 0) else "w"
-    with open(out_dir / "lm-loss.tsv", mode, encoding="utf-8") as fh:
-        for i, value in enumerate(trace):
-            epoch = start_epoch + i // batches_per_epoch
-            fh.write(f"{epoch}\t{i % batches_per_epoch}\t{value:.12g}\n")
-    with open(out_dir / "lm-val-metrics.tsv", mode, encoding="utf-8") as fh:
-        fh.write("\n".join(metrics_rows) + "\n")
-    print(f"trained {settings.epochs} epochs; best epoch {best['epoch']} "
-          f"(GM-BLEU {best['gm_bleu']:.6f})")
-    print(f"checkpoints: {last_ckpt} (last), {best_ckpt} (best)")
-    return 0
+    train = functools.partial(train_lm, model, stream, settings, optimizer=optimizer)
+    return _train_stage(args, out_dir, "lm", model, {"": optimizer}, settings, train, validate)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import decoding
-from .optim import Adam
+from .optim import Adam, train_epochs
 from .tokenizers import BpeVocabulary
 
 logger = logging.getLogger(__name__)
@@ -250,9 +250,10 @@ def chunk_stream(stream: list[int], block_size: int) -> list[np.ndarray]:
 
 
 def train_lm(model: TransformerLm, stream: list[int], settings: LmTrainSettings,
-             optimizer: Adam | None = None, epoch_callback=None) -> list[float]:
-    """Next-token training over block windows; returns per-batch loss trace."""
-    settings.validate()
+             optimizer: Adam | None = None, epoch_callback=None,
+             shuffle_rng=None, trace=None) -> list[float]:
+    """Next-token training over block windows; returns per-batch loss trace.
+    ``shuffle_rng`` and ``trace`` are passed on to ``optim.train_epochs``."""
     if len(stream) < 2:
         raise ValueError("corpus too small: need at least 2 tokens")
     windows = chunk_stream(stream, model.config.block_size)
@@ -260,21 +261,13 @@ def train_lm(model: TransformerLm, stream: list[int], settings: LmTrainSettings,
         raise ValueError("corpus produced no trainable windows")
     opt = optimizer or Adam(list(model.parameters().values()), lr=settings.lr,
                             eps=settings.adam_eps, clip_norm=settings.clip_norm)
-    rng = np.random.default_rng(settings.shuffle_seed)
-    trace: list[float] = []
-    for epoch in range(settings.epochs):
-        order = rng.permutation(len(windows))
-        for lo in range(0, len(windows), settings.batch_size):
-            batch = [windows[i] for i in order[lo:lo + settings.batch_size]]
-            with ad.Tape() as tape:
-                total = None
-                for w in batch:
-                    piece = model.loss(w)
-                    total = piece if total is None else total + piece
-                loss = total * (1.0 / len(batch))
-            tape.backward(loss)
-            opt.step()
-            trace.append(loss.item())
-        if epoch_callback is not None:
-            epoch_callback(epoch, model)
-    return trace
+
+    def batch_loss(idx):
+        total = None
+        for i in idx:
+            piece = model.loss(windows[i])
+            total = piece if total is None else total + piece
+        return total * (1.0 / len(idx))
+
+    return train_epochs(model, settings, len(windows), batch_loss, [opt],
+                        epoch_callback, shuffle_rng, trace)

@@ -1,4 +1,5 @@
-"""Gradient-descent steps (SGD, Adam) with global-norm clipping.
+"""Gradient-descent steps (SGD, Adam) with global-norm clipping, and the
+shuffled minibatch epoch loop both training stages share.
 
 A step refuses to update when any gradient is non-finite: it emits a
 diagnostic and returns False, leaving parameter values untouched. After a
@@ -11,7 +12,7 @@ import logging
 
 import numpy as np
 
-from .autodiff import Parameter
+from .autodiff import Parameter, Tape
 
 logger = logging.getLogger(__name__)
 
@@ -121,3 +122,31 @@ class Adam(_Optimizer):
             key = p.name or f"param{i}"
             self._m[i] = arrays[f"adam.m.{key}"].reshape(self._m[i].shape).copy()
             self._v[i] = arrays[f"adam.v.{key}"].reshape(self._v[i].shape).copy()
+
+
+def train_epochs(model, settings, n_items: int, batch_loss, optimizers,
+                 epoch_callback=None, shuffle_rng=None, trace=None) -> list[float]:
+    """Minibatch epochs over ``n_items`` examples; returns the loss trace.
+
+    ``settings`` supplies ``epochs``, ``batch_size`` and ``shuffle_seed``.
+    Each epoch draws one permutation from ``shuffle_rng`` (by default a fresh
+    generator seeded with ``shuffle_seed``); each batch of indices is scored
+    by ``batch_loss(indices)`` on a tape, backpropagated, and every optimizer
+    steps in order. Per-batch losses are appended to ``trace``, and
+    ``epoch_callback(epoch, model)`` runs after every epoch.
+    """
+    settings.validate()
+    rng = shuffle_rng if shuffle_rng is not None else np.random.default_rng(settings.shuffle_seed)
+    trace = [] if trace is None else trace
+    for epoch in range(settings.epochs):
+        order = rng.permutation(n_items)
+        for lo in range(0, n_items, settings.batch_size):
+            with Tape() as tape:
+                loss = batch_loss(order[lo:lo + settings.batch_size])
+            tape.backward(loss)
+            for opt in optimizers:
+                opt.step()
+            trace.append(loss.item())
+        if epoch_callback is not None:
+            epoch_callback(epoch, model)
+    return trace

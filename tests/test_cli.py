@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+from capseq import checkpoint
 from capseq.cli import main
 from capseq.pgm import write_pgm
 from capseq.synthetic import write_raw_corpus
@@ -161,22 +162,53 @@ class TestTraining:
     def test_train_lm_requires_an_input(self, tmp_path):
         assert main(["train-lm", "--out", str(tmp_path / "x"), *FAST]) == 1
 
+    def _train(self, prepped, stage, out, *extra):
+        return main([f"train-{stage}", "--dataset", str(prepped / "dataset.csds"),
+                     "--manifest", str(prepped / "manifest.json"), "--out", str(out),
+                     *FAST, "--set", "sat_dropout=0.3", *extra])
+
+    @staticmethod
+    def _assert_same_files(expected, actual):
+        names = sorted(p.name for p in expected.iterdir())
+        assert sorted(p.name for p in actual.iterdir()) == names
+        for name in names:
+            assert (actual / name).read_bytes() == (expected / name).read_bytes(), name
+
     def test_resume_continues(self, prepped, tmp_path):
-        out = tmp_path / "resume"
-        rc = main(["train-sat", "--dataset", str(prepped / "dataset.csds"),
-                   "--manifest", str(prepped / "manifest.json"),
-                   "--out", str(out), *FAST])
-        assert rc == 0
-        state = json.loads((out / "sat-state.json").read_text())
-        assert state["next_epoch"] == 2
-        rc = main(["train-sat", "--dataset", str(prepped / "dataset.csds"),
-                   "--manifest", str(prepped / "manifest.json"),
-                   "--out", str(out), "--resume", *FAST, "--set", "sat_epochs=3"])
-        assert rc == 0
-        state = json.loads((out / "sat-state.json").read_text())
-        assert state["next_epoch"] == 3
-        rows = (out / "sat-loss.tsv").read_text().splitlines()
-        assert rows[-1].startswith("2\t")
+        # 2 epochs, then --resume to 3: every output equals a straight 3-epoch run
+        three = ("--set", "sat_epochs=3", "--set", "lm_epochs=3")
+        for stage in ("sat", "lm"):
+            straight, resumed = tmp_path / f"{stage}-straight", tmp_path / f"{stage}-resumed"
+            assert self._train(prepped, stage, straight, *three) == 0
+            assert self._train(prepped, stage, resumed) == 0
+            state = json.loads((resumed / f"{stage}-state.json").read_text())
+            assert state["next_epoch"] == 2
+            assert self._train(prepped, stage, resumed, "--resume", *three) == 0
+            self._assert_same_files(straight, resumed)
+            rows = (resumed / f"{stage}-loss.tsv").read_text().splitlines()
+            assert rows[-1].startswith("2\t")
+
+    def test_killed_run_resumes_whole(self, prepped, tmp_path, monkeypatch):
+        # a failure while saving the last epoch's checkpoint, then --resume,
+        # leaves the same outputs as an uninterrupted run
+        three = ("--set", "sat_epochs=3", "--set", "lm_epochs=3")
+        save_model = checkpoint.save_model
+        for stage in ("sat", "lm"):
+            straight, killed = tmp_path / f"{stage}-straight", tmp_path / f"{stage}-killed"
+            assert self._train(prepped, stage, straight, *three) == 0
+            calls = []
+
+            def failing_save(path, parameters):
+                calls.append(path)
+                if len(calls) == 3:
+                    raise RuntimeError("injected failure")
+                save_model(path, parameters)
+
+            monkeypatch.setattr(checkpoint, "save_model", failing_save)
+            assert self._train(prepped, stage, killed, *three) == 2
+            monkeypatch.setattr(checkpoint, "save_model", save_model)
+            assert self._train(prepped, stage, killed, "--resume", *three) == 0
+            self._assert_same_files(straight, killed)
 
 
 class TestGenerate:
