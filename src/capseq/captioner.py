@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import decoding
+from .config import RunConfig
 from .optim import Adam, Sgd, train_epochs
 from .reportprep import bilinear_resize
 
@@ -346,26 +347,6 @@ class CaptionExample:
     decode_len: int              # predictions to make: content tokens + <end>
 
 
-@dataclass
-class CaptionTrainSettings:
-    epochs: int = 100
-    batch_size: int = 8
-    decoder_lr: float = 3e-3
-    encoder_lr: float = 1e-3
-    clip_norm: float | None = 5.0
-    optimizer: str = "adam"
-    adam_eps: float = 1e-8
-    shuffle_seed: int = 0
-
-    def validate(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
-        if self.decoder_lr <= 0 or self.encoder_lr <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-
-
 def sort_batch_by_length(captions: np.ndarray, lengths: np.ndarray):
     """Stable decreasing-length order; returns (captions, lengths, order)."""
     order = np.argsort(-np.asarray(lengths), kind="stable")
@@ -378,30 +359,35 @@ def effective_batch_sizes(sorted_lengths) -> list[int]:
     return [int(np.sum(lengths > t)) for t in range(int(lengths.max()))]
 
 
-def make_optimizers(model: CaptionModel, settings: CaptionTrainSettings):
-    cls = Adam if settings.optimizer == "adam" else Sgd
-    kwargs = {"clip_norm": settings.clip_norm}
-    if settings.optimizer == "adam":
-        kwargs["eps"] = settings.adam_eps
-    dec = cls(model.decoder_parameters(), lr=settings.decoder_lr, **kwargs)
-    enc = cls(model.encoder_parameters(), lr=settings.encoder_lr, **kwargs)
+def make_optimizers(model: CaptionModel, cfg: RunConfig):
+    """Decoder and encoder optimizers from the ``sat_*`` keys."""
+    cls = Adam if cfg.sat_optimizer == "adam" else Sgd
+    kwargs = {"clip_norm": cfg.sat_clip_norm}
+    if cfg.sat_optimizer == "adam":
+        kwargs["eps"] = cfg.sat_adam_eps
+    dec = cls(model.decoder_parameters(), lr=cfg.sat_decoder_lr, **kwargs)
+    enc = cls(model.encoder_parameters(), lr=cfg.sat_encoder_lr, **kwargs)
     return dec, enc
 
 
 def train_teacher_forcing(model: CaptionModel, examples: list[CaptionExample],
-                          settings: CaptionTrainSettings,
-                          optimizers=None,
-                          epoch_callback=None, shuffle_rng=None, trace=None) -> list[float]:
-    """Train with teacher forcing; returns the per-batch loss trace.
+                          cfg: RunConfig, optimizers=None, epoch_callback=None,
+                          shuffle_rng=None, trace=None, start_epoch: int = 0) -> list[float]:
+    """Train with teacher forcing for ``cfg.sat_epochs`` epochs of
+    ``cfg.sat_batch_size``; returns the per-batch loss trace.
 
     When the encoder is frozen the annotation grids are computed once up
     front (they cannot change), which keeps desk-scale runs fast; with
     fine-tuning enabled the encoder runs inside the tape every batch.
-    ``shuffle_rng`` and ``trace`` are passed on to ``optim.train_epochs``.
+    ``shuffle_rng`` (by default seeded with ``cfg.seed``), ``trace`` and
+    ``start_epoch`` are passed on to ``optim.train_epochs``.
     """
+    cfg.validate()
     if not examples:
         raise ValueError("no training examples")
-    dec_opt, enc_opt = optimizers if optimizers else make_optimizers(model, settings)
+    dec_opt, enc_opt = optimizers if optimizers else make_optimizers(model, cfg)
+    if shuffle_rng is None:
+        shuffle_rng = np.random.default_rng(cfg.seed)
     fine_tune = model.config.fine_tune_encoder
     cached = None
     if not fine_tune:
@@ -420,9 +406,10 @@ def train_teacher_forcing(model: CaptionModel, examples: list[CaptionExample],
             annotations = ad.as_constant(np.stack([cached[i] for i in sorted_idx]))
         return model.sequence_loss(annotations, captions, lengths)
 
-    return train_epochs(model, settings, len(examples), batch_loss,
+    return train_epochs(model, len(examples), batch_loss,
                         [dec_opt, enc_opt] if fine_tune else [dec_opt],
-                        epoch_callback, shuffle_rng, trace)
+                        cfg.sat_epochs, cfg.sat_batch_size, shuffle_rng,
+                        epoch_callback, trace, start_epoch)
 
 
 # ---------------------------------------------------------------------------

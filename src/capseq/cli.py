@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import logging
 import sys
@@ -20,12 +21,10 @@ import numpy as np
 from . import checkpoint
 from .binio import BinaryFormatError
 from .captioner import (CaptionConfig, CaptionExample, CaptionModel,
-                        CaptionTrainSettings, attention_heatmap,
-                        make_optimizers, train_teacher_forcing)
+                        attention_heatmap, make_optimizers, train_teacher_forcing)
 from .config import ConfigError, RunConfig, load_run_config
-from .decoding import DecodeOptions, two_stage_generate
-from .lm import (LmConfig, LmTrainSettings, TransformerLm, build_token_stream,
-                 train_lm)
+from .decoding import two_stage_generate
+from .lm import LmConfig, TransformerLm, build_token_stream, make_optimizer, train_lm
 from .metrics import EvalPair, evaluate_corpus, geometric_mean_bleu, bleu_n
 from .optim import Adam
 from .pgm import read_pgm, write_pgm
@@ -90,19 +89,6 @@ def _lm_config(cfg: RunConfig) -> LmConfig:
         model_dim=cfg.lm_model_dim,
         ffn_dim=cfg.lm_ffn_dim,
         block_size=cfg.lm_block_size,
-    )
-
-
-def _decode_options(cfg: RunConfig, use_lm: bool = True) -> DecodeOptions:
-    return DecodeOptions(
-        strategy=cfg.decode_strategy,
-        caption_beam_width=cfg.beam_width,
-        caption_max_len=cfg.sat_max_caption_len,
-        lm_beam_width=cfg.beam_width,
-        lm_rank=cfg.lm_rank,
-        lm_max_new=cfg.lm_max_new,
-        length_normalize=cfg.length_normalize,
-        use_lm=use_lm,
     )
 
 
@@ -232,31 +218,47 @@ def _caption_references(records, max_len: int) -> dict[str, list[str]]:
     return {r.study_id: r.tokens[: max_len - 2] for r in records}
 
 
-def _train_stage(args, out_dir: Path, stage: str, model, optimizers: dict, settings,
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _train_stage(args, out_dir: Path, stage: str, model, optimizers: dict, cfg: RunConfig,
                  train, validate) -> int:
     """Epoch driver shared by train-sat and train-lm.
 
-    ``train(epoch_callback=, shuffle_rng=, trace=)`` runs ``settings.epochs``
-    epochs; after each one ``validate(model)`` returns the validation pairs,
-    scored by geometric-mean BLEU. Each epoch appends its rows to
-    ``{stage}-loss.tsv`` and ``{stage}-val-metrics.tsv``, saves
-    ``{stage}-last.ckpt``, the Adam moments (``{stage}-last.opt``, keys
-    prefixed per entry of ``optimizers``) and, on a new best score,
-    ``{stage}-best.ckpt``. ``{stage}-state.json`` is written last: the next
-    epoch, the best epoch and the shuffle and model RNG states, from which
-    --resume continues bit for bit.
+    ``train(epoch_callback=, shuffle_rng=, trace=, start_epoch=)`` runs the
+    epochs from ``start_epoch`` up to ``cfg.{stage}_epochs``; after each one
+    ``validate(model)`` returns the validation pairs, scored by
+    geometric-mean BLEU. Each epoch appends its rows to ``{stage}-loss.tsv``
+    and ``{stage}-val-metrics.tsv``, saves ``{stage}-last.ckpt``, the Adam
+    moments (``{stage}-last.opt``, keys prefixed per entry of ``optimizers``)
+    and, on a new best score, ``{stage}-best.ckpt``. ``{stage}-state.json``
+    is written last and commits the epoch: the next epoch, the best epoch,
+    the shuffle and model RNG states, and the SHA-256 of the last checkpoint
+    and of the moments file. --resume refuses files that are missing or do
+    not match those digests, and otherwise continues bit for bit.
     """
     path = {name: out_dir / f"{stage}-{name}" for name in (
         "last.ckpt", "best.ckpt", "last.opt", "state.json", "loss.tsv", "val-metrics.tsv")}
-    rngs = {"shuffle": np.random.default_rng(settings.shuffle_seed), "model": model._rng}
+    epochs = getattr(cfg, f"{stage}_epochs")
+    rngs = {"shuffle": np.random.default_rng(cfg.seed), "model": model._rng}
     save_opt = all(isinstance(opt, Adam) for opt in optimizers.values())
+    committed = ("last.ckpt", "last.opt") if save_opt else ("last.ckpt",)
     start_epoch = 0
     best = {"epoch": -1, "gm_bleu": -1.0}
     if args.resume and path["state.json"].exists():
         state = json.loads(path["state.json"].read_text(encoding="utf-8"))
+        for name in committed:
+            if not path[name].exists():
+                raise CliValidationError(
+                    f"cannot resume: {path[name]} is missing; pass --overwrite to start over")
+            if _sha256(path[name]) != state.get("sha256", {}).get(name):
+                raise CliValidationError(
+                    f"cannot resume: {path[name]} does not match the digest in "
+                    f"{path['state.json'].name}; pass --overwrite to start over")
         start_epoch, best = state["next_epoch"], state["best"]
         checkpoint.load_into_model(path["last.ckpt"], model.parameters())
-        if save_opt and path["last.opt"].exists():
+        if save_opt:
             arrays = checkpoint.load_tensors(path["last.opt"])
             for prefix, opt in optimizers.items():
                 opt.load_state_arrays(
@@ -264,7 +266,7 @@ def _train_stage(args, out_dir: Path, stage: str, model, optimizers: dict, setti
         for name, rng in rngs.items():
             rng.bit_generator.state = state["rng"][name]
         logger.info("resuming from epoch %d", start_epoch)
-    if start_epoch >= settings.epochs:
+    if start_epoch >= epochs:
         print(f"nothing to do: {start_epoch} epochs already trained")
         return 0
     for name in ("loss.tsv", "val-metrics.tsv"):  # keep the rows of finished epochs only
@@ -273,8 +275,7 @@ def _train_stage(args, out_dir: Path, stage: str, model, optimizers: dict, setti
         path[name].write_text("".join(kept), encoding="utf-8")
     trace: list[float] = []
 
-    def on_epoch(epoch_offset: int, model) -> None:
-        epoch = start_epoch + epoch_offset
+    def on_epoch(epoch: int, model) -> None:
         pairs = validate(model)
         gm = geometric_mean_bleu([bleu_n(pairs, n) for n in range(1, 5)])
         with open(path["loss.tsv"], "a", encoding="utf-8") as fh:
@@ -291,13 +292,14 @@ def _train_stage(args, out_dir: Path, stage: str, model, optimizers: dict, setti
             best.update(epoch=epoch, gm_bleu=gm)
             checkpoint.write_atomic(path["best.ckpt"], path["last.ckpt"].read_bytes())
         state = {"next_epoch": epoch + 1, "best": best,
-                 "rng": {name: rng.bit_generator.state for name, rng in rngs.items()}}
+                 "rng": {name: rng.bit_generator.state for name, rng in rngs.items()},
+                 "sha256": {name: _sha256(path[name]) for name in committed}}
         checkpoint.write_atomic(path["state.json"],
                                 (json.dumps(state, sort_keys=True) + "\n").encode("utf-8"))
 
-    settings.epochs -= start_epoch
-    train(epoch_callback=on_epoch, shuffle_rng=rngs["shuffle"], trace=trace)
-    print(f"trained {settings.epochs} epochs; best epoch {best['epoch']} "
+    train(epoch_callback=on_epoch, shuffle_rng=rngs["shuffle"], trace=trace,
+          start_epoch=start_epoch)
+    print(f"trained {epochs - start_epoch} epochs; best epoch {best['epoch']} "
           f"(GM-BLEU {best['gm_bleu']:.6f})")
     print(f"checkpoints: {path['last.ckpt']} (last), {path['best.ckpt']} (best)")
     return 0
@@ -313,13 +315,7 @@ def cmd_train_sat(args) -> int:
     refs = _caption_references(val_records, cfg.sat_max_caption_len)
 
     model = CaptionModel(_caption_config(cfg), len(vocab), cfg.seed)
-    settings = CaptionTrainSettings(
-        epochs=cfg.sat_epochs, batch_size=cfg.sat_batch_size,
-        decoder_lr=cfg.sat_decoder_lr, encoder_lr=cfg.sat_encoder_lr,
-        clip_norm=cfg.sat_clip_norm, optimizer=cfg.sat_optimizer,
-        adam_eps=cfg.sat_adam_eps, shuffle_seed=cfg.seed,
-    )
-    dec_opt, enc_opt = make_optimizers(model, settings)
+    dec_opt, enc_opt = make_optimizers(model, cfg)
 
     def validate(model: CaptionModel) -> list[EvalPair]:
         model.train_mode(False)
@@ -330,10 +326,10 @@ def cmd_train_sat(args) -> int:
         model.train_mode(True)
         return pairs
 
-    train = functools.partial(train_teacher_forcing, model, examples, settings,
+    train = functools.partial(train_teacher_forcing, model, examples, cfg,
                               optimizers=(dec_opt, enc_opt))
     return _train_stage(args, out_dir, "sat", model, {"dec.": dec_opt, "enc.": enc_opt},
-                        settings, train, validate)
+                        cfg, train, validate)
 
 
 def cmd_train_lm(args) -> int:
@@ -355,12 +351,7 @@ def cmd_train_lm(args) -> int:
     vocab.save(out_dir / "bpe.vocab")
     stream = build_token_stream(train_lines, vocab)
     model = TransformerLm(_lm_config(cfg), vocab, cfg.seed)
-    settings = LmTrainSettings(
-        epochs=cfg.lm_epochs, batch_size=cfg.lm_batch_size, lr=cfg.lm_lr,
-        adam_eps=cfg.lm_adam_eps, clip_norm=cfg.lm_clip_norm, shuffle_seed=cfg.seed,
-    )
-    optimizer = Adam(list(model.parameters().values()), lr=settings.lr,
-                     eps=settings.adam_eps, clip_norm=settings.clip_norm)
+    optimizer = make_optimizer(model, cfg)
 
     def validate(model: TransformerLm) -> list[EvalPair]:
         # continue the first half of each held-out report, score the
@@ -376,8 +367,8 @@ def cmd_train_lm(args) -> int:
             pairs.append(EvalPair(candidate, [tokens[mid:] or ["."]]))
         return pairs
 
-    train = functools.partial(train_lm, model, stream, settings, optimizer=optimizer)
-    return _train_stage(args, out_dir, "lm", model, {"": optimizer}, settings, train, validate)
+    train = functools.partial(train_lm, model, stream, cfg, optimizer=optimizer)
+    return _train_stage(args, out_dir, "lm", model, {"": optimizer}, cfg, train, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +392,8 @@ def _load_lm(cfg: RunConfig, ckpt_path, vocab: BpeVocabulary) -> TransformerLm:
 def cmd_generate(args) -> int:
     cfg = _config_from(args)
     word_vocab = WordVocabulary.load(_require_file(args.word_vocab, "word vocabulary"))
-    use_lm = not args.no_lm
-    bpe_vocab = None
-    lm = None
-    if use_lm:
+    bpe_vocab = lm = None
+    if not args.no_lm:
         bpe_vocab = BpeVocabulary.load(_require_file(args.bpe_vocab, "BPE vocabulary"))
         lm = _load_lm(cfg, args.lm_checkpoint, bpe_vocab)
     model = _load_caption_model(cfg, args.sat_checkpoint, word_vocab)
@@ -415,9 +404,8 @@ def cmd_generate(args) -> int:
         inputs.append((Path(args.image).stem, preprocess_image(pixels, maxval, cfg.image_side)))
     else:
         records = load_dataset(_require_file(args.dataset, "packed dataset"))
-        if args.manifest and args.split:
-            manifest = _load_manifest(args.manifest)
-            wanted = set(manifest["splits"][args.split])
+        if args.split:
+            wanted = set(_load_manifest(args.manifest)["splits"][args.split])
             records = [r for r in records if r.study_id in wanted]
         inputs.extend((r.study_id, r.image) for r in records)
     if not inputs:
@@ -426,13 +414,12 @@ def cmd_generate(args) -> int:
     heatmap_dir = Path(args.heatmap_dir) if args.heatmap_dir else None
     if heatmap_dir:
         heatmap_dir.mkdir(parents=True, exist_ok=True)
-    options = _decode_options(cfg, use_lm=use_lm)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8") as fh:
         for study_id, image in inputs:
             result = two_stage_generate(image, model, word_vocab, lm, bpe_vocab,
-                                        options, study_id=study_id)
+                                        cfg, study_id=study_id)
             heatmap_files = []
             if heatmap_dir and result.attention_weights:
                 csv_rows = []
@@ -590,6 +577,12 @@ def main(argv=None) -> int:
         if getattr(args, "command", None) == "generate":
             if not args.image and not args.dataset:
                 raise CliValidationError("generate needs --dataset or --image")
+            if args.image and (args.dataset or args.manifest or args.split):
+                raise CliValidationError(
+                    "generate --image captions one image; drop --dataset, --manifest and --split"
+                )
+            if bool(args.manifest) != bool(args.split):
+                raise CliValidationError("generate needs --manifest and --split together")
             if not args.no_lm and not (args.lm_checkpoint and args.bpe_vocab):
                 raise CliValidationError(
                     "generate needs --lm-checkpoint and --bpe-vocab unless --no-lm is set"

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import RunConfig
+
 logger = logging.getLogger(__name__)
 
 
@@ -147,54 +149,32 @@ class PipelineOutput:
         return " ".join(self.seed_tokens)
 
 
-@dataclass
-class DecodeOptions:
-    strategy: str = "beam"          # "greedy" | "beam"
-    caption_beam_width: int = 5
-    caption_max_len: int = 24
-    lm_beam_width: int = 5
-    lm_rank: int = 2                # continuation taken from this beam rank
-    lm_max_new: int = 48
-    length_normalize: bool = True
-    use_lm: bool = True
-
-    def validate(self) -> None:
-        if self.strategy not in ("greedy", "beam"):
-            raise ValueError(f"unknown decode strategy {self.strategy!r}")
-        if self.caption_beam_width < 1 or self.lm_beam_width < 1:
-            raise ValueError("beam widths must be at least 1")
-        if not 1 <= self.lm_rank <= self.lm_beam_width:
-            raise ValueError(
-                f"lm_rank {self.lm_rank} must lie in [1, lm_beam_width={self.lm_beam_width}]"
-            )
-        if self.caption_max_len < 1 or self.lm_max_new < 1:
-            raise ValueError("decode length caps must be at least 1")
-
-
 def two_stage_generate(image: np.ndarray, captioner, word_vocab, lm, bpe_vocab,
-                       options: DecodeOptions, study_id: str = "") -> PipelineOutput:
+                       cfg: RunConfig, study_id: str = "") -> PipelineOutput:
     """Caption the image, then let the language model continue the text.
 
     The caption seed is detokenized, the literal start marker is appended,
     and the language model continues from the BPE encoding of that text until
     it emits its end-of-text token or hits the cap. The combined report is
     the seed text plus the continuation separated by one space; per-step
-    caption attention weights ride along for heatmap export.
+    caption attention weights ride along for heatmap export. With ``lm``
+    None the report is the caption alone. Both stages search with
+    ``cfg.beam_width``; the continuation is taken from beam ``cfg.lm_rank``.
     """
-    options.validate()
+    cfg.validate()
     seed_ids, alphas = captioner.decode_caption(
         image,
-        strategy=options.strategy,
-        beam_width=options.caption_beam_width,
-        max_len=options.caption_max_len,
-        length_normalize=options.length_normalize,
+        strategy=cfg.decode_strategy,
+        beam_width=cfg.beam_width,
+        max_len=cfg.sat_max_caption_len,
+        length_normalize=cfg.length_normalize,
     )
     seed_tokens = word_vocab.decode(seed_ids, strip_specials=True)
     if not seed_tokens:
         logger.warning("caption model produced an empty seed for %r; skipping LM stage", study_id)
         return PipelineOutput(study_id, [], "", "", [])
     out = PipelineOutput(study_id, seed_tokens, "", " ".join(seed_tokens), list(alphas))
-    if not options.use_lm or lm is None:
+    if lm is None:
         return out
     seed_text = out.seed_text + " " + LM_START_MARKER
     seed_ids = list(bpe_vocab.encode(seed_text).ids)
@@ -204,11 +184,11 @@ def two_stage_generate(image: np.ndarray, captioner, word_vocab, lm, bpe_vocab,
         seed_ids = seed_ids[-window:]
     beams = lm.continuation_beams(
         seed_ids,
-        k=options.lm_beam_width,
-        max_new=options.lm_max_new,
-        length_normalize=options.length_normalize,
+        k=cfg.beam_width,
+        max_new=cfg.lm_max_new,
+        length_normalize=cfg.length_normalize,
     )
-    rank = min(options.lm_rank, len(beams)) if beams else 0
+    rank = min(cfg.lm_rank, len(beams)) if beams else 0
     if rank == 0:
         return out
     continuation_ids = select_beam(beams, rank, end_token=bpe_vocab.end_of_text_id)

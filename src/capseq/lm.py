@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import decoding
+from .config import RunConfig
 from .optim import Adam, train_epochs
 from .tokenizers import BpeVocabulary
 
@@ -213,22 +214,6 @@ class TransformerLm:
 # self-supervised training
 
 
-@dataclass
-class LmTrainSettings:
-    epochs: int = 50
-    batch_size: int = 1
-    lr: float = 3e-3
-    adam_eps: float = 1e-8
-    clip_norm: float | None = 1.0
-    shuffle_seed: int = 0
-
-    def validate(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
-        if self.lr <= 0 or self.adam_eps <= 0:
-            raise ValueError("lr and adam_eps must be positive")
-
-
 def build_token_stream(lines: list[str], vocab: BpeVocabulary) -> list[int]:
     """Encode one report per line, appending the end-of-text terminator."""
     stream: list[int] = []
@@ -249,18 +234,28 @@ def chunk_stream(stream: list[int], block_size: int) -> list[np.ndarray]:
     return windows
 
 
-def train_lm(model: TransformerLm, stream: list[int], settings: LmTrainSettings,
+def make_optimizer(model: TransformerLm, cfg: RunConfig) -> Adam:
+    """Adam over every LM parameter from the ``lm_*`` keys."""
+    return Adam(list(model.parameters().values()), lr=cfg.lm_lr, eps=cfg.lm_adam_eps,
+                clip_norm=cfg.lm_clip_norm)
+
+
+def train_lm(model: TransformerLm, stream: list[int], cfg: RunConfig,
              optimizer: Adam | None = None, epoch_callback=None,
-             shuffle_rng=None, trace=None) -> list[float]:
-    """Next-token training over block windows; returns per-batch loss trace.
-    ``shuffle_rng`` and ``trace`` are passed on to ``optim.train_epochs``."""
+             shuffle_rng=None, trace=None, start_epoch: int = 0) -> list[float]:
+    """Next-token training over block windows for ``cfg.lm_epochs`` epochs of
+    ``cfg.lm_batch_size``; returns per-batch loss trace. ``shuffle_rng`` (by
+    default seeded with ``cfg.seed``), ``trace`` and ``start_epoch`` are
+    passed on to ``optim.train_epochs``."""
+    cfg.validate()
     if len(stream) < 2:
         raise ValueError("corpus too small: need at least 2 tokens")
     windows = chunk_stream(stream, model.config.block_size)
     if not windows:
         raise ValueError("corpus produced no trainable windows")
-    opt = optimizer or Adam(list(model.parameters().values()), lr=settings.lr,
-                            eps=settings.adam_eps, clip_norm=settings.clip_norm)
+    opt = optimizer or make_optimizer(model, cfg)
+    if shuffle_rng is None:
+        shuffle_rng = np.random.default_rng(cfg.seed)
 
     def batch_loss(idx):
         total = None
@@ -269,5 +264,5 @@ def train_lm(model: TransformerLm, stream: list[int], settings: LmTrainSettings,
             total = piece if total is None else total + piece
         return total * (1.0 / len(idx))
 
-    return train_epochs(model, settings, len(windows), batch_loss, [opt],
-                        epoch_callback, shuffle_rng, trace)
+    return train_epochs(model, len(windows), batch_loss, [opt], cfg.lm_epochs,
+                        cfg.lm_batch_size, shuffle_rng, epoch_callback, trace, start_epoch)

@@ -124,29 +124,35 @@ class Adam(_Optimizer):
             self._v[i] = arrays[f"adam.v.{key}"].reshape(self._v[i].shape).copy()
 
 
-def train_epochs(model, settings, n_items: int, batch_loss, optimizers,
-                 epoch_callback=None, shuffle_rng=None, trace=None) -> list[float]:
-    """Minibatch epochs over ``n_items`` examples; returns the loss trace.
+def train_epochs(model, n_items: int, batch_loss, optimizers, epochs: int,
+                 batch_size: int, shuffle_rng, epoch_callback=None, trace=None,
+                 start_epoch: int = 0) -> list[float]:
+    """Minibatch epochs ``start_epoch..epochs-1`` over ``n_items`` examples;
+    returns the loss trace.
 
-    ``settings`` supplies ``epochs``, ``batch_size`` and ``shuffle_seed``.
-    Each epoch draws one permutation from ``shuffle_rng`` (by default a fresh
-    generator seeded with ``shuffle_seed``); each batch of indices is scored
-    by ``batch_loss(indices)`` on a tape, backpropagated, and every optimizer
-    steps in order. Per-batch losses are appended to ``trace``, and
-    ``epoch_callback(epoch, model)`` runs after every epoch.
+    Each epoch draws one permutation from ``shuffle_rng``; each batch of
+    indices is scored by ``batch_loss(indices)`` on a tape, backpropagated,
+    and every optimizer steps in order. Per-batch losses are appended to
+    ``trace``, and ``epoch_callback(epoch, model)`` runs after every epoch.
+    An epoch with batches in which any optimizer refused its step logs one
+    warning with the count.
     """
-    settings.validate()
-    rng = shuffle_rng if shuffle_rng is not None else np.random.default_rng(settings.shuffle_seed)
     trace = [] if trace is None else trace
-    for epoch in range(settings.epochs):
-        order = rng.permutation(n_items)
-        for lo in range(0, n_items, settings.batch_size):
+    starts = range(0, n_items, batch_size)
+    for epoch in range(start_epoch, epochs):
+        order = shuffle_rng.permutation(n_items)
+        refused = 0
+        for lo in starts:
             with Tape() as tape:
-                loss = batch_loss(order[lo:lo + settings.batch_size])
+                loss = batch_loss(order[lo:lo + batch_size])
             tape.backward(loss)
-            for opt in optimizers:
-                opt.step()
+            # every optimizer steps, even after another refused
+            if not all([opt.step() for opt in optimizers]):
+                refused += 1
             trace.append(loss.item())
+        if refused:
+            logger.warning("epoch %d: %d of %d optimizer steps refused",
+                           epoch, refused, len(starts))
         if epoch_callback is not None:
             epoch_callback(epoch, model)
     return trace

@@ -19,11 +19,11 @@ import pytest
 
 from capseq import autodiff as ad
 from capseq.captioner import (CaptionConfig, CaptionExample, CaptionModel,
-                              CaptionTrainSettings, train_teacher_forcing)
+                              train_teacher_forcing)
 from capseq.cli import main
+from capseq.config import RunConfig
 from capseq.decoding import beam_search, greedy_decode, select_beam
-from capseq.lm import (LmConfig, LmTrainSettings, TransformerLm,
-                       build_token_stream, chunk_stream, train_lm)
+from capseq.lm import LmConfig, TransformerLm, build_token_stream, chunk_stream, train_lm
 from capseq.metrics import (EvalPair, bleu_components, bleu_n, cider,
                             lcs_length, rouge_l)
 from capseq.synthetic import overfit_pairs, write_raw_corpus
@@ -286,9 +286,8 @@ class TestCriterion7Trainability:
                             max_caption_len=max_len)
         model = CaptionModel(cfg, vocab_size=len(vocab), seed=5)
         train_teacher_forcing(model, examples,
-                              CaptionTrainSettings(epochs=400, batch_size=8,
-                                                   decoder_lr=5e-3, clip_norm=5.0,
-                                                   shuffle_seed=0))
+                              RunConfig(sat_epochs=400, sat_batch_size=8,
+                                        sat_decoder_lr=5e-3, sat_clip_norm=5.0, seed=0))
         eval_pairs = []
         for (sid, img, toks) in pairs:
             ids, _ = model.decode_caption(img, strategy="greedy", max_len=max_len)
@@ -315,8 +314,8 @@ class TestCriterion7Trainability:
         assert len(stream) >= 200
         lm = TransformerLm(LmConfig(n_layers=2, n_heads=2, model_dim=32,
                                     ffn_dim=64, block_size=64), vocab, seed=3)
-        train_lm(lm, stream, LmTrainSettings(epochs=150, batch_size=1, lr=3e-3,
-                                             clip_norm=1.0, shuffle_seed=0))
+        train_lm(lm, stream, RunConfig(lm_epochs=150, lm_batch_size=1, lm_lr=3e-3,
+                                       lm_clip_norm=1.0, seed=0))
         losses = [lm.loss(w).item() for w in chunk_stream(stream, 64)]
         assert float(np.mean(losses)) <= 0.1, losses
 
@@ -336,22 +335,21 @@ class TestCriterion8Pipeline:
                                            max_caption_len=max_len),
                              vocab_size=len(word_vocab), seed=4)
         train_teacher_forcing(model, examples,
-                              CaptionTrainSettings(epochs=60, batch_size=4,
-                                                   decoder_lr=5e-3, shuffle_seed=0))
+                              RunConfig(sat_epochs=60, sat_batch_size=4,
+                                        sat_decoder_lr=5e-3, seed=0))
         text = "\n".join(" ".join(t) for t in captions)
         bpe = BpeVocabulary.train(text + " <start>", 30)
         lm = TransformerLm(LmConfig(1, 1, 16, 32, 48), bpe, seed=4)
         train_lm(lm, build_token_stream([" ".join(t) for t in captions], bpe),
-                 LmTrainSettings(epochs=10, lr=3e-3, shuffle_seed=0))
+                 RunConfig(lm_epochs=10, lm_lr=3e-3, seed=0))
         return pairs, model, word_vocab, lm, bpe
 
     def test_contracts(self):
-        from capseq.decoding import DecodeOptions, two_stage_generate
+        from capseq.decoding import two_stage_generate
         pairs, model, word_vocab, lm, bpe = self._stack()
-        options = DecodeOptions(strategy="greedy", lm_beam_width=3, lm_rank=2,
-                                lm_max_new=8)
+        cfg = RunConfig(decode_strategy="greedy", beam_width=3, lm_rank=2, lm_max_new=8)
         for sid, img, _ in pairs:
-            out = two_stage_generate(img, model, word_vocab, lm, bpe, options, sid)
+            out = two_stage_generate(img, model, word_vocab, lm, bpe, cfg, sid)
             if out.continuation_text:
                 assert out.combined_text == out.seed_text + " " + out.continuation_text
             else:
@@ -360,7 +358,7 @@ class TestCriterion8Pipeline:
             # termination: continuation token count respects the cap after
             # terminator stripping
             cont_ids = bpe.encode(out.continuation_text)
-            assert len(cont_ids.ids) <= options.lm_max_new
+            assert len(cont_ids.ids) <= cfg.lm_max_new
 
     def test_rank2_picks_second_highest_scoring_beam(self):
         _, model, word_vocab, lm, bpe = self._stack()

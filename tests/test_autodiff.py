@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from capseq import autodiff as ad
 from capseq.binio import BinaryFormatError
 from capseq.checkpoint import CheckpointError, load_tensors, save_tensors
-from capseq.optim import Adam, Sgd, clip_gradients, global_grad_norm
+from capseq.optim import Adam, Sgd, clip_gradients, global_grad_norm, train_epochs
 
 from oracles import finite_difference_gradients, worst_relative_error
 
@@ -272,6 +272,27 @@ class TestOptimizers:
         p.grad = np.array([1.0])
         opt.step()
         assert p.data[0] == 1.0
+
+    def test_refused_steps_warned_per_epoch(self, caplog, capsys):
+        # 5 items in batches of 2: 3 batches per epoch, 2 epochs
+        p = ad.Parameter(np.array([1.0]), "p")
+
+        class Stub:
+            def __init__(self, refuse):
+                self.calls, self.refuse = 0, refuse
+
+            def step(self):
+                self.calls += 1
+                return self.calls not in self.refuse
+
+        first, second = Stub(refuse={1, 3}), Stub(refuse={3})
+        trace = train_epochs(None, 5, lambda idx: ad.reduce_sum(ad.mul(p, p)),
+                             [first, second], 2, 2, np.random.default_rng(0))
+        assert len(trace) == 6
+        assert first.calls == second.calls == 6  # a refusal does not skip the others
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["epoch 0: 2 of 3 optimizer steps refused"]
+        assert capsys.readouterr().out == ""
 
 
 class TestCheckpointFormat:

@@ -7,9 +7,9 @@ import pytest
 
 from capseq import autodiff as ad
 from capseq.captioner import (CaptionConfig, CaptionExample, CaptionModel,
-                              CaptionTrainSettings, attention_heatmap,
-                              effective_batch_sizes, sort_batch_by_length,
-                              train_teacher_forcing)
+                              attention_heatmap, effective_batch_sizes,
+                              sort_batch_by_length, train_teacher_forcing)
+from capseq.config import RunConfig
 from capseq.synthetic import overfit_pairs
 from capseq.tokenizers import WordVocabulary
 
@@ -236,8 +236,8 @@ class TestTeacherForcing:
         model = CaptionModel(cfg, vocab_size=len(vocab), seed=5)
         trace = train_teacher_forcing(
             model, examples,
-            CaptionTrainSettings(epochs=21, batch_size=8, decoder_lr=5e-3,
-                                 clip_norm=5.0, shuffle_seed=0))
+            RunConfig(sat_epochs=21, sat_batch_size=8, sat_decoder_lr=5e-3,
+                      sat_clip_norm=5.0, seed=0))
         assert all(trace[i + 1] < trace[i] for i in range(20)), trace[:21]
 
 
@@ -256,8 +256,8 @@ class TestFinetuneToggle:
         before = {n: p.data.copy() for n, p in model.parameters().items()
                   if n.startswith("encoder.")}
         train_teacher_forcing(model, examples,
-                              CaptionTrainSettings(epochs=10, batch_size=4,
-                                                   decoder_lr=1e-2, shuffle_seed=0))
+                              RunConfig(sat_epochs=10, sat_batch_size=4,
+                                        sat_decoder_lr=1e-2, seed=0))
         for name, data in before.items():
             assert np.array_equal(data, model.parameters()[name].data), name
 

@@ -210,6 +210,36 @@ class TestTraining:
             assert self._train(prepped, stage, killed, "--resume", *three) == 0
             self._assert_same_files(straight, killed)
 
+    def test_resume_refuses_uncommitted_files(self, prepped, tmp_path, monkeypatch, capsys):
+        # -state.json commits an epoch: a last checkpoint newer than the state,
+        # or a lost moments file, stops --resume with exit 1
+        three = ("--set", "sat_epochs=3", "--set", "lm_epochs=3")
+        save_tensors = checkpoint.save_tensors
+        for stage in ("sat", "lm"):
+            torn, lost = tmp_path / f"{stage}-torn", tmp_path / f"{stage}-lost"
+            opt_saves = []
+
+            def failing_save(path, named):
+                if str(path).endswith(".opt"):
+                    opt_saves.append(path)
+                    if len(opt_saves) == 3:
+                        raise RuntimeError("injected failure")
+                save_tensors(path, named)
+
+            monkeypatch.setattr(checkpoint, "save_tensors", failing_save)
+            assert self._train(prepped, stage, torn, *three) == 2
+            monkeypatch.setattr(checkpoint, "save_tensors", save_tensors)
+            capsys.readouterr()
+            assert self._train(prepped, stage, torn, "--resume", *three) == 1
+            err = capsys.readouterr().err
+            assert f"{stage}-last.ckpt does not match" in err and "--overwrite" in err
+
+            assert self._train(prepped, stage, lost) == 0
+            (lost / f"{stage}-last.opt").unlink()
+            assert self._train(prepped, stage, lost, "--resume", *three) == 1
+            err = capsys.readouterr().err
+            assert f"{stage}-last.opt is missing" in err and "--overwrite" in err
+
 
 class TestGenerate:
     def test_record_per_input(self, prepped, trained, tmp_path):
@@ -266,6 +296,25 @@ class TestGenerate:
                    "--no-lm", "--out", str(tmp_path / "x.jsonl"),
                    *FAST, "--set", "sat_decoder_dim=20"])
         assert rc == 1
+
+    @pytest.mark.parametrize("flags", [
+        ("--dataset", "--split"),
+        ("--dataset", "--manifest"),
+        ("--dataset", "--image"),
+        ("--image", "--manifest", "--split"),
+    ])
+    def test_ignored_input_flags_rejected(self, prepped, trained, tmp_path, flags):
+        img = tmp_path / "one.pgm"
+        write_pgm(img, np.linspace(0, 1, 256).reshape(16, 16))
+        value = {"--dataset": prepped / "dataset.csds", "--split": "test",
+                 "--manifest": prepped / "manifest.json", "--image": img}
+        out = tmp_path / "x.jsonl"
+        rc = main(["generate", *(str(a) for f in flags for a in (f, value[f])),
+                   "--sat-checkpoint", str(trained / "sat-best.ckpt"),
+                   "--word-vocab", str(trained / "words.vocab"),
+                   "--no-lm", "--out", str(out), *FAST])
+        assert rc == 1
+        assert not out.exists()
 
     def test_single_image_input(self, trained, tmp_path):
         img = tmp_path / "one.pgm"

@@ -73,8 +73,14 @@ class TestPrecedence:
 
 class TestValidation:
     def test_rank_vs_beam_width(self):
-        cfg = RunConfig(lm_rank=4, beam_width=3)
-        with pytest.raises(ConfigError, match="lm_rank"):
+        for rank in (4, 9):
+            cfg = RunConfig(lm_rank=rank, beam_width=3)
+            with pytest.raises(ConfigError, match="lm_rank"):
+                cfg.validate()
+
+    def test_unknown_decode_strategy(self):
+        cfg = RunConfig(decode_strategy="sample")
+        with pytest.raises(ConfigError, match="decode_strategy"):
             cfg.validate()
 
     def test_head_divisibility(self):

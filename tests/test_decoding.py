@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from capseq.captioner import CaptionConfig, CaptionModel
-from capseq.decoding import (Beam, DecodeOptions, beam_search, greedy_decode,
-                             select_beam, two_stage_generate)
+from capseq.config import RunConfig
+from capseq.decoding import (Beam, beam_search, greedy_decode, select_beam,
+                             two_stage_generate)
 from capseq.lm import LmConfig, TransformerLm
 from capseq.tokenizers import BpeVocabulary, WordVocabulary
 
@@ -156,8 +157,8 @@ class TestTwoStage:
         model, word_vocab, lm, bpe = _tiny_models()
         image = np.random.default_rng(0).random((8, 8))
         out = two_stage_generate(image, model, word_vocab, lm, bpe,
-                                 DecodeOptions(strategy="greedy", lm_beam_width=2,
-                                               lm_rank=2, lm_max_new=6), "s0")
+                                 RunConfig(decode_strategy="greedy", beam_width=2,
+                                           lm_rank=2, lm_max_new=6), "s0")
         if out.continuation_text:
             assert out.combined_text == out.seed_text + " " + out.continuation_text
         else:
@@ -167,15 +168,15 @@ class TestTwoStage:
         model, word_vocab, lm, bpe = _tiny_models()
         image = np.random.default_rng(1).random((8, 8))
         out = two_stage_generate(image, model, word_vocab, lm, bpe,
-                                 DecodeOptions(strategy="greedy", lm_beam_width=2,
-                                               lm_rank=2, lm_max_new=4), "s1")
+                                 RunConfig(decode_strategy="greedy", beam_width=2,
+                                           lm_rank=2, lm_max_new=4), "s1")
         assert len(out.attention_weights) == len(out.seed_tokens)
 
     def test_no_lm_keeps_seed_only(self):
         model, word_vocab, lm, bpe = _tiny_models()
         image = np.random.default_rng(2).random((8, 8))
         out = two_stage_generate(image, model, word_vocab, None, None,
-                                 DecodeOptions(strategy="greedy", use_lm=False), "s2")
+                                 RunConfig(decode_strategy="greedy"), "s2")
         assert out.continuation_text == ""
         assert out.combined_text == out.seed_text
 
@@ -190,8 +191,8 @@ class TestTwoStage:
 
         image = np.random.default_rng(3).random((8, 8))
         out = two_stage_generate(image, model, word_vocab, InstantStop(), bpe,
-                                 DecodeOptions(strategy="greedy", lm_beam_width=2,
-                                               lm_rank=2, lm_max_new=4), "s3")
+                                 RunConfig(decode_strategy="greedy", beam_width=2,
+                                           lm_rank=2, lm_max_new=4), "s3")
         assert out.continuation_text == ""
         assert out.combined_text == out.seed_text
 
@@ -199,14 +200,8 @@ class TestTwoStage:
         model, word_vocab, lm, bpe = _tiny_models()
         model.decode_caption = lambda *a, **k: ([], [])
         out = two_stage_generate(np.zeros((8, 8)), model, word_vocab, lm, bpe,
-                                 DecodeOptions(strategy="greedy", lm_beam_width=2,
-                                               lm_rank=2), "s4")
+                                 RunConfig(decode_strategy="greedy", beam_width=2,
+                                           lm_rank=2), "s4")
         assert out.seed_tokens == []
         assert out.combined_text == "" and out.continuation_text == ""
         assert "empty seed" in caplog.text
-
-    def test_options_validation(self):
-        with pytest.raises(ValueError):
-            DecodeOptions(strategy="sample").validate()
-        with pytest.raises(ValueError):
-            DecodeOptions(lm_rank=9, lm_beam_width=3).validate()

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from capseq import autodiff as ad
-from capseq.lm import (LmConfig, LmTrainSettings, TransformerLm,
-                       build_token_stream, chunk_stream, sinusoidal_positions,
-                       train_lm)
+from capseq.config import RunConfig
+from capseq.lm import (LmConfig, TransformerLm, build_token_stream, chunk_stream,
+                       sinusoidal_positions, train_lm)
 from capseq.optim import global_grad_norm
 from capseq.tokenizers import BpeVocabulary
 
@@ -160,7 +160,7 @@ class TestTraining:
 
         def run():
             lm = TransformerLm(LmConfig(1, 1, 4, 8, 8), small_vocab(), seed=1)
-            train_lm(lm, stream, LmTrainSettings(epochs=3, lr=1e-2, shuffle_seed=4))
+            train_lm(lm, stream, RunConfig(lm_epochs=3, lm_lr=1e-2, seed=4))
             return {k: p.data.copy() for k, p in lm.parameters().items()}
 
         a, b = run(), run()
@@ -184,7 +184,7 @@ class TestTraining:
     def test_empty_corpus_rejected(self):
         lm = make_lm()
         with pytest.raises(ValueError):
-            train_lm(lm, [], LmTrainSettings(epochs=1))
+            train_lm(lm, [], RunConfig(lm_epochs=1))
 
 
 class TestGeneration:
