@@ -34,7 +34,7 @@ def _as_f64(value) -> np.ndarray:
 
 def _require_finite(op: str, *arrays: np.ndarray) -> None:
     for a in arrays:
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise NonFiniteInputError(f"{op}: input contains non-finite values")
 
 

@@ -8,8 +8,15 @@ conditioning (image annotations, language-model seed) lives in the closure.
 ``beam_search(K)`` runs one standard beam pass per width 1..K and ranks the
 union of everything found. A single fixed-width pass can evict the eventual
 best sequence and end up strictly worse than a narrower search; pooling the
-widths makes the top score monotone in K and never below the greedy result,
-at a cost that is negligible at desk scale (step results are memoized).
+widths makes the top score monotone in K and never below the greedy result.
+Step results are memoized per prefix across the passes, so each distinct
+prefix is evaluated once per search.
+
+Selection rule of a pass: at each step the candidates are laid out in
+generation order, beam-major and token-minor (a finished beam is one
+candidate, itself; a live beam is one candidate per token id), and the
+``width`` with the highest cumulative log-probability survive. Ties keep
+generation order: the earlier beam first, then the lower token id.
 """
 
 from __future__ import annotations
@@ -79,21 +86,29 @@ def _beam_pass(step_fn, width: int, max_len: int, end_token: int | None,
     for _ in range(max_len):
         if all(b.finished for b in beams):
             break
-        candidates: list[Beam] = []
-        for beam in beams:
+        # One row of candidate scores per beam, in generation order (see the
+        # module docstring). float + float64 row is the same IEEE addition
+        # per token as adding the scalars one at a time.
+        rows = [np.array([b.logprob]) if b.finished else b.logprob + logprobs(b.tokens)
+                for b in beams]
+        starts = np.cumsum([0] + [row.shape[0] for row in rows[:-1]])
+        scores = np.concatenate(rows)
+        # stable: ties keep generation order
+        picked = np.argsort(-scores, kind="stable")[:width]
+        owners = np.searchsorted(starts, picked, side="right") - 1
+        survivors: list[Beam] = []
+        for flat, owner in zip(picked.tolist(), owners.tolist()):
+            beam = beams[owner]
             if beam.finished:
-                candidates.append(beam)
+                survivors.append(beam)
                 continue
-            lp = logprobs(beam.tokens)
-            for token in range(lp.shape[0]):
-                candidates.append(Beam(
-                    beam.tokens + (token,),
-                    beam.logprob + float(lp[token]),
-                    finished=(end_token is not None and token == end_token),
-                ))
-        # stable sort: ties keep generation order, i.e. the lower token id
-        candidates.sort(key=lambda b: -b.logprob)
-        beams = candidates[:width]
+            token = flat - int(starts[owner])
+            survivors.append(Beam(
+                beam.tokens + (token,),
+                float(scores[flat]),
+                finished=(end_token is not None and token == end_token),
+            ))
+        beams = survivors
     return [b for b in beams if b.tokens]
 
 
@@ -109,8 +124,8 @@ def beam_search(step_fn, k: int, max_len: int, end_token: int | None = None,
         raise ValueError(f"beam width must be at least 1, got {k}")
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
-    memo: dict[tuple[int, ...], np.ndarray] = {}
-    vocab = np.asarray(step_fn(())).shape[0]
+    memo: dict[tuple[int, ...], np.ndarray] = {(): np.asarray(step_fn(()), dtype=np.float64)}
+    vocab = memo[()].shape[0]
     reachable = vocab ** max_len
     if k > reachable:
         logger.warning("beam width %d exceeds the %d reachable sequences; clamping", k, reachable)

@@ -124,6 +124,45 @@ def enumerate_sequences(step_fn, vocab_size: int, length: int):
     return scored
 
 
+def pooled_beam_search(step_fn, k, max_len, end_token=None, length_normalize=True):
+    """Pooled-width beam search with one Python candidate per token.
+
+    Returns (tokens, logprob, finished) triples, best first. Each pass
+    extends every live beam by every token, holds finished beams in place,
+    stable-sorts the candidates by cumulative log-probability (ties keep
+    generation order) and keeps the top `width`; the union of the passes for
+    widths 1..k is ranked by (score, tokens).
+    """
+    vocab = len(step_fn(()))
+    k = min(k, vocab ** max_len)
+    pool = {}
+    for width in range(1, k + 1):
+        beams = [((), 0.0, False)]
+        for _ in range(max_len):
+            if all(finished for _, _, finished in beams):
+                break
+            candidates = []
+            for tokens, logprob, finished in beams:
+                if finished:
+                    candidates.append((tokens, logprob, finished))
+                    continue
+                lp = step_fn(tokens)
+                for tok in range(len(lp)):
+                    candidates.append((tokens + (tok,), logprob + float(lp[tok]),
+                                       end_token is not None and tok == end_token))
+            candidates.sort(key=lambda c: -c[1])
+            beams = candidates[:width]
+        for beam in beams:
+            if beam[0]:
+                pool.setdefault(beam[0], beam)
+
+    def score(beam):
+        tokens, logprob, _ = beam
+        return logprob / len(tokens) if length_normalize and tokens else logprob
+
+    return sorted(pool.values(), key=lambda b: (-score(b), b[0]))[:k]
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

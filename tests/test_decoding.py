@@ -3,6 +3,8 @@ enumeration oracle, monotonicity in K, and the two-stage pipeline wiring."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capseq.captioner import CaptionConfig, CaptionModel
 from capseq.config import RunConfig
@@ -11,7 +13,7 @@ from capseq.decoding import (Beam, beam_search, greedy_decode, select_beam,
 from capseq.lm import LmConfig, TransformerLm
 from capseq.tokenizers import BpeVocabulary, WordVocabulary
 
-from oracles import enumerate_sequences
+from oracles import enumerate_sequences, pooled_beam_search
 
 
 def random_table_step(seed, vocab, depth=8):
@@ -20,6 +22,15 @@ def random_table_step(seed, vocab, depth=8):
         h = np.random.default_rng((seed, len(prefix), *[t + 1 for t in prefix])).random(vocab)
         logits = np.log(h / h.sum())
         return logits
+    return step
+
+
+def tied_table_step(seed, vocab, values):
+    """Prefix-dependent log-probabilities drawn from a few values, so that
+    candidate scores tie often; -0.1 + -0.2 != -0.3 keeps sums order-sensitive."""
+    def step(prefix):
+        rng = np.random.default_rng((seed, len(prefix), *[t + 1 for t in prefix]))
+        return rng.choice(np.array(values), size=vocab)
     return step
 
 
@@ -113,6 +124,38 @@ class TestBeamSearch:
         beams = beam_search(step, 100, 2, end_token=None)  # only 4 sequences exist
         assert len(beams) == 4
         assert "clamping" in caplog.text
+
+    @settings(max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 6),
+           values=st.lists(st.sampled_from([-0.1, -0.2, -0.3, -0.7, -1.0]),
+                           min_size=1, max_size=3, unique=True),
+           end_token=st.one_of(st.none(), st.integers(0, 5)),
+           k=st.integers(1, 6), max_len=st.integers(1, 5),
+           length_normalize=st.booleans())
+    def test_matches_per_candidate_reference(self, seed, vocab, values, end_token, k,
+                                             max_len, length_normalize):
+        step = tied_table_step(seed, vocab, values)
+        if end_token is not None:
+            end_token %= vocab
+        expected = pooled_beam_search(step, k, max_len, end_token, length_normalize)
+        beams = beam_search(step, k, max_len, end_token, length_normalize)
+        got = [(b.tokens, b.logprob, b.finished) for b in beams]
+        assert [(t, f) for t, _, f in got] == [(t, f) for t, _, f in expected]
+        # bitwise-equal scores, not merely close ones
+        assert [np.float64(lp).tobytes() for _, lp, _ in got] == \
+            [np.float64(lp).tobytes() for _, lp, _ in expected]
+
+    def test_each_prefix_evaluated_once(self):
+        for end_token in (None, 1):
+            calls = []
+            base = random_table_step(17, 4)
+
+            def step(prefix):
+                calls.append(tuple(prefix))
+                return base(prefix)
+
+            beam_search(step, 5, 4, end_token=end_token)
+            assert calls and len(calls) == len(set(calls)), end_token
 
     def test_argument_domains(self):
         step = random_table_step(0, 3)
