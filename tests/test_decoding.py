@@ -146,9 +146,9 @@ class TestBeamSearch:
             [np.float64(lp).tobytes() for _, lp, _ in expected]
 
     def test_each_prefix_evaluated_once(self):
+        base = random_table_step(17, 4)
         for end_token in (None, 1):
             calls = []
-            base = random_table_step(17, 4)
 
             def step(prefix):
                 calls.append(tuple(prefix))
