@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -225,8 +224,7 @@ class CaptionModel:
         total_nll = None
         count = 0
         alpha_steps: list[ad.Tensor] = []
-        for t in range(int(lengths.max())):
-            bt = int(np.sum(lengths > t))
+        for t, bt in enumerate(effective_batch_sizes(lengths)):
             if bt < a_t.shape[0]:
                 a_t = ad.narrow(a_t, 0, 0, bt)
                 h = ad.narrow(h, 0, 0, bt)
@@ -257,44 +255,31 @@ class CaptionModel:
 
     # -- decoding ----------------------------------------------------------------
 
-    def step_function(self, annotations: ad.Tensor, start_id: int) -> Callable:
-        """Prefix-driven step function for the generic decoders. States are
-        cached per prefix so each extension costs one LSTM step."""
-        cache: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+    def step_function(self, annotations: ad.Tensor, start_id: int):
+        """Prefix-driven step function for ``decoding.decode``, plus its record.
 
-        def advance(state, token):
-            h = ad.as_constant(state[0])
-            c = ad.as_constant(state[1])
-            alpha, context = self.attend(annotations, h)
-            h2, c2 = self.lstm_step(np.array([token]), h, c, context)
-            probs = self.output_distribution(h2, context, np.array([token]))
-            return (h2.data, c2.data), probs.data[0], alpha.data[0]
-
-        def initial_state():
-            h, c = self.init_state(annotations)
-            return (h.data, c.data)
-
-        def materialize(prefix: tuple[int, ...]):
-            """State after consuming <start> followed by the prefix tokens."""
-            if prefix in cache:
-                return cache[prefix]
-            if not prefix:
-                state = advance(initial_state(), start_id)[0]
-            else:
-                state = advance(materialize(prefix[:-1]), prefix[-1])[0]
-            cache[prefix] = state
-            return state
+        ``record[prefix]`` holds ``(h, c, alpha)``: the decoder state after
+        consuming <start> and the prefix tokens, and the attention weights
+        used to emit the token that follows the prefix. A prefix extends one
+        already evaluated (the decoding prefix contract), so each step costs
+        one attention and one LSTM step.
+        """
+        record: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
         def step(prefix) -> np.ndarray:
             prefix = tuple(prefix)
-            if not prefix:
-                state, probs, _ = advance(initial_state(), start_id)
+            if prefix:
+                h, c, _ = record[prefix[:-1]]
+                h, c, token = ad.as_constant(h), ad.as_constant(c), prefix[-1]
             else:
-                state, probs, _ = advance(materialize(prefix[:-1]), prefix[-1])
-            cache[prefix] = state
-            return np.log(np.maximum(probs, PROB_FLOOR))
+                (h, c), token = self.init_state(annotations), start_id
+            alpha, context = self.attend(annotations, h)
+            h2, c2 = self.lstm_step(np.array([token]), h, c, context)
+            probs = self.output_distribution(h2, context, np.array([token]))
+            record[prefix] = (h2.data, c2.data, alpha.data[0])
+            return np.log(np.maximum(probs.data[0], PROB_FLOOR))
 
-        return step
+        return step, record
 
     def decode_caption(self, image, strategy: str = "greedy", beam_width: int = 5,
                        max_len: int | None = None, length_normalize: bool = True,
@@ -305,34 +290,13 @@ class CaptionModel:
         self.training = False
         try:
             annotations = self.encode(np.asarray(image))
-            max_len = max_len or self.config.max_caption_len
-            step = self.step_function(annotations, start_id)
-            if strategy == "greedy":
-                ids = decoding.greedy_decode(step, max_len, end_token=end_id)
-            elif strategy == "beam":
-                beams = decoding.beam_search(step, beam_width, max_len,
-                                             end_token=end_id,
-                                             length_normalize=length_normalize)
-                ids = decoding.select_beam(beams, 1, end_token=end_id) if beams else []
-            else:
-                raise ValueError(f"unknown decode strategy {strategy!r}")
-            alphas = self.replay_attention(annotations, ids, start_id)
-            return ids, alphas
+            step, record = self.step_function(annotations, start_id)
+            ids = decoding.decode(step, max_len or self.config.max_caption_len, end_id,
+                                  strategy=strategy, beam_width=beam_width,
+                                  length_normalize=length_normalize)
+            return ids, [record[tuple(ids[:i])][2] for i in range(len(ids))]
         finally:
             self.training = was_training
-
-    def replay_attention(self, annotations: ad.Tensor, ids: list[int],
-                         start_id: int) -> list[np.ndarray]:
-        """Re-run the decoder over a fixed output sequence collecting the
-        attention map used to emit each token."""
-        h, c = self.init_state(annotations)
-        alphas: list[np.ndarray] = []
-        inputs = [start_id] + list(ids[:-1])
-        for token in inputs[: len(ids)]:
-            alpha, context = self.attend(annotations, h)
-            h, c = self.lstm_step(np.array([token]), h, c, context)
-            alphas.append(alpha.data[0].copy())
-        return alphas
 
 
 # ---------------------------------------------------------------------------

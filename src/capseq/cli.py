@@ -23,7 +23,7 @@ from .binio import BinaryFormatError
 from .captioner import (CaptionConfig, CaptionExample, CaptionModel,
                         attention_heatmap, make_optimizers, train_teacher_forcing)
 from .config import ConfigError, RunConfig, load_run_config
-from .decoding import two_stage_generate
+from .decoding import decode, lm_seed, two_stage_generate
 from .lm import LmConfig, TransformerLm, build_token_stream, make_optimizer, train_lm
 from .metrics import EvalPair, evaluate_corpus, geometric_mean_bleu, bleu_n
 from .optim import Adam
@@ -359,10 +359,8 @@ def cmd_train_lm(args) -> int:
         pairs = []
         for tokens in val_tokens:
             mid = max(1, len(tokens) // 2)
-            seed_ids = list(vocab.encode(_detok(tokens[:mid]) + " <start>").ids)
-            seed_ids = seed_ids[-(model.config.block_size - 1):]
-            cont = model.generate_continuation(seed_ids, max_new=cfg.lm_max_new,
-                                               strategy="greedy")
+            seed_ids = lm_seed(_detok(tokens[:mid]), vocab, model.config.block_size)
+            cont = decode(model.step_function(seed_ids), cfg.lm_max_new, vocab.end_of_text_id)
             candidate = normalize_text(vocab.decode(cont)) or [""]
             pairs.append(EvalPair(candidate, [tokens[mid:] or ["."]]))
         return pairs

@@ -4,6 +4,14 @@ chains the caption model's output into the language model.
 A decoder is driven by a *step function* ``step(prefix) -> log-probs`` giving
 next-token log-probabilities for the tokens generated so far; the fixed
 conditioning (image annotations, language-model seed) lives in the closure.
+``decode`` is the one entry point both models use: greedy, or beam search
+followed by the selection of one ranked beam.
+
+Prefix contract: the first call is ``step(())``, and every later prefix is an
+earlier-evaluated prefix extended by one token. Greedy and beam search only
+ever extend a prefix they have already evaluated, so a step function may keep
+per-prefix state (the caption model keeps its LSTM state and attention
+weights) and look up ``prefix[:-1]`` instead of recomputing it.
 
 ``beam_search(K)`` runs one standard beam pass per width 1..K and ranks the
 union of everything found. A single fixed-width pass can evict the eventual
@@ -45,13 +53,6 @@ class Beam:
         if length_normalize and self.tokens:
             return self.logprob / len(self.tokens)
         return self.logprob
-
-
-def strip_terminator(tokens, end_token: int | None) -> list[int]:
-    out = list(tokens)
-    if end_token is not None and out and out[-1] == end_token:
-        out.pop()
-    return out
 
 
 def greedy_decode(step_fn, max_len: int, end_token: int | None = None) -> list[int]:
@@ -142,13 +143,38 @@ def select_beam(beams: list[Beam], rank: int, end_token: int | None = None) -> l
     """1-indexed selection from a ranked beam list; strips the terminator."""
     if not 1 <= rank <= len(beams):
         raise ValueError(f"beam rank {rank} out of range [1, {len(beams)}]")
-    return strip_terminator(beams[rank - 1].tokens, end_token)
+    tokens = list(beams[rank - 1].tokens)
+    if end_token is not None and tokens and tokens[-1] == end_token:
+        tokens.pop()
+    return tokens
+
+
+def decode(step_fn, max_len: int, end_token: int | None, strategy: str = "greedy",
+           beam_width: int = 1, rank: int = 1, length_normalize: bool = True) -> list[int]:
+    """Token ids without the terminator: the greedy ids, or else beam
+    ``min(rank, len(beams))`` of a ``beam_width`` search (``[]`` when the
+    search finds no beam)."""
+    if strategy == "greedy":
+        return greedy_decode(step_fn, max_len, end_token=end_token)
+    if strategy == "beam":
+        beams = beam_search(step_fn, beam_width, max_len, end_token=end_token,
+                            length_normalize=length_normalize)
+        return select_beam(beams, min(rank, len(beams)), end_token) if beams else []
+    raise ValueError(f"unknown decode strategy {strategy!r}")
 
 
 # ---------------------------------------------------------------------------
 # two-stage pipeline
 
 LM_START_MARKER = "<start>"
+
+
+def lm_seed(text: str, bpe_vocab, block_size: int) -> list[int]:
+    """The language model's seed for a text: the BPE encoding of the text
+    plus the start marker, cut to its last ``block_size - 1`` ids so that a
+    long text keeps the most recent context and one token still fits."""
+    ids = list(bpe_vocab.encode(text + " " + LM_START_MARKER).ids)
+    return ids[-(block_size - 1):]
 
 
 @dataclass
@@ -168,8 +194,8 @@ def two_stage_generate(image: np.ndarray, captioner, word_vocab, lm, bpe_vocab,
                        cfg: RunConfig, study_id: str = "") -> PipelineOutput:
     """Caption the image, then let the language model continue the text.
 
-    The caption seed is detokenized, the literal start marker is appended,
-    and the language model continues from the BPE encoding of that text until
+    The caption seed is detokenized and ``lm_seed`` turns it into the
+    language model's seed, which the model continues with a beam search until
     it emits its end-of-text token or hits the cap. The combined report is
     the seed text plus the continuation separated by one space; per-step
     caption attention weights ride along for heatmap export. With ``lm``
@@ -191,22 +217,15 @@ def two_stage_generate(image: np.ndarray, captioner, word_vocab, lm, bpe_vocab,
     out = PipelineOutput(study_id, seed_tokens, "", " ".join(seed_tokens), list(alphas))
     if lm is None:
         return out
-    seed_text = out.seed_text + " " + LM_START_MARKER
-    seed_ids = list(bpe_vocab.encode(seed_text).ids)
-    # long seeds keep only the most recent context the LM can hold
-    window = lm.config.block_size - 1
-    if len(seed_ids) > window:
-        seed_ids = seed_ids[-window:]
-    beams = lm.continuation_beams(
-        seed_ids,
-        k=cfg.beam_width,
-        max_new=cfg.lm_max_new,
+    continuation_ids = decode(
+        lm.step_function(lm_seed(out.seed_text, bpe_vocab, lm.config.block_size)),
+        cfg.lm_max_new,
+        bpe_vocab.end_of_text_id,
+        strategy="beam",
+        beam_width=cfg.beam_width,
+        rank=cfg.lm_rank,
         length_normalize=cfg.length_normalize,
     )
-    rank = min(cfg.lm_rank, len(beams)) if beams else 0
-    if rank == 0:
-        return out
-    continuation_ids = select_beam(beams, rank, end_token=bpe_vocab.end_of_text_id)
     continuation = bpe_vocab.decode(continuation_ids).strip()
     out.continuation_text = continuation
     if continuation:

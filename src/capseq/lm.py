@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import decoding
 from .config import RunConfig
 from .optim import Adam, train_epochs
 from .tokenizers import BpeVocabulary
@@ -168,8 +167,13 @@ class TransformerLm:
     # -- generation -------------------------------------------------------------
 
     def step_function(self, seed_ids: list[int]):
-        """Next-token log-probabilities given seed + generated prefix. When
-        the context outgrows the block size the window slides left."""
+        """Next-token log-probabilities given seed + generated prefix, for
+        ``decoding.decode``. The seed must leave room for one token; when the
+        context outgrows the block size the window slides left."""
+        if len(seed_ids) >= self.config.block_size:
+            raise ValueError(
+                f"seed length {len(seed_ids)} already at block size {self.config.block_size}"
+            )
 
         def step(prefix) -> np.ndarray:
             ids = list(seed_ids) + list(prefix)
@@ -179,35 +183,6 @@ class TransformerLm:
             return shifted - np.log(np.exp(shifted).sum())
 
         return step
-
-    def continuation_beams(self, seed_ids: list[int], k: int, max_new: int,
-                           length_normalize: bool = True) -> list[decoding.Beam]:
-        if len(seed_ids) >= self.config.block_size:
-            raise ValueError(
-                f"seed length {len(seed_ids)} already at block size {self.config.block_size}"
-            )
-        return decoding.beam_search(
-            self.step_function(seed_ids), k, max_new,
-            end_token=self.vocab.end_of_text_id,
-            length_normalize=length_normalize,
-        )
-
-    def generate_continuation(self, seed_ids: list[int], max_new: int,
-                              strategy: str = "greedy", beam_width: int = 5,
-                              rank: int = 1, length_normalize: bool = True) -> list[int]:
-        """Continue a seed until <|endoftext|> or the cap; returns the new
-        tokens only (no seed, no terminator)."""
-        if len(seed_ids) >= self.config.block_size:
-            raise ValueError(
-                f"seed length {len(seed_ids)} already at block size {self.config.block_size}"
-            )
-        if strategy == "greedy":
-            return decoding.greedy_decode(
-                self.step_function(seed_ids), max_new, end_token=self.vocab.end_of_text_id)
-        if strategy == "beam":
-            beams = self.continuation_beams(seed_ids, beam_width, max_new, length_normalize)
-            return decoding.select_beam(beams, rank, end_token=self.vocab.end_of_text_id)
-        raise ValueError(f"unknown decode strategy {strategy!r}")
 
 
 # ---------------------------------------------------------------------------

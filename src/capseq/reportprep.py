@@ -52,12 +52,6 @@ class RawStudy:
 
 
 @dataclass
-class ProcessedReport:
-    tokens: list[str]
-    study_id: str
-
-
-@dataclass
 class DatasetSplit:
     train: list[str]
     validation: list[str]

@@ -260,6 +260,22 @@ def brute_cider(pairs, max_order=4):
 
 
 # ---------------------------------------------------------------------------
+# caption attention
+
+
+def replay_caption_attention(model, annotations, ids, start_id=1):
+    """Re-run the caption decoder over a fixed output sequence from <start>,
+    collecting the attention weights used to emit each token."""
+    h, c = model.init_state(annotations)
+    alphas = []
+    for token in ([start_id] + list(ids))[:len(ids)]:
+        alpha, context = model.attend(annotations, h)
+        h, c = model.lstm_step(np.array([token]), h, c, context)
+        alphas.append(alpha.data[0].copy())
+    return alphas
+
+
+# ---------------------------------------------------------------------------
 # transformer forward
 
 

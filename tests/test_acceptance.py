@@ -22,7 +22,7 @@ from capseq.captioner import (CaptionConfig, CaptionExample, CaptionModel,
                               train_teacher_forcing)
 from capseq.cli import main
 from capseq.config import RunConfig
-from capseq.decoding import beam_search, greedy_decode, select_beam
+from capseq.decoding import beam_search, decode, greedy_decode, select_beam
 from capseq.lm import LmConfig, TransformerLm, build_token_stream, chunk_stream, train_lm
 from capseq.metrics import (EvalPair, bleu_components, bleu_n, cider,
                             lcs_length, rouge_l)
@@ -363,7 +363,7 @@ class TestCriterion8Pipeline:
     def test_rank2_picks_second_highest_scoring_beam(self):
         _, model, word_vocab, lm, bpe = self._stack()
         seed_ids = list(bpe.encode("no acute findings <start>").ids)[:16]
-        beams = lm.continuation_beams(seed_ids, k=4, max_new=6)
+        beams = beam_search(lm.step_function(seed_ids), 4, 6, end_token=bpe.end_of_text_id)
         scores = [b.score(True) for b in beams]
         assert scores == sorted(scores, reverse=True)
         chosen = select_beam(beams, 2, end_token=bpe.end_of_text_id)
@@ -376,19 +376,12 @@ class TestCriterion8Pipeline:
         _, model, word_vocab, lm, bpe = self._stack()
         eot = lm.vocab.end_of_text_id
 
-        def instant(seed_ids):
-            def step(prefix):
-                lp = np.full(lm.vocab_size, -40.0)
-                lp[eot] = -0.01
-                return lp
-            return step
+        def instant(prefix):
+            lp = np.full(lm.vocab_size, -40.0)
+            lp[eot] = -0.01
+            return lp
 
-        orig = lm.step_function
-        lm.step_function = instant
-        try:
-            assert lm.generate_continuation([1, 2], max_new=6, strategy="greedy") == []
-        finally:
-            lm.step_function = orig
+        assert decode(instant, 6, eot, strategy="greedy") == []
 
 
 @pytest.mark.acceptance(9, "LM logits bit-invariant to later-token perturbations")

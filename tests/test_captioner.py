@@ -13,6 +13,8 @@ from capseq.config import RunConfig
 from capseq.synthetic import overfit_pairs
 from capseq.tokenizers import WordVocabulary
 
+from oracles import replay_caption_attention
+
 
 def tiny_model(seed=0, **overrides) -> CaptionModel:
     cfg = dict(embed_dim=4, decoder_dim=5, attention_dim=4, dropout=0.0,
@@ -317,6 +319,22 @@ class TestDecodeCaption:
         assert len(alphas1) == len(ids1)
         for a, b in zip(alphas1, alphas2):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    def test_alphas_bitwise_equal_replay_oracle(self, strategy):
+        lengths = []
+        for seed in range(4):
+            model = tiny_model(seed=seed)
+            for draw in range(3):
+                image = np.random.default_rng((seed, draw)).random((8, 8))
+                ids, alphas = model.decode_caption(image, strategy=strategy,
+                                                   beam_width=3, max_len=6)
+                expect = replay_caption_attention(model, model.encode(image), ids)
+                assert len(alphas) == len(expect) == len(ids)
+                for got, ref in zip(alphas, expect):
+                    assert np.array_equal(got, ref)
+                lengths.append(len(ids))
+        assert max(lengths) > 1  # later steps, not only the first, are compared
 
     def test_beam_rank1_scores_at_least_greedy(self):
         for seed in range(10):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from capseq.captioner import CaptionConfig, CaptionModel
 from capseq.config import RunConfig
-from capseq.decoding import (Beam, beam_search, greedy_decode, select_beam,
-                             two_stage_generate)
+from capseq.decoding import (Beam, beam_search, decode, greedy_decode, lm_seed,
+                             select_beam, two_stage_generate)
 from capseq.lm import LmConfig, TransformerLm
 from capseq.tokenizers import BpeVocabulary, WordVocabulary
 
@@ -182,6 +182,47 @@ class TestSelectBeam:
             select_beam(self._beams(), 4)
 
 
+class TestDecode:
+    def test_greedy_is_greedy_decode(self):
+        step = random_table_step(2, 5)
+        assert decode(step, 4, 3) == greedy_decode(step, 4, end_token=3)
+
+    def test_beam_selects_ranked_beam_without_terminator(self):
+        step = random_table_step(3, 4)
+        beams = beam_search(step, 3, 4, end_token=0)
+        for rank in (1, 2, 3):
+            assert decode(step, 4, 0, strategy="beam", beam_width=3, rank=rank) == \
+                select_beam(beams, rank, end_token=0)
+
+    def test_rank_beyond_beams_found_takes_the_last(self):
+        # vocab 2, one step: only 2 sequences exist, so a width-3 search finds 2
+        def step(prefix):
+            return np.log(np.array([0.7, 0.3]))
+        beams = beam_search(step, 3, 1)
+        assert [b.tokens for b in beams] == [(0,), (1,)]
+        assert decode(step, 1, None, strategy="beam", beam_width=3, rank=3) == [1]
+
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="unknown decode strategy"):
+            decode(random_table_step(0, 3), 2, 0, strategy="sample")
+
+
+class TestLmSeed:
+    def _vocab(self):
+        return BpeVocabulary.train("alpha beta gamma delta <start>", 10)
+
+    def test_text_one_below_block_size_kept_whole(self):
+        bpe = self._vocab()
+        full = list(bpe.encode("alpha beta gamma <start>").ids)
+        assert lm_seed("alpha beta gamma", bpe, len(full) + 1) == full
+
+    def test_longer_text_keeps_last_block_size_minus_one_ids(self):
+        bpe = self._vocab()
+        full = list(bpe.encode("alpha beta gamma <start>").ids)
+        for block_size in (2, len(full) // 2, len(full)):
+            assert lm_seed("alpha beta gamma", bpe, block_size) == full[-(block_size - 1):]
+
+
 def _tiny_models():
     captions = [["alpha", "beta", "gamma"], ["delta", "beta", "gamma"]]
     word_vocab = WordVocabulary.build(captions)
@@ -227,10 +268,17 @@ class TestTwoStage:
         model, word_vocab, lm, bpe = _tiny_models()
 
         class InstantStop:
+            """Forces <|endoftext|>; its only other choice is a space, so the
+            rank-2 beam (space, <|endoftext|>) carries no text either."""
             config = lm.config
-            def continuation_beams(self, seed_ids, k, max_new, length_normalize=True):
-                return [Beam((bpe.end_of_text_id,), -0.1, True),
-                        Beam((bpe.end_of_text_id,), -0.2, True)]
+
+            def step_function(self, seed_ids):
+                def step(prefix):
+                    lp = np.full(len(bpe), -50.0)
+                    lp[bpe.encode(" ").ids[0]] = -1.0
+                    lp[bpe.end_of_text_id] = -0.001
+                    return lp
+                return step
 
         image = np.random.default_rng(3).random((8, 8))
         out = two_stage_generate(image, model, word_vocab, InstantStop(), bpe,

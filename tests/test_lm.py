@@ -6,6 +6,7 @@ import pytest
 
 from capseq import autodiff as ad
 from capseq.config import RunConfig
+from capseq.decoding import decode
 from capseq.lm import (LmConfig, TransformerLm, build_token_stream, chunk_stream,
                        sinusoidal_positions, train_lm)
 from capseq.optim import global_grad_norm
@@ -191,58 +192,51 @@ class TestGeneration:
     def test_immediate_terminator_empty_continuation(self):
         lm = make_lm(seed=2)
         eot = lm.vocab.end_of_text_id
-        orig = lm.step_function
 
-        def forced(seed_ids):
-            def step(prefix):
-                lp = np.full(lm.vocab_size, -50.0)
-                lp[eot] = -0.001
-                return lp
-            return step
+        def forced(prefix):
+            lp = np.full(lm.vocab_size, -50.0)
+            lp[eot] = -0.001
+            return lp
 
-        lm.step_function = forced
-        try:
-            out = lm.generate_continuation([1, 2], max_new=5, strategy="greedy")
-        finally:
-            lm.step_function = orig
+        out = decode(forced, 5, eot, strategy="greedy")
         assert out == []
 
     def test_cap_rule(self):
         lm = make_lm(seed=3)
         eot = lm.vocab.end_of_text_id
-        orig = lm.step_function
+        real = lm.step_function([1, 2])
 
-        def never_ends(seed_ids):
-            real = orig(seed_ids)
+        def never_ends(prefix):
+            lp = real(prefix).copy()
+            lp[eot] = -1e9
+            return lp
 
-            def step(prefix):
-                lp = real(prefix).copy()
-                lp[eot] = -1e9
-                return lp
-            return step
-
-        lm.step_function = never_ends
-        try:
-            out = lm.generate_continuation([1, 2], max_new=3, strategy="greedy")
-        finally:
-            lm.step_function = orig
+        out = decode(never_ends, 3, eot, strategy="greedy")
         assert len(out) == 3
 
     def test_greedy_equals_beam1_50_random_models(self):
         for seed in range(50):
             lm = TransformerLm(LmConfig(1, 1, 4, 8, 12), small_vocab(), seed=seed)
             seed_ids = [seed % 7 + 1, 3]
-            g = lm.generate_continuation(seed_ids, max_new=4, strategy="greedy")
-            b = lm.generate_continuation(seed_ids, max_new=4, strategy="beam",
-                                         beam_width=1, rank=1)
+            eot = lm.vocab.end_of_text_id
+            g = decode(lm.step_function(seed_ids), 4, eot, strategy="greedy")
+            b = decode(lm.step_function(seed_ids), 4, eot, strategy="beam",
+                       beam_width=1, rank=1)
             assert g == b, seed
 
     def test_seed_at_block_size_rejected(self):
         lm = make_lm(block_size=4)
         with pytest.raises(ValueError, match="block size"):
-            lm.generate_continuation([1, 2, 3, 4], max_new=2)
+            lm.step_function([1, 2, 3, 4])
+
+    def test_seed_one_below_block_size_accepted(self):
+        lm = make_lm(block_size=4)
+        logprobs = lm.step_function([1, 2, 3])(())
+        assert logprobs.shape == (lm.vocab_size,)
+        assert np.exp(logprobs).sum() == pytest.approx(1.0)
 
     def test_window_slides_for_long_generation(self):
         lm = make_lm(block_size=6, seed=8)
-        out = lm.generate_continuation([1, 2, 3], max_new=10, strategy="greedy")
+        out = decode(lm.step_function([1, 2, 3]), 10, lm.vocab.end_of_text_id,
+                     strategy="greedy")
         assert len(out) <= 10  # must not raise despite exceeding the block
