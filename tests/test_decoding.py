@@ -219,7 +219,8 @@ class TestLmSeed:
     def test_longer_text_keeps_last_block_size_minus_one_ids(self):
         bpe = self._vocab()
         full = list(bpe.encode("alpha beta gamma <start>").ids)
-        for block_size in (2, len(full) // 2, len(full)):
+        assert len(full) > 3
+        for block_size in (2, 3, len(full)):
             assert lm_seed("alpha beta gamma", bpe, block_size) == full[-(block_size - 1):]
 
 
@@ -268,8 +269,8 @@ class TestTwoStage:
         model, word_vocab, lm, bpe = _tiny_models()
 
         class InstantStop:
-            """Forces <|endoftext|>; its only other choice is a space, so the
-            rank-2 beam (space, <|endoftext|>) carries no text either."""
+            """Forces <|endoftext|> with a space as runner-up, so the rank-2
+            beam (space, <|endoftext|>) carries no text either."""
             config = lm.config
 
             def step_function(self, seed_ids):
