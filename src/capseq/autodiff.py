@@ -250,16 +250,22 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Product over the last two axes. Leading axes broadcast as in
+    ``np.matmul``, which runs every slice as its own 2-D product: a stacked
+    product equals the per-slice products bitwise (the tests pin this)."""
     a, b = _coerce(a), _coerce(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeMismatchError(f"matmul: expected 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim < 2:
+        raise ShapeMismatchError(f"matmul: expected operands of rank >= 2, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError(f"matmul: inner extents differ, {a.shape} vs {b.shape}")
     _require_finite("matmul", a.data, b.data)
-    out = Tensor(a.data @ b.data)
+    try:
+        out = Tensor(a.data @ b.data)
+    except ValueError:  # the leading axes, checked by numpy
+        raise ShapeMismatchError(f"matmul: leading axes of {a.shape} and {b.shape} do not broadcast")
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        return _unbroadcast(g @ b.data.mT, a.shape), _unbroadcast(a.data.mT @ g, b.shape)
 
     _record(out, (a, b), vjp)
     return out
@@ -432,7 +438,7 @@ def reshape(x, shape) -> Tensor:
 def transpose(x, axes=None) -> Tensor:
     x = _coerce(x)
     out = Tensor(x.data.transpose(axes))
-    inverse = None if axes is None else np.argsort(axes)
+    inverse = None if axes is None else [list(axes).index(i) for i in range(len(axes))]
 
     def vjp(g):
         return (g.transpose(inverse),)
@@ -494,13 +500,12 @@ def _check_ids(op: str, ids: np.ndarray, extent: int) -> None:
 
 
 def embedding_lookup(table, ids) -> Tensor:
-    """Rows of a (V, m) table selected by integer ids; gradient scatter-adds."""
+    """Rows of a (V, m) table selected by integer ids of any shape, giving
+    ``ids.shape + (m,)``; gradient scatter-adds."""
     table = _coerce(table)
     ids = np.asarray(ids, dtype=np.int64)
-    if table.ndim != 2 or ids.ndim != 1:
-        raise ShapeMismatchError(
-            f"embedding_lookup: table {table.shape} must be 2-D and ids {ids.shape} 1-D"
-        )
+    if table.ndim != 2:
+        raise ShapeMismatchError(f"embedding_lookup: table {table.shape} must be 2-D")
     _check_ids("embedding_lookup", ids, table.shape[0])
     _require_finite("embedding_lookup", table.data)
     out = Tensor(table.data[ids])

@@ -156,17 +156,26 @@ class CaptionModel:
         c = ad.tanh(mean @ self._p("init_c.weight") + self._p("init_c.bias"))
         return h, c
 
-    def attend(self, annotations: ad.Tensor, h_prev: ad.Tensor):
+    def _project_regions(self, annotations: ad.Tensor) -> ad.Tensor:
+        """(B, R, F) annotations -> (B, R, attention_dim) region projections."""
+        b, r, f = annotations.shape
+        flat = annotations.reshape((b * r, f))
+        return (flat @ self._p("attn.regions.weight")
+                + self._p("attn.regions.bias")).reshape((b, r, self.config.attention_dim))
+
+    def attend(self, annotations: ad.Tensor, h_prev: ad.Tensor,
+               proj_regions: ad.Tensor | None = None):
         """Additive attention: score each region against the previous hidden
         state, softmax into weights, take the weighted sum of regions.
+        ``proj_regions`` is the annotations' region projection when the
+        caller already holds it (it depends on the annotations only).
 
         Returns (alpha (B, R), context (B, F)).
         """
-        b, r, f = annotations.shape
+        b, r, _ = annotations.shape
         d = self.config.attention_dim
-        flat = annotations.reshape((b * r, f))
-        proj_regions = (flat @ self._p("attn.regions.weight")
-                        + self._p("attn.regions.bias")).reshape((b, r, d))
+        if proj_regions is None:
+            proj_regions = self._project_regions(annotations)
         proj_hidden = (h_prev @ self._p("attn.hidden.weight")
                        + self._p("attn.hidden.bias")).reshape((b, 1, d))
         hidden = ad.relu(proj_regions + proj_hidden)
@@ -262,8 +271,10 @@ class CaptionModel:
         consuming <start> and the prefix tokens, and the attention weights
         used to emit the token that follows the prefix. A prefix extends one
         already evaluated (the decoding prefix contract), so each step costs
-        one attention and one LSTM step.
+        one attention and one LSTM step; the region projection is computed
+        once, here.
         """
+        proj_regions = self._project_regions(annotations)
         record: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
         def step(prefix) -> np.ndarray:
@@ -273,7 +284,7 @@ class CaptionModel:
                 h, c, token = ad.as_constant(h), ad.as_constant(c), prefix[-1]
             else:
                 (h, c), token = self.init_state(annotations), start_id
-            alpha, context = self.attend(annotations, h)
+            alpha, context = self.attend(annotations, h, proj_regions)
             h2, c2 = self.lstm_step(np.array([token]), h, c, context)
             probs = self.output_distribution(h2, context, np.array([token]))
             record[prefix] = (h2.data, c2.data, alpha.data[0])

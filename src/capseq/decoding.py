@@ -7,6 +7,13 @@ conditioning (image annotations, language-model seed) lives in the closure.
 ``decode`` is the one entry point both models use: greedy, or beam search
 followed by the selection of one ranked beam.
 
+A step may return its log-probabilities eagerly, as an array, or deferred, as
+a handle that ``np.asarray`` converts. A deferring step function (the
+language model's) queues each prefix and evaluates everything queued on the
+first conversion. Greedy converts every result at once; beam search queues
+all the unseen live prefixes of a step, which have one length, before it
+converts any, so the step costs one batched evaluation.
+
 Prefix contract: the first call is ``step(())``, and every later prefix is an
 earlier-evaluated prefix extended by one token. Greedy and beam search only
 ever extend a prefix they have already evaluated, so a step function may keep
@@ -17,8 +24,9 @@ weights) and look up ``prefix[:-1]`` instead of recomputing it.
 union of everything found. A single fixed-width pass can evict the eventual
 best sequence and end up strictly worse than a narrower search; pooling the
 widths makes the top score monotone in K and never below the greedy result.
-Step results are memoized per prefix across the passes, so each distinct
-prefix is evaluated once per search.
+The passes run in lockstep, one step at a time, and step results are
+memoized per prefix across them, so each distinct prefix is evaluated once
+per search. The pool is filled in width order.
 
 Selection rule of a pass: at each step the candidates are laid out in
 generation order, beam-major and token-minor (a finished beam is one
@@ -70,47 +78,34 @@ def greedy_decode(step_fn, max_len: int, end_token: int | None = None) -> list[i
     return list(prefix)
 
 
-def _beam_pass(step_fn, width: int, max_len: int, end_token: int | None,
-               memo: dict) -> list[Beam]:
-    """One standard beam pass: every live beam extended by every token,
-    top-`width` by cumulative log-probability kept; finished beams are held
-    and count against the width."""
-
-    def logprobs(prefix: tuple[int, ...]) -> np.ndarray:
-        cached = memo.get(prefix)
-        if cached is None:
-            cached = np.asarray(step_fn(prefix), dtype=np.float64)
-            memo[prefix] = cached
-        return cached
-
-    beams = [Beam((), 0.0, False)]
-    for _ in range(max_len):
-        if all(b.finished for b in beams):
-            break
-        # One row of candidate scores per beam, in generation order (see the
-        # module docstring). float + float64 row is the same IEEE addition
-        # per token as adding the scalars one at a time.
-        rows = [np.array([b.logprob]) if b.finished else b.logprob + logprobs(b.tokens)
-                for b in beams]
-        starts = np.cumsum([0] + [row.shape[0] for row in rows[:-1]])
-        scores = np.concatenate(rows)
-        # stable: ties keep generation order
-        picked = np.argsort(-scores, kind="stable")[:width]
-        owners = np.searchsorted(starts, picked, side="right") - 1
-        survivors: list[Beam] = []
-        for flat, owner in zip(picked.tolist(), owners.tolist()):
-            beam = beams[owner]
-            if beam.finished:
-                survivors.append(beam)
-                continue
-            token = flat - int(starts[owner])
-            survivors.append(Beam(
-                beam.tokens + (token,),
-                float(scores[flat]),
-                finished=(end_token is not None and token == end_token),
-            ))
-        beams = survivors
-    return [b for b in beams if b.tokens]
+def _advance(beams: list[Beam], width: int, memo: dict,
+             end_token: int | None) -> list[Beam]:
+    """One step of a standard beam pass: every live beam extended by every
+    token, top-``width`` by cumulative log-probability kept; finished beams
+    are held and count against the width."""
+    # One row of candidate scores per beam, in generation order (see the
+    # module docstring). float + float64 row is the same IEEE addition per
+    # token as adding the scalars one at a time.
+    rows = [np.array([b.logprob]) if b.finished else b.logprob + memo[b.tokens]
+            for b in beams]
+    starts = np.cumsum([0] + [row.shape[0] for row in rows[:-1]])
+    scores = np.concatenate(rows)
+    # stable: ties keep generation order
+    picked = np.argsort(-scores, kind="stable")[:width]
+    owners = np.searchsorted(starts, picked, side="right") - 1
+    survivors: list[Beam] = []
+    for flat, owner in zip(picked.tolist(), owners.tolist()):
+        beam = beams[owner]
+        if beam.finished:
+            survivors.append(beam)
+            continue
+        token = flat - int(starts[owner])
+        survivors.append(Beam(
+            beam.tokens + (token,),
+            float(scores[flat]),
+            finished=(end_token is not None and token == end_token),
+        ))
+    return survivors
 
 
 def beam_search(step_fn, k: int, max_len: int, end_token: int | None = None,
@@ -131,9 +126,26 @@ def beam_search(step_fn, k: int, max_len: int, end_token: int | None = None,
     if k > reachable:
         logger.warning("beam width %d exceeds the %d reachable sequences; clamping", k, reachable)
         k = reachable
+    passes = {width: [Beam((), 0.0, False)] for width in range(1, k + 1)}
+    for _ in range(max_len):
+        live = [width for width, beams in passes.items()
+                if not all(b.finished for b in beams)]
+        if not live:
+            break
+        # queue every unseen live prefix of this step before converting any,
+        # so a deferring step function can evaluate them as one batch
+        pending = {}
+        for width in live:
+            for b in passes[width]:
+                if not (b.finished or b.tokens in memo or b.tokens in pending):
+                    pending[b.tokens] = step_fn(b.tokens)
+        for prefix, result in pending.items():
+            memo[prefix] = np.asarray(result, dtype=np.float64)
+        for width in live:
+            passes[width] = _advance(passes[width], width, memo, end_token)
     pool: dict[tuple[int, ...], Beam] = {}
-    for width in range(1, k + 1):
-        for beam in _beam_pass(step_fn, width, max_len, end_token, memo):
+    for beams in passes.values():
+        for beam in beams:
             pool.setdefault(beam.tokens, beam)
     ranked = sorted(pool.values(), key=lambda b: (-b.score(length_normalize), b.tokens))
     return ranked[:k]

@@ -103,9 +103,9 @@ class TransformerLm:
         return self._params[name]
 
     def _layernorm(self, x: ad.Tensor, name: str) -> ad.Tensor:
-        mu = x.mean(axis=1, keepdims=True)
+        mu = x.mean(axis=-1, keepdims=True)
         centered = ad.sub(x, mu)
-        var = (centered * centered).mean(axis=1, keepdims=True)
+        var = (centered * centered).mean(axis=-1, keepdims=True)
         inv = ad.powc(ad.add(var, LN_EPS), -0.5)
         return centered * inv * self._p(f"{name}.gain") + self._p(f"{name}.bias")
 
@@ -113,14 +113,18 @@ class TransformerLm:
         return x @ self._p(f"{name}.weight") + self._p(f"{name}.bias")
 
     def forward(self, ids) -> ad.Tensor:
-        """Token ids (length T <= block size) -> logits (T, vocab)."""
+        """Token ids (T,) -> logits (T, vocab), or a batch (B, T) -> logits
+        (B, T, vocab), with T <= block size. Every op reduces over the last
+        axis or multiplies over the last two, so each row of a batch equals
+        the forward of that sequence alone, bitwise."""
         ids = self._check_ids(ids)
-        t = len(ids)
+        t = ids.shape[-1]
         cfg = self.config
         x = ad.embedding_lookup(self._p("embedding"), ids) + ad.as_constant(self._positions[:t])
         mask = ad.as_constant(np.triu(np.full((t, t), MASK_VALUE), k=1))
         dk = cfg.model_dim // cfg.n_heads
         scale = 1.0 / np.sqrt(dk)
+        swap_last = (*range(ids.ndim - 1), ids.ndim, ids.ndim - 1)  # K -> K^T per sequence
         for layer in range(cfg.n_layers):
             p = f"layer{layer}."
             normed = self._layernorm(x, p + "ln1")
@@ -129,13 +133,13 @@ class TransformerLm:
             v = self._apply_affine(normed, p + "v")
             heads = []
             for h in range(cfg.n_heads):
-                qh = ad.narrow(q, 1, h * dk, dk)
-                kh = ad.narrow(k, 1, h * dk, dk)
-                vh = ad.narrow(v, 1, h * dk, dk)
-                scores = (qh @ kh.transpose()) * scale + mask
-                weights = ad.softmax(scores, axis=1)
+                qh = ad.narrow(q, -1, h * dk, dk)
+                kh = ad.narrow(k, -1, h * dk, dk)
+                vh = ad.narrow(v, -1, h * dk, dk)
+                scores = (qh @ kh.transpose(swap_last)) * scale + mask
+                weights = ad.softmax(scores, axis=-1)
                 heads.append(weights @ vh)
-            attended = self._apply_affine(ad.concat(heads, axis=1), p + "proj")
+            attended = self._apply_affine(ad.concat(heads, axis=-1), p + "proj")
             x = x + attended
             normed = self._layernorm(x, p + "ln2")
             hidden = ad.relu(self._apply_affine(normed, p + "ffn1"))
@@ -145,17 +149,23 @@ class TransformerLm:
 
     def _check_ids(self, ids) -> np.ndarray:
         ids = np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids, dtype=np.int64)
-        if ids.ndim != 1 or ids.size == 0:
-            raise ValueError(f"expected a non-empty 1-D token sequence, got shape {ids.shape}")
-        if ids.size > self.config.block_size:
+        if ids.ndim not in (1, 2):
+            raise ValueError(f"expected token ids of shape (T,) or (B, T), got shape {ids.shape}")
+        if ids.ndim == 2 and ids.shape[0] == 0:
+            raise ValueError(f"empty batch: token ids of shape {ids.shape}")
+        if ids.shape[-1] == 0:
+            raise ValueError(f"expected a non-empty token sequence, got shape {ids.shape}")
+        if ids.shape[-1] > self.config.block_size:
             raise ValueError(
-                f"input length {ids.size} exceeds block size {self.config.block_size}"
+                f"input length {ids.shape[-1]} exceeds block size {self.config.block_size}"
             )
         return ids
 
     def loss(self, ids) -> ad.Tensor:
         """Mean next-token cross-entropy: positions 1..T-1 from their prefixes."""
         ids = self._check_ids(ids)
+        if ids.ndim != 1:
+            raise ValueError(f"loss scores one (T,) token sequence, got shape {ids.shape}")
         if ids.size < 2:
             raise ValueError("need at least 2 tokens to score next-token prediction")
         logits = self.forward(ids)
@@ -169,20 +179,57 @@ class TransformerLm:
     def step_function(self, seed_ids: list[int]):
         """Next-token log-probabilities given seed + generated prefix, for
         ``decoding.decode``. The seed must leave room for one token; when the
-        context outgrows the block size the window slides left."""
-        if len(seed_ids) >= self.config.block_size:
-            raise ValueError(
-                f"seed length {len(seed_ids)} already at block size {self.config.block_size}"
-            )
+        context outgrows the block size the window slides left.
 
-        def step(prefix) -> np.ndarray:
-            ids = list(seed_ids) + list(prefix)
-            window = ids[-self.config.block_size:]
-            logits = self.forward(window).data[-1]
-            shifted = logits - logits.max()
-            return shifted - np.log(np.exp(shifted).sum())
+        ``step(prefix)`` is deferred: it queues the prefix's window and
+        returns a handle. The first numpy conversion of any queued handle
+        runs one ``forward`` per window length over every queued window,
+        stacked as (B, T), and fills every handle. A beam step queues all
+        its live prefixes before converting any, so the whole step is one
+        forward.
+        """
+        block = self.config.block_size
+        if len(seed_ids) >= block:
+            raise ValueError(f"seed length {len(seed_ids)} already at block size {block}")
+        queue: list[tuple[list[int], _PendingLogprobs]] = []
+
+        def flush() -> None:
+            by_length: dict[int, list[tuple[list[int], _PendingLogprobs]]] = {}
+            for window, handle in queue:
+                by_length.setdefault(len(window), []).append((window, handle))
+            for group in by_length.values():
+                windows = [window for window, _ in group]
+                # a lone window (every greedy step) runs as (T,): fewer
+                # per-op costs than (1, T), and the same bytes
+                ids = windows[0] if len(windows) == 1 else windows
+                last = self.forward(ids).data[..., -1, :].reshape(len(windows), -1)
+                for row, (_, handle) in zip(last, group):
+                    shifted = row - row.max()
+                    handle.value = shifted - np.log(np.exp(shifted).sum())
+            queue.clear()
+
+        def step(prefix) -> _PendingLogprobs:
+            handle = _PendingLogprobs(flush)
+            queue.append(((list(seed_ids) + list(prefix))[-block:], handle))
+            return handle
 
         return step
+
+
+class _PendingLogprobs:
+    """One queued step result; ``np.asarray`` on it runs the queued batch."""
+
+    __slots__ = ("_flush", "value")
+
+    def __init__(self, flush):
+        self._flush = flush
+        self.value: np.ndarray | None = None
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if self.value is None:
+            self._flush()
+        value = self.value if dtype is None else self.value.astype(dtype, copy=False)
+        return value.copy() if copy else value
 
 
 # ---------------------------------------------------------------------------

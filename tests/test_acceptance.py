@@ -104,6 +104,31 @@ class TestCriterion1GradientFidelity:
         assert elapsed <= 60.0, elapsed
 
 
+    def test_batched_matmul_and_embedding_chain(self):
+        # (B, T) ids, a (K, N) weight shared across the batch, a 2-D left
+        # operand broadcast over it and a per-sequence (B, K, N) weight: the
+        # shared gradients are sums over the batch axis
+        rng = np.random.default_rng(21)
+        ids = rng.integers(0, 6, size=(3, 4))
+        params = [(name, ad.Parameter(rng.normal(size=shape) * 0.5, name))
+                  for name, shape in (("table", (6, 5)), ("shared", (5, 4)),
+                                      ("mixer", (2, 4)), ("stacked", (3, 4, 2)))]
+        table, shared, mixer, stacked = (p for _, p in params)
+
+        def compute():
+            h = ad.tanh(ad.embedding_lookup(table, ids) @ shared)   # (3, 4, 4)
+            z = ad.tanh(mixer @ h) @ stacked                         # (3, 2, 2)
+            return ad.log_softmax(z, axis=-1).mean()
+
+        with ad.Tape() as tape:
+            loss = compute()
+        tape.backward(loss)
+        ad_grads = {n: p.grad.copy() for n, p in params}
+        fd = finite_difference_gradients(compute, params, eps=1e-5)
+        worst, where = worst_relative_error(ad_grads, fd)
+        assert worst <= 1e-4, (where, worst)
+
+
 @pytest.mark.acceptance(2, "attention weights are a distribution; context in region hull")
 def test_criterion2_attention_laws():
     rng = np.random.default_rng(77)

@@ -3,7 +3,7 @@ optimizer/checkpoint contracts."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -94,6 +94,72 @@ class TestProperties:
     def test_item_round_trip_on_scalars(self, data):
         total = ad.Tensor(data).sum()
         assert total.item() == pytest.approx(float(data.sum()), rel=1e-12, abs=1e-12)
+
+
+def _normal(seed, *shape):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+class TestLeadingAxis:
+    """An op on a (B, ...) input equals, slice for slice and bitwise, the
+    same op on each 2-D slice."""
+
+    @given(b=st.integers(1, 5), m=st.integers(1, 64), k=st.integers(1, 48),
+           n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1))
+    @example(b=2, m=1, k=32, n=300, seed=0)
+    @example(b=5, m=64, k=300, n=1024, seed=1)
+    def test_matmul_shared_right_operand(self, b, m, k, n, seed):
+        x, w = _normal(seed, b, m, k), _normal(seed + 1, k, n)
+        out = ad.matmul(x, w).data
+        assert out.shape == (b, m, n)
+        for i in range(b):
+            assert _same_bytes(out[i], ad.matmul(x[i], w).data), i
+
+    @given(b=st.integers(1, 5), m=st.integers(1, 64), k=st.integers(1, 48),
+           n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1))
+    @example(b=2, m=1, k=32, n=1, seed=0)
+    @example(b=5, m=76, k=300, n=32, seed=1)
+    def test_matmul_batched_right_operand(self, b, m, k, n, seed):
+        x, w = _normal(seed, b, m, k), _normal(seed + 1, b, k, n)
+        # the transposed view is how the LM forms K^T per sequence
+        wt = _normal(seed + 2, b, n, k).swapaxes(-1, -2)
+        out, out_t = ad.matmul(x, w).data, ad.matmul(x, wt).data
+        for i in range(b):
+            assert _same_bytes(out[i], ad.matmul(x[i], w[i]).data), i
+            assert _same_bytes(out_t[i], ad.matmul(x[i], wt[i]).data), i
+
+    @given(b=st.integers(1, 5), t=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    def test_embedding_lookup_on_id_rows(self, b, t, seed):
+        table = _normal(seed, 11, 6)
+        ids = np.random.default_rng(seed).integers(0, 11, size=(b, t))
+        out = ad.embedding_lookup(table, ids).data
+        assert out.shape == (b, t, 6)
+        for i in range(b):
+            assert _same_bytes(out[i], ad.embedding_lookup(table, ids[i]).data), i
+
+    @given(b=st.integers(1, 5), r=st.integers(1, 12), c=st.integers(2, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_last_axis_ops_on_rank3(self, b, r, c, seed):
+        x, y = _normal(seed, b, r, c), _normal(seed + 1, b, r, 3)
+        start = seed % (c - 1)
+        ops = [
+            (lambda v: ad.softmax(v, axis=-1), (x,)),
+            (lambda v: ad.reduce_mean(v, axis=-1, keepdims=True), (x,)),
+            (lambda v: ad.narrow(v, -1, start, c - 1 - start), (x,)),
+            (lambda u, v: ad.concat([u, v], axis=-1), (x, y)),
+        ]
+        for op, args in ops:
+            out = op(*args).data
+            for i in range(b):
+                assert _same_bytes(out[i], op(*(a[i] for a in args)).data), (op, i)
+
+    def test_matmul_leading_axes_must_broadcast(self):
+        with pytest.raises(ad.ShapeMismatchError, match="do not broadcast"):
+            ad.matmul(np.zeros((2, 3, 4)), np.zeros((3, 4, 5)))
 
 
 class TestErrors:

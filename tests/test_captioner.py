@@ -105,6 +105,17 @@ class TestAttention:
             np.testing.assert_allclose(context.data, recon, atol=1e-9)
 
 
+    def test_precomputed_region_projection_gives_same_bytes(self):
+        rng = np.random.default_rng(5)
+        model = tiny_model(seed=3)
+        a = ad.Tensor(rng.normal(size=(1, 4, 3)))
+        h = ad.Tensor(rng.normal(size=(1, 5)))
+        alpha, context = model.attend(a, h)
+        alpha2, context2 = model.attend(a, h, model._project_regions(a))
+        assert alpha.data.tobytes() == alpha2.data.tobytes()
+        assert context.data.tobytes() == context2.data.tobytes()
+
+
 class TestLstmStep:
     def test_zero_affine_analytics(self):
         model = tiny_model()

@@ -34,6 +34,60 @@ def tied_table_step(seed, vocab, values):
     return step
 
 
+# the tie-heavy cases: few distinct log-probabilities, so scores tie often
+TIED_CASES = dict(
+    seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 6),
+    values=st.lists(st.sampled_from([-0.1, -0.2, -0.3, -0.7, -1.0]),
+                    min_size=1, max_size=3, unique=True),
+    end_token=st.one_of(st.none(), st.integers(0, 5)),
+    k=st.integers(1, 6), max_len=st.integers(1, 5),
+    length_normalize=st.booleans(),
+)
+
+
+def _bits(beams):
+    """(tokens, finished, score bytes) per beam: bitwise-equal scores, not
+    merely close ones."""
+    return [(b.tokens, b.finished, np.float64(b.logprob).tobytes()) for b in beams]
+
+
+def reference_beams(*args):
+    """``pooled_beam_search``'s (tokens, logprob, finished) triples as beams."""
+    return [Beam(*triple) for triple in pooled_beam_search(*args)]
+
+
+class _Deferred:
+    """A step result held back until numpy converts it."""
+
+    def __init__(self, owner):
+        self.owner, self.value = owner, None
+
+    def __array__(self, dtype=None, copy=None):
+        if self.value is None:
+            self.owner.flush()
+        return np.asarray(self.value, dtype=dtype)
+
+
+class DeferringStep:
+    """Wraps an eager step function the way a batching model does: a call
+    queues its prefix and returns a handle; the first conversion of any
+    handle evaluates the whole queue, recorded as one batch."""
+
+    def __init__(self, eager):
+        self.eager, self.queue, self.batches = eager, [], []
+
+    def __call__(self, prefix):
+        handle = _Deferred(self)
+        self.queue.append((tuple(prefix), handle))
+        return handle
+
+    def flush(self):
+        self.batches.append([prefix for prefix, _ in self.queue])
+        for prefix, handle in self.queue:
+            handle.value = self.eager(prefix)
+        self.queue = []
+
+
 class TestGreedy:
     def test_deterministic(self):
         step = random_table_step(0, 6)
@@ -126,24 +180,36 @@ class TestBeamSearch:
         assert "clamping" in caplog.text
 
     @settings(max_examples=300)
-    @given(seed=st.integers(0, 2**32 - 1), vocab=st.integers(2, 6),
-           values=st.lists(st.sampled_from([-0.1, -0.2, -0.3, -0.7, -1.0]),
-                           min_size=1, max_size=3, unique=True),
-           end_token=st.one_of(st.none(), st.integers(0, 5)),
-           k=st.integers(1, 6), max_len=st.integers(1, 5),
-           length_normalize=st.booleans())
+    @given(**TIED_CASES)
     def test_matches_per_candidate_reference(self, seed, vocab, values, end_token, k,
                                              max_len, length_normalize):
         step = tied_table_step(seed, vocab, values)
         if end_token is not None:
             end_token %= vocab
-        expected = pooled_beam_search(step, k, max_len, end_token, length_normalize)
+        expected = reference_beams(step, k, max_len, end_token, length_normalize)
         beams = beam_search(step, k, max_len, end_token, length_normalize)
-        got = [(b.tokens, b.logprob, b.finished) for b in beams]
-        assert [(t, f) for t, _, f in got] == [(t, f) for t, _, f in expected]
-        # bitwise-equal scores, not merely close ones
-        assert [np.float64(lp).tobytes() for _, lp, _ in got] == \
-            [np.float64(lp).tobytes() for _, lp, _ in expected]
+        assert _bits(beams) == _bits(expected)
+
+    @settings(max_examples=300)
+    @given(**TIED_CASES)
+    def test_deferred_step_batches_each_step(self, seed, vocab, values, end_token, k,
+                                             max_len, length_normalize):
+        eager = tied_table_step(seed, vocab, values)
+        if end_token is not None:
+            end_token %= vocab
+        deferring = DeferringStep(eager)
+        beams = beam_search(deferring, k, max_len, end_token, length_normalize)
+        assert _bits(beams) == _bits(reference_beams(eager, k, max_len, end_token,
+                                                     length_normalize))
+        queued = [prefix for batch in deferring.batches for prefix in batch]
+        assert len(queued) == len(set(queued))
+        assert all(len({len(prefix) for prefix in batch}) == 1 for batch in deferring.batches)
+        assert len(deferring.batches) <= max_len
+        # the same prefixes an eager search evaluates
+        calls = []
+        beam_search(lambda prefix: calls.append(prefix) or eager(prefix), k, max_len,
+                    end_token, length_normalize)
+        assert set(queued) == set(calls)
 
     def test_each_prefix_evaluated_once(self):
         base = random_table_step(17, 4)

@@ -6,7 +6,7 @@ import pytest
 
 from capseq import autodiff as ad
 from capseq.config import RunConfig
-from capseq.decoding import decode
+from capseq.decoding import beam_search, decode
 from capseq.lm import (LmConfig, TransformerLm, build_token_stream, chunk_stream,
                        sinusoidal_positions, train_lm)
 from capseq.optim import global_grad_norm
@@ -105,6 +105,66 @@ class TestForward:
         assert table.shape == (10, 6)
         assert np.all(np.abs(table) <= 1.0)
         assert not np.allclose(table[0], table[1])
+
+
+def perturbed_lm(block_size, seed):
+    """Desk-sized LM whose parameters are moved off their initial values."""
+    lm = make_lm(seed=seed, model_dim=32, ffn_dim=64, block_size=block_size)
+    rng = np.random.default_rng(seed + 1000)
+    for p in lm.parameters().values():
+        p.data = p.data + rng.normal(scale=0.2, size=p.data.shape)
+    return lm
+
+
+def eager_step(lm, seed_ids):
+    """Next-token log-probabilities from one forward per prefix window."""
+    def step(prefix):
+        window = (list(seed_ids) + list(prefix))[-lm.config.block_size:]
+        logits = lm.forward(window).data[-1]
+        shifted = logits - logits.max()
+        return shifted - np.log(np.exp(shifted).sum())
+    return step
+
+
+class TestBatchedForward:
+    @pytest.mark.parametrize("block_size", [64, 128])
+    def test_rows_equal_per_sequence_forward_bitwise(self, block_size):
+        lm = perturbed_lm(block_size, seed=block_size)
+        rng = np.random.default_rng(block_size)
+        for b in range(1, 6):
+            lengths = {1, 2, block_size - 1, block_size, int(rng.integers(3, block_size - 1))}
+            for t in sorted(lengths):
+                ids = rng.integers(0, lm.vocab_size, size=(b, t))
+                got = lm.forward(ids).data
+                assert got.shape == (b, t, lm.vocab_size)
+                for i in range(b):
+                    want = lm.forward(ids[i]).data
+                    assert got[i].tobytes() == want.tobytes(), (b, t, i)
+
+    def test_batch_matches_straightline_oracle(self):
+        lm = make_lm(seed=11, n_layers=2, n_heads=2, model_dim=8)
+        ids = np.array([[3, 1, 4, 1, 5], [9, 2, 6, 5, 3], [5, 8, 9, 7, 9]])
+        got = lm.forward(ids).data
+        for i, row in enumerate(ids):
+            np.testing.assert_allclose(got[i], straightline_lm_logits(lm, row), atol=1e-9)
+
+    def test_rank3_ids_rejected(self):
+        with pytest.raises(ValueError, match=r"shape \(T,\) or \(B, T\), got shape \(2, 2, 2\)"):
+            make_lm().forward(np.ones((2, 2, 2), dtype=np.int64))
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match=r"empty batch.*\(0, 3\)"):
+            make_lm().forward(np.ones((0, 3), dtype=np.int64))
+
+    def test_overlong_batch_rejected(self):
+        lm = make_lm(block_size=4)
+        assert lm.forward(np.ones((2, 4), dtype=np.int64)).shape == (2, 4, lm.vocab_size)
+        with pytest.raises(ValueError, match="input length 5 exceeds block size 4"):
+            lm.forward(np.ones((2, 5), dtype=np.int64))
+
+    def test_loss_takes_one_sequence(self):
+        with pytest.raises(ValueError, match=r"one \(T,\) token sequence"):
+            make_lm().loss(np.ones((2, 3), dtype=np.int64))
 
 
 class TestLoss:
@@ -207,7 +267,7 @@ class TestGeneration:
         real = lm.step_function([1, 2])
 
         def never_ends(prefix):
-            lp = real(prefix).copy()
+            lp = np.array(real(prefix))
             lp[eot] = -1e9
             return lp
 
@@ -231,7 +291,7 @@ class TestGeneration:
 
     def test_seed_one_below_block_size_accepted(self):
         lm = make_lm(block_size=4)
-        logprobs = lm.step_function([1, 2, 3])(())
+        logprobs = np.asarray(lm.step_function([1, 2, 3])(()))
         assert logprobs.shape == (lm.vocab_size,)
         assert np.exp(logprobs).sum() == pytest.approx(1.0)
 
@@ -240,3 +300,27 @@ class TestGeneration:
         out = decode(lm.step_function([1, 2, 3]), 10, lm.vocab.end_of_text_id,
                      strategy="greedy")
         assert len(out) <= 10  # must not raise despite exceeding the block
+
+    @pytest.mark.parametrize("seed_len", [2, 7], ids=["fits", "slides"])
+    def test_deferred_step_equals_eager_step_bitwise(self, seed_len):
+        # block 8: a 2-token seed plus 5 new tokens fits; a 7-token seed slides
+        for seed in range(6):
+            lm = make_lm(seed=seed, n_layers=seed % 2 + 1, block_size=8)
+            eot = lm.vocab.end_of_text_id
+            seed_ids = [int(t) for t in np.random.default_rng(seed).integers(0, 256, seed_len)]
+            batches = []
+            forward = lm.forward
+
+            def counting(ids):
+                batches.append(np.shape(ids))
+                return forward(ids)
+
+            lm.forward = counting
+            beams = beam_search(lm.step_function(seed_ids), 4, 5, end_token=eot)
+            lm.forward = forward
+            want = beam_search(eager_step(lm, seed_ids), 4, 5, end_token=eot)
+            assert [(b.tokens, b.finished, np.float64(b.logprob).tobytes()) for b in beams] == \
+                [(b.tokens, b.finished, np.float64(b.logprob).tobytes()) for b in want], seed
+            assert 1 <= len(batches) <= 5, batches
+            assert decode(lm.step_function(seed_ids), 5, eot) == \
+                decode(eager_step(lm, seed_ids), 5, eot), seed
