@@ -17,39 +17,14 @@ import numpy as np
 
 from . import autodiff as ad
 from . import decoding
-from .config import RunConfig
+from .config import CaptionConfig, RunConfig
 from .optim import Adam, Sgd, train_epochs
 from .reportprep import bilinear_resize
+from .tokenizers import END_ID, START_ID
 
 logger = logging.getLogger(__name__)
 
 PROB_FLOOR = 1e-12
-
-
-@dataclass
-class CaptionConfig:
-    embed_dim: int = 16            # m
-    decoder_dim: int = 32          # n
-    attention_dim: int = 16
-    dropout: float = 0.1
-    doubly_stochastic_weight: float = 0.0  # attention-coverage penalty; off by default
-    pooled_side: int = 4           # r; attention runs over r*r regions
-    encoder_channels: int = 32     # F
-    kernel_size: int = 3
-    fine_tune_encoder: bool = False
-    max_caption_len: int = 24      # includes <start> and <end>
-
-    def validate(self) -> None:
-        for name in ("embed_dim", "decoder_dim", "attention_dim", "pooled_side",
-                     "encoder_channels", "kernel_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.doubly_stochastic_weight < 0:
-            raise ValueError("doubly_stochastic_weight must be non-negative")
-        if self.max_caption_len < 2:
-            raise ValueError("max_caption_len must be at least 2")
 
 
 class CaptionModel:
@@ -294,7 +269,7 @@ class CaptionModel:
 
     def decode_caption(self, image, strategy: str = "greedy", beam_width: int = 5,
                        max_len: int | None = None, length_normalize: bool = True,
-                       start_id: int = 1, end_id: int = 2):
+                       start_id: int = START_ID, end_id: int = END_ID):
         """Generate a caption for one image. Returns (token ids without
         specials, attention weights per emitted token)."""
         was_training = self.training

@@ -19,12 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint
-from .binio import BinaryFormatError
-from .captioner import (CaptionConfig, CaptionExample, CaptionModel,
-                        attention_heatmap, make_optimizers, train_teacher_forcing)
+from .captioner import (CaptionExample, CaptionModel, attention_heatmap, make_optimizers,
+                        train_teacher_forcing)
 from .config import ConfigError, RunConfig, load_run_config
 from .decoding import decode, lm_seed, two_stage_generate
-from .lm import LmConfig, TransformerLm, build_token_stream, make_optimizer, train_lm
+from .lm import TransformerLm, build_token_stream, make_optimizer, train_lm
 from .metrics import EvalPair, evaluate_corpus, geometric_mean_bleu, bleu_n
 from .optim import Adam
 from .pgm import read_pgm, write_pgm
@@ -65,31 +64,6 @@ def _config_from(args) -> RunConfig:
         return load_run_config(args.config, overrides)
     except ConfigError as exc:
         raise CliValidationError(str(exc))
-
-
-def _caption_config(cfg: RunConfig) -> CaptionConfig:
-    return CaptionConfig(
-        embed_dim=cfg.sat_embed_dim,
-        decoder_dim=cfg.sat_decoder_dim,
-        attention_dim=cfg.sat_attention_dim,
-        dropout=cfg.sat_dropout,
-        doubly_stochastic_weight=cfg.sat_doubly_stochastic_weight,
-        pooled_side=cfg.sat_pooled_side,
-        encoder_channels=cfg.sat_encoder_channels,
-        kernel_size=cfg.sat_kernel_size,
-        fine_tune_encoder=cfg.sat_fine_tune_encoder,
-        max_caption_len=cfg.sat_max_caption_len,
-    )
-
-
-def _lm_config(cfg: RunConfig) -> LmConfig:
-    return LmConfig(
-        n_layers=cfg.lm_layers,
-        n_heads=cfg.lm_heads,
-        model_dim=cfg.lm_model_dim,
-        ffn_dim=cfg.lm_ffn_dim,
-        block_size=cfg.lm_block_size,
-    )
 
 
 def _load_manifest(path) -> dict:
@@ -314,7 +288,7 @@ def cmd_train_sat(args) -> int:
     examples = _caption_examples(train_records, vocab, cfg.sat_max_caption_len)
     refs = _caption_references(val_records, cfg.sat_max_caption_len)
 
-    model = CaptionModel(_caption_config(cfg), len(vocab), cfg.seed)
+    model = CaptionModel(cfg.caption_config(), len(vocab), cfg.seed)
     dec_opt, enc_opt = make_optimizers(model, cfg)
 
     def validate(model: CaptionModel) -> list[EvalPair]:
@@ -350,7 +324,7 @@ def cmd_train_lm(args) -> int:
     vocab = BpeVocabulary.train("\n".join(train_lines), cfg.lm_merges)
     vocab.save(out_dir / "bpe.vocab")
     stream = build_token_stream(train_lines, vocab)
-    model = TransformerLm(_lm_config(cfg), vocab, cfg.seed)
+    model = TransformerLm(cfg.lm_config(), vocab, cfg.seed)
     optimizer = make_optimizer(model, cfg)
 
     def validate(model: TransformerLm) -> list[EvalPair]:
@@ -374,7 +348,7 @@ def cmd_train_lm(args) -> int:
 
 
 def _load_caption_model(cfg: RunConfig, ckpt_path, vocab: WordVocabulary) -> CaptionModel:
-    model = CaptionModel(_caption_config(cfg), len(vocab), cfg.seed)
+    model = CaptionModel(cfg.caption_config(), len(vocab), cfg.seed)
     checkpoint.load_into_model(_require_file(ckpt_path, "caption checkpoint"),
                                model.parameters())
     model.train_mode(False)
@@ -382,9 +356,20 @@ def _load_caption_model(cfg: RunConfig, ckpt_path, vocab: WordVocabulary) -> Cap
 
 
 def _load_lm(cfg: RunConfig, ckpt_path, vocab: BpeVocabulary) -> TransformerLm:
-    model = TransformerLm(_lm_config(cfg), vocab, cfg.seed)
+    model = TransformerLm(cfg.lm_config(), vocab, cfg.seed)
     checkpoint.load_into_model(_require_file(ckpt_path, "lm checkpoint"), model.parameters())
     return model
+
+
+def _write_heatmaps(out_dir: Path, stem: str, steps, pooled_side: int, height: int,
+                    width: int) -> list[str]:
+    """Render each ``(t, alpha)`` of ``steps`` as ``{stem}_step{t:02d}.pgm``
+    in ``out_dir``; returns the file names in order."""
+    names = []
+    for t, alpha in steps:
+        names.append(f"{stem}_step{t:02d}.pgm")
+        write_pgm(out_dir / names[-1], attention_heatmap(alpha, pooled_side, height, width))
+    return names
 
 
 def cmd_generate(args) -> int:
@@ -420,14 +405,11 @@ def cmd_generate(args) -> int:
                                         cfg, study_id=study_id)
             heatmap_files = []
             if heatmap_dir and result.attention_weights:
-                csv_rows = []
-                for t, alpha in enumerate(result.attention_weights):
-                    grid = attention_heatmap(alpha, cfg.sat_pooled_side,
-                                             cfg.image_side, cfg.image_side)
-                    name = f"{study_id}_step{t:02d}.pgm"
-                    write_pgm(heatmap_dir / name, grid)
-                    heatmap_files.append(name)
-                    csv_rows.append(",".join(f"{v:.12g}" for v in alpha))
+                heatmap_files = _write_heatmaps(
+                    heatmap_dir, study_id, enumerate(result.attention_weights),
+                    cfg.sat_pooled_side, cfg.image_side, cfg.image_side)
+                csv_rows = [",".join(f"{v:.12g}" for v in alpha)
+                            for alpha in result.attention_weights]
                 (heatmap_dir / f"{study_id}_alphas.csv").write_text(
                     "\n".join(csv_rows) + "\n", encoding="utf-8")
             record = {
@@ -478,16 +460,11 @@ def cmd_heatmap(args) -> int:
         encoding="utf-8").splitlines()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(args.alphas).stem
-    count = 0
-    for t, row in enumerate(rows):
-        if not row.strip():
-            continue
-        alpha = np.array([float(v) for v in row.split(",")])
-        grid = attention_heatmap(alpha, args.pooled_side, args.height, args.width)
-        write_pgm(out_dir / f"{stem}_step{t:02d}.pgm", grid)
-        count += 1
-    print(f"wrote {count} heatmaps -> {out_dir}")
+    steps = [(t, np.array([float(v) for v in row.split(",")]))
+             for t, row in enumerate(rows) if row.strip()]  # blank rows still count as steps
+    names = _write_heatmaps(out_dir, Path(args.alphas).stem, steps,
+                            args.pooled_side, args.height, args.width)
+    print(f"wrote {len(names)} heatmaps -> {out_dir}")
     return 0
 
 
@@ -591,10 +568,8 @@ def main(argv=None) -> int:
                     "train-lm needs --dataset and --manifest, or --text"
                 )
         return args.func(args)
-    except CliValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, BinaryFormatError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
+        # CliValidationError, ConfigError and BinaryFormatError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - unexpected failure path

@@ -1,9 +1,14 @@
-"""Flat key=value run configuration shared by all CLI commands.
+"""Flat key=value run configuration shared by all CLI commands, and the
+shapes of the two models it builds.
 
 Precedence, lowest to highest: built-in desk defaults, the --config file,
 --set key=value flags, and finally the CAPSEQ_SEED environment variable
 (which overrides the seed only). Validation runs before any work starts and
 rejects values that would violate a downstream precondition.
+
+Each model field has one run key, its stage prefix plus the field name
+(``sat_embed_dim``, ``lm_layers``), and one check, in the model config's
+``validate``; ``RunConfig.validate`` runs both and names the run key.
 """
 
 from __future__ import annotations
@@ -18,6 +23,56 @@ ENV_SEED = "CAPSEQ_SEED"
 
 class ConfigError(ValueError):
     pass
+
+
+@dataclass
+class CaptionConfig:
+    """Shape of ``captioner.CaptionModel``; run keys ``sat_<field>``."""
+
+    embed_dim: int                   # m
+    decoder_dim: int                 # n
+    attention_dim: int
+    dropout: float
+    doubly_stochastic_weight: float  # attention-coverage penalty; 0 turns it off
+    pooled_side: int                 # r; attention runs over r*r regions
+    encoder_channels: int            # F
+    kernel_size: int
+    fine_tune_encoder: bool
+    max_caption_len: int             # includes <start> and <end>
+
+    def validate(self) -> None:
+        for name in ("embed_dim", "decoder_dim", "attention_dim", "pooled_side",
+                     "encoder_channels", "kernel_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if self.doubly_stochastic_weight < 0:
+            raise ConfigError("doubly_stochastic_weight must be non-negative")
+        if self.max_caption_len < 2:
+            raise ConfigError("max_caption_len must be at least 2")
+
+
+@dataclass
+class LmConfig:
+    """Shape of ``lm.TransformerLm``; run keys ``lm_<field>``."""
+
+    layers: int
+    heads: int
+    model_dim: int
+    ffn_dim: int
+    block_size: int
+
+    def validate(self) -> None:
+        for name in ("layers", "heads", "model_dim", "ffn_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.block_size < 2:
+            raise ConfigError(f"block_size must be at least 2, got {self.block_size}")
+        if self.model_dim % self.heads:
+            raise ConfigError(
+                f"model_dim {self.model_dim} must divide evenly into {self.heads} heads"
+            )
 
 
 @dataclass
@@ -68,15 +123,23 @@ class RunConfig:
     lm_max_new: int = 48
     length_normalize: bool = True
 
+    def _model_config(self, cls, prefix: str):
+        return cls(**{f.name: getattr(self, prefix + f.name) for f in dataclasses.fields(cls)})
+
+    def caption_config(self) -> CaptionConfig:
+        return self._model_config(CaptionConfig, "sat_")
+
+    def lm_config(self) -> LmConfig:
+        return self._model_config(LmConfig, "lm_")
+
     def validate(self) -> None:
-        positive = [
-            "image_side", "min_word_freq", "sat_embed_dim", "sat_decoder_dim",
-            "sat_attention_dim", "sat_pooled_side", "sat_encoder_channels",
-            "sat_kernel_size", "sat_epochs", "sat_batch_size", "lm_layers",
-            "lm_heads", "lm_model_dim", "lm_ffn_dim", "lm_epochs",
-            "lm_batch_size", "lm_max_new", "beam_width", "lm_rank",
-        ]
-        for name in positive:
+        for prefix, model_config in (("sat_", self.caption_config), ("lm_", self.lm_config)):
+            try:
+                model_config().validate()
+            except ConfigError as exc:  # every model message starts with its field name
+                raise ConfigError(prefix + str(exc)) from None
+        for name in ("image_side", "min_word_freq", "sat_epochs", "sat_batch_size",
+                     "lm_epochs", "lm_batch_size", "lm_max_new", "beam_width", "lm_rank"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("sat_decoder_lr", "sat_encoder_lr", "lm_lr", "sat_adam_eps", "lm_adam_eps"):
@@ -88,18 +151,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive or none, got {value}")
         if abs(self.train_ratio + self.val_ratio + self.test_ratio - 1.0) > 1e-9:
             raise ConfigError("split ratios must sum to 1")
-        if not 0.0 <= self.sat_dropout < 1.0:
-            raise ConfigError(f"sat_dropout must lie in [0, 1), got {self.sat_dropout}")
-        if self.sat_doubly_stochastic_weight < 0:
-            raise ConfigError("sat_doubly_stochastic_weight must be non-negative")
-        if self.sat_max_caption_len < 2:
-            raise ConfigError("sat_max_caption_len must be at least 2")
-        if self.lm_block_size < 2:
-            raise ConfigError("lm_block_size must be at least 2")
-        if self.lm_model_dim % self.lm_heads:
-            raise ConfigError(
-                f"lm_model_dim {self.lm_model_dim} must divide into lm_heads {self.lm_heads}"
-            )
         if self.lm_merges < 0:
             raise ConfigError("lm_merges must be non-negative")
         if self.sat_optimizer not in ("adam", "sgd"):

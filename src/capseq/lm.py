@@ -10,12 +10,11 @@ an exact zero weight after the stabilized softmax).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .config import RunConfig
+from .config import LmConfig, RunConfig
 from .optim import Adam, train_epochs
 from .tokenizers import BpeVocabulary
 
@@ -23,26 +22,6 @@ logger = logging.getLogger(__name__)
 
 LN_EPS = 1e-5
 MASK_VALUE = -1e30
-
-
-@dataclass
-class LmConfig:
-    n_layers: int = 2
-    n_heads: int = 2
-    model_dim: int = 32
-    ffn_dim: int = 64
-    block_size: int = 64
-
-    def validate(self) -> None:
-        for name in ("n_layers", "n_heads", "model_dim", "ffn_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.block_size < 2:
-            raise ValueError(f"block_size must be at least 2, got {self.block_size}")
-        if self.model_dim % self.n_heads:
-            raise ValueError(
-                f"model_dim {self.model_dim} must divide evenly into {self.n_heads} heads"
-            )
 
 
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
@@ -69,7 +48,7 @@ class TransformerLm:
 
         d, f = config.model_dim, config.ffn_dim
         self._matrix("embedding", (self.vocab_size, d), scale=0.1)
-        for layer in range(config.n_layers):
+        for layer in range(config.layers):
             p = f"layer{layer}."
             self._norm(p + "ln1")
             self._affine(p + "q", d, d)
@@ -122,17 +101,17 @@ class TransformerLm:
         cfg = self.config
         x = ad.embedding_lookup(self._p("embedding"), ids) + ad.as_constant(self._positions[:t])
         mask = ad.as_constant(np.triu(np.full((t, t), MASK_VALUE), k=1))
-        dk = cfg.model_dim // cfg.n_heads
+        dk = cfg.model_dim // cfg.heads
         scale = 1.0 / np.sqrt(dk)
         swap_last = (*range(ids.ndim - 1), ids.ndim, ids.ndim - 1)  # K -> K^T per sequence
-        for layer in range(cfg.n_layers):
+        for layer in range(cfg.layers):
             p = f"layer{layer}."
             normed = self._layernorm(x, p + "ln1")
             q = self._apply_affine(normed, p + "q")
             k = self._apply_affine(normed, p + "k")
             v = self._apply_affine(normed, p + "v")
             heads = []
-            for h in range(cfg.n_heads):
+            for h in range(cfg.heads):
                 qh = ad.narrow(q, -1, h * dk, dk)
                 kh = ad.narrow(k, -1, h * dk, dk)
                 vh = ad.narrow(v, -1, h * dk, dk)
@@ -183,10 +162,12 @@ class TransformerLm:
 
         ``step(prefix)`` is deferred: it queues the prefix's window and
         returns a handle. The first numpy conversion of any queued handle
-        runs one ``forward`` per window length over every queued window,
-        stacked as (B, T), and fills every handle. A beam step queues all
-        its live prefixes before converting any, so the whole step is one
-        forward.
+        runs one ``forward`` over every queued window, stacked as (B, T),
+        and fills every handle. The queued windows must share one length,
+        as the prefixes of one decoding step do: greedy converts each step
+        at once, and a beam step queues all its live prefixes before
+        converting any, so the whole step is one forward. Windows of mixed
+        lengths do not stack: their conversion raises ``ValueError``.
         """
         block = self.config.block_size
         if len(seed_ids) >= block:
@@ -194,18 +175,14 @@ class TransformerLm:
         queue: list[tuple[list[int], _PendingLogprobs]] = []
 
         def flush() -> None:
-            by_length: dict[int, list[tuple[list[int], _PendingLogprobs]]] = {}
-            for window, handle in queue:
-                by_length.setdefault(len(window), []).append((window, handle))
-            for group in by_length.values():
-                windows = [window for window, _ in group]
-                # a lone window (every greedy step) runs as (T,): fewer
-                # per-op costs than (1, T), and the same bytes
-                ids = windows[0] if len(windows) == 1 else windows
-                last = self.forward(ids).data[..., -1, :].reshape(len(windows), -1)
-                for row, (_, handle) in zip(last, group):
-                    shifted = row - row.max()
-                    handle.value = shifted - np.log(np.exp(shifted).sum())
+            windows = [window for window, _ in queue]
+            # a lone window (every greedy step) runs as (T,): fewer per-op
+            # costs than (1, T), and the same bytes
+            ids = windows[0] if len(windows) == 1 else windows
+            last = self.forward(ids).data[..., -1, :].reshape(len(windows), -1)
+            for row, (_, handle) in zip(last, queue):
+                shifted = row - row.max()
+                handle.value = shifted - np.log(np.exp(shifted).sum())
             queue.clear()
 
         def step(prefix) -> _PendingLogprobs:

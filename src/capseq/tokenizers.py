@@ -15,6 +15,7 @@ from pathlib import Path
 
 PAD, START, END, UNK = "<pad>", "<start>", "<end>", "<unk>"
 SPECIALS = (PAD, START, END, UNK)
+START_ID, END_ID = SPECIALS.index(START), SPECIALS.index(END)  # word-vocabulary ids
 END_OF_TEXT = "<|endoftext|>"
 
 _WORD_HEADER = "capseq-wordvocab 1"
@@ -70,11 +71,11 @@ class WordVocabulary:
 
     @property
     def start_id(self) -> int:
-        return self._token_to_id[START]
+        return START_ID
 
     @property
     def end_id(self) -> int:
-        return self._token_to_id[END]
+        return END_ID
 
     @property
     def unk_id(self) -> int:

@@ -297,16 +297,16 @@ def straightline_lm_logits(model, ids):
         e = np.exp(m - m.max(axis=1, keepdims=True))
         return e / e.sum(axis=1, keepdims=True)
 
-    dk = cfg.model_dim // cfg.n_heads
+    dk = cfg.model_dim // cfg.heads
     mask = np.triu(np.full((t, t), -1e30), k=1)
-    for layer in range(cfg.n_layers):
+    for layer in range(cfg.layers):
         p = f"layer{layer}."
         normed = layernorm(x, p + "ln1")
         q = normed @ P[p + "q.weight"] + P[p + "q.bias"]
         k = normed @ P[p + "k.weight"] + P[p + "k.bias"]
         v = normed @ P[p + "v.weight"] + P[p + "v.bias"]
         heads = []
-        for h in range(cfg.n_heads):
+        for h in range(cfg.heads):
             sl = slice(h * dk, (h + 1) * dk)
             scores = q[:, sl] @ k[:, sl].T / np.sqrt(dk) + mask
             heads.append(softmax_rows(scores) @ v[:, sl])

@@ -9,6 +9,7 @@ sequence and keeps the first margin-safe draw (deterministic, and the
 gradient comparison itself is never loosened).
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -18,8 +19,7 @@ import numpy as np
 import pytest
 
 from capseq import autodiff as ad
-from capseq.captioner import (CaptionConfig, CaptionExample, CaptionModel,
-                              train_teacher_forcing)
+from capseq.captioner import CaptionExample, CaptionModel, train_teacher_forcing
 from capseq.cli import main
 from capseq.config import RunConfig
 from capseq.decoding import beam_search, decode, greedy_decode, select_beam
@@ -42,10 +42,11 @@ def _caption_fd_instance():
     caption = np.array([[1, 4, 5, 6, 2, 0, 0]])
     lengths = np.array([4])
     for seed in range(200):
-        cfg = CaptionConfig(embed_dim=4, decoder_dim=5, attention_dim=4, dropout=0.0,
-                            doubly_stochastic_weight=0.5, pooled_side=2,
-                            encoder_channels=3, fine_tune_encoder=True,
-                            max_caption_len=8)
+        cfg = dataclasses.replace(RunConfig().caption_config(),
+                                  embed_dim=4, decoder_dim=5, attention_dim=4, dropout=0.0,
+                                  doubly_stochastic_weight=0.5, pooled_side=2,
+                                  encoder_channels=3, fine_tune_encoder=True,
+                                  max_caption_len=8)
         model = CaptionModel(cfg, vocab_size=8, seed=seed)
         image = np.random.default_rng(1000 + seed).random((8, 8))
 
@@ -61,7 +62,7 @@ def _lm_fd_instance():
     vocab = BpeVocabulary.train("abcab", 2)
     ids = np.array([5, 97, 98, 99, vocab.end_of_text_id])
     for seed in range(200):
-        model = TransformerLm(LmConfig(n_layers=2, n_heads=2, model_dim=4,
+        model = TransformerLm(LmConfig(layers=2, heads=2, model_dim=4,
                                        ffn_dim=8, block_size=8), vocab, seed=seed)
 
         def compute():
@@ -138,9 +139,11 @@ def test_criterion2_attention_laws():
         f = int(rng.integers(2, 6))
         n = int(rng.integers(2, 8))
         model = CaptionModel(
-            CaptionConfig(embed_dim=3, decoder_dim=n, attention_dim=int(rng.integers(2, 6)),
-                          dropout=0.0, pooled_side=r, encoder_channels=f,
-                          max_caption_len=4),
+            dataclasses.replace(RunConfig().caption_config(),
+                                embed_dim=3, decoder_dim=n,
+                                attention_dim=int(rng.integers(2, 6)),
+                                dropout=0.0, pooled_side=r, encoder_channels=f,
+                                max_caption_len=4),
             vocab_size=6, seed=int(rng.integers(0, 10 ** 6)))
         batch = int(rng.integers(1, 3))
         regions = ad.Tensor(rng.normal(scale=3.0, size=(batch, r * r, f)))
@@ -158,9 +161,10 @@ def test_criterion2_attention_laws():
 @pytest.mark.acceptance(3, "coverage penalty: off is bit-exact CE; on matches closed form")
 class TestCriterion3DoublyStochastic:
     def _instance(self, weight, seed=21):
-        cfg = CaptionConfig(embed_dim=5, decoder_dim=6, attention_dim=5, dropout=0.0,
-                            doubly_stochastic_weight=weight, pooled_side=2,
-                            encoder_channels=4, max_caption_len=8)
+        cfg = dataclasses.replace(RunConfig().caption_config(),
+                                  embed_dim=5, decoder_dim=6, attention_dim=5, dropout=0.0,
+                                  doubly_stochastic_weight=weight, pooled_side=2,
+                                  encoder_channels=4, max_caption_len=8)
         model = CaptionModel(cfg, vocab_size=9, seed=seed)
         image = np.random.default_rng(seed).random((10, 10))
         captions = np.array([[1, 4, 7, 5, 2, 0]])
@@ -306,9 +310,10 @@ class TestCriterion7Trainability:
         examples = [CaptionExample(sid, img, np.asarray(vocab.encode(toks, max_len).ids),
                                    len(toks) + 1)
                     for sid, img, toks in pairs]
-        cfg = CaptionConfig(embed_dim=24, decoder_dim=64, attention_dim=32, dropout=0.0,
-                            pooled_side=4, encoder_channels=32, fine_tune_encoder=False,
-                            max_caption_len=max_len)
+        cfg = dataclasses.replace(RunConfig().caption_config(),
+                                  embed_dim=24, decoder_dim=64, attention_dim=32, dropout=0.0,
+                                  pooled_side=4, encoder_channels=32, fine_tune_encoder=False,
+                                  max_caption_len=max_len)
         model = CaptionModel(cfg, vocab_size=len(vocab), seed=5)
         train_teacher_forcing(model, examples,
                               RunConfig(sat_epochs=400, sat_batch_size=8,
@@ -337,7 +342,7 @@ class TestCriterion7Trainability:
         vocab = BpeVocabulary.train(" ".join(lines), 60)
         stream = build_token_stream(lines, vocab)
         assert len(stream) >= 200
-        lm = TransformerLm(LmConfig(n_layers=2, n_heads=2, model_dim=32,
+        lm = TransformerLm(LmConfig(layers=2, heads=2, model_dim=32,
                                     ffn_dim=64, block_size=64), vocab, seed=3)
         train_lm(lm, stream, RunConfig(lm_epochs=150, lm_batch_size=1, lm_lr=3e-3,
                                        lm_clip_norm=1.0, seed=0))
@@ -355,9 +360,10 @@ class TestCriterion8Pipeline:
         examples = [CaptionExample(sid, img, np.asarray(word_vocab.encode(t, max_len).ids),
                                    len(t) + 1)
                     for (sid, img, t) in pairs]
-        model = CaptionModel(CaptionConfig(embed_dim=12, decoder_dim=24, attention_dim=12,
-                                           dropout=0.0, pooled_side=2, encoder_channels=12,
-                                           max_caption_len=max_len),
+        model = CaptionModel(dataclasses.replace(RunConfig().caption_config(),
+                                                 embed_dim=12, decoder_dim=24, attention_dim=12,
+                                                 dropout=0.0, pooled_side=2, encoder_channels=12,
+                                                 max_caption_len=max_len),
                              vocab_size=len(word_vocab), seed=4)
         train_teacher_forcing(model, examples,
                               RunConfig(sat_epochs=60, sat_batch_size=4,
@@ -414,7 +420,7 @@ def test_criterion9_causality_100_trials():
     rng = np.random.default_rng(909)
     vocab = BpeVocabulary.train("xy", 0)
     for trial in range(100):
-        lm = TransformerLm(LmConfig(n_layers=2, n_heads=2, model_dim=8, ffn_dim=16,
+        lm = TransformerLm(LmConfig(layers=2, heads=2, model_dim=8, ffn_dim=16,
                                     block_size=12), vocab, seed=trial)
         length = int(rng.integers(2, 10))
         ids = rng.integers(0, 256, size=length)

@@ -2,13 +2,15 @@
 semantics, deep output layer, loss composition, teacher forcing, freeze
 toggles, and heatmap export."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from capseq import autodiff as ad
-from capseq.captioner import (CaptionConfig, CaptionExample, CaptionModel,
-                              attention_heatmap, effective_batch_sizes,
-                              sort_batch_by_length, train_teacher_forcing)
+from capseq.captioner import (CaptionExample, CaptionModel, attention_heatmap,
+                              effective_batch_sizes, sort_batch_by_length,
+                              train_teacher_forcing)
 from capseq.config import RunConfig
 from capseq.synthetic import overfit_pairs
 from capseq.tokenizers import WordVocabulary
@@ -20,7 +22,8 @@ def tiny_model(seed=0, **overrides) -> CaptionModel:
     cfg = dict(embed_dim=4, decoder_dim=5, attention_dim=4, dropout=0.0,
                pooled_side=2, encoder_channels=3, max_caption_len=8)
     cfg.update(overrides)
-    return CaptionModel(CaptionConfig(**cfg), vocab_size=8, seed=seed)
+    return CaptionModel(dataclasses.replace(RunConfig().caption_config(), **cfg),
+                        vocab_size=8, seed=seed)
 
 
 def zero_params(model, names):
@@ -244,8 +247,9 @@ class TestTeacherForcing:
         examples = [CaptionExample(sid, img, np.array(vocab.encode(toks, max_len).ids),
                                    len(toks) + 1)
                     for sid, img, toks in pairs]
-        cfg = CaptionConfig(embed_dim=24, decoder_dim=64, attention_dim=32, dropout=0.0,
-                            pooled_side=4, encoder_channels=32, max_caption_len=max_len)
+        cfg = dataclasses.replace(RunConfig().caption_config(),
+                                  embed_dim=24, decoder_dim=64, attention_dim=32, dropout=0.0,
+                                  pooled_side=4, encoder_channels=32, max_caption_len=max_len)
         model = CaptionModel(cfg, vocab_size=len(vocab), seed=5)
         trace = train_teacher_forcing(
             model, examples,
@@ -262,9 +266,10 @@ class TestFinetuneToggle:
         examples = [CaptionExample(sid, img, np.array(vocab.encode(toks, max_len).ids),
                                    len(toks) + 1)
                     for sid, img, toks in pairs]
-        model = CaptionModel(CaptionConfig(embed_dim=8, decoder_dim=12, attention_dim=8,
-                                           dropout=0.0, pooled_side=2, encoder_channels=8,
-                                           fine_tune_encoder=False, max_caption_len=max_len),
+        model = CaptionModel(dataclasses.replace(RunConfig().caption_config(),
+                                                 embed_dim=8, decoder_dim=12, attention_dim=8,
+                                                 dropout=0.0, pooled_side=2, encoder_channels=8,
+                                                 fine_tune_encoder=False, max_caption_len=max_len),
                              vocab_size=len(vocab), seed=1)
         before = {n: p.data.copy() for n, p in model.parameters().items()
                   if n.startswith("encoder.")}

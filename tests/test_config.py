@@ -1,7 +1,10 @@
 """Run-configuration parsing, precedence, and validation."""
 
+import dataclasses
+
 import pytest
 
+from capseq import captioner, lm
 from capseq.config import ConfigError, RunConfig, load_run_config, parse_config_text
 
 
@@ -97,3 +100,28 @@ class TestValidation:
         cfg = RunConfig(image_side=2, sat_pooled_side=4)
         with pytest.raises(ConfigError):
             cfg.validate()
+
+
+class TestModelConfigs:
+    @pytest.mark.parametrize("values, key", [
+        ({"sat_embed_dim": 0}, "sat_embed_dim"),
+        ({"sat_kernel_size": 0}, "sat_kernel_size"),
+        ({"sat_dropout": 1.0}, "sat_dropout"),
+        ({"sat_doubly_stochastic_weight": -1}, "sat_doubly_stochastic_weight"),
+        ({"sat_max_caption_len": 1}, "sat_max_caption_len"),
+        ({"lm_layers": 0}, "lm_layers"),
+        ({"lm_block_size": 1}, "lm_block_size"),
+        ({"lm_model_dim": 30, "lm_heads": 4}, "lm_model_dim"),
+    ])
+    def test_model_rule_names_run_key(self, values, key):
+        with pytest.raises(ConfigError, match=f"^{key} "):
+            RunConfig(**values).validate()
+
+    @pytest.mark.parametrize("profile", ["configs/desk.cfg", "configs/full.cfg"])
+    def test_model_fields_are_prefixed_run_keys(self, profile):
+        cfg = load_run_config(profile)
+        for prefix, model_config in (("sat_", cfg.caption_config()), ("lm_", cfg.lm_config())):
+            for field in dataclasses.fields(model_config):
+                assert getattr(model_config, field.name) == getattr(cfg, prefix + field.name)
+        assert captioner.CaptionConfig is type(cfg.caption_config())
+        assert lm.LmConfig is type(cfg.lm_config())

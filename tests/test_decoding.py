@@ -1,12 +1,14 @@
 """Greedy/beam decoding contracts: greedy equivalence at K=1, the exhaustive
 enumeration oracle, monotonicity in K, and the two-stage pipeline wiring."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capseq.captioner import CaptionConfig, CaptionModel
+from capseq.captioner import CaptionModel
 from capseq.config import RunConfig
 from capseq.decoding import (Beam, beam_search, decode, greedy_decode, lm_seed,
                              select_beam, two_stage_generate)
@@ -294,11 +296,12 @@ def _tiny_models():
     captions = [["alpha", "beta", "gamma"], ["delta", "beta", "gamma"]]
     word_vocab = WordVocabulary.build(captions)
     model = CaptionModel(
-        CaptionConfig(embed_dim=6, decoder_dim=8, attention_dim=6, dropout=0.0,
-                      pooled_side=2, encoder_channels=4, max_caption_len=8),
+        dataclasses.replace(RunConfig().caption_config(),
+                            embed_dim=6, decoder_dim=8, attention_dim=6, dropout=0.0,
+                            pooled_side=2, encoder_channels=4, max_caption_len=8),
         vocab_size=len(word_vocab), seed=0)
     bpe = BpeVocabulary.train("alpha beta gamma delta <start>", 10)
-    lm = TransformerLm(LmConfig(n_layers=1, n_heads=1, model_dim=8, ffn_dim=16,
+    lm = TransformerLm(LmConfig(layers=1, heads=1, model_dim=8, ffn_dim=16,
                                 block_size=32), bpe, seed=0)
     return model, word_vocab, lm, bpe
 

@@ -20,7 +20,7 @@ def small_vocab():
 
 
 def make_lm(seed=0, **overrides):
-    cfg = dict(n_layers=2, n_heads=2, model_dim=8, ffn_dim=16, block_size=16)
+    cfg = dict(layers=2, heads=2, model_dim=8, ffn_dim=16, block_size=16)
     cfg.update(overrides)
     return TransformerLm(LmConfig(**cfg), small_vocab(), seed=seed)
 
@@ -28,11 +28,11 @@ def make_lm(seed=0, **overrides):
 class TestConfig:
     def test_dim_head_divisibility(self):
         with pytest.raises(ValueError):
-            LmConfig(n_layers=1, n_heads=3, model_dim=8, ffn_dim=16, block_size=8).validate()
+            LmConfig(layers=1, heads=3, model_dim=8, ffn_dim=16, block_size=8).validate()
 
     def test_block_size_minimum(self):
         with pytest.raises(ValueError):
-            LmConfig(n_layers=1, n_heads=1, model_dim=4, ffn_dim=8, block_size=1).validate()
+            LmConfig(layers=1, heads=1, model_dim=4, ffn_dim=8, block_size=1).validate()
 
 
 class TestForward:
@@ -81,7 +81,7 @@ class TestForward:
 
     def test_matches_straightline_oracle(self):
         # 1 layer, 1 head, dim 2, 3-token input, computed two independent ways
-        lm = TransformerLm(LmConfig(n_layers=1, n_heads=1, model_dim=2,
+        lm = TransformerLm(LmConfig(layers=1, heads=1, model_dim=2,
                                     ffn_dim=4, block_size=8), small_vocab(), seed=7)
         ids = [10, 20, 30]
         got = lm.forward(ids).data
@@ -89,7 +89,7 @@ class TestForward:
         np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_matches_oracle_multilayer_multihead(self):
-        lm = make_lm(seed=11, n_layers=2, n_heads=2, model_dim=8)
+        lm = make_lm(seed=11, layers=2, heads=2, model_dim=8)
         ids = [3, 1, 4, 1, 5]
         np.testing.assert_allclose(lm.forward(ids).data,
                                    straightline_lm_logits(lm, ids), atol=1e-9)
@@ -142,7 +142,7 @@ class TestBatchedForward:
                     assert got[i].tobytes() == want.tobytes(), (b, t, i)
 
     def test_batch_matches_straightline_oracle(self):
-        lm = make_lm(seed=11, n_layers=2, n_heads=2, model_dim=8)
+        lm = make_lm(seed=11, layers=2, heads=2, model_dim=8)
         ids = np.array([[3, 1, 4, 1, 5], [9, 2, 6, 5, 3], [5, 8, 9, 7, 9]])
         got = lm.forward(ids).data
         for i, row in enumerate(ids):
@@ -301,11 +301,19 @@ class TestGeneration:
                      strategy="greedy")
         assert len(out) <= 10  # must not raise despite exceeding the block
 
+    def test_queued_windows_of_two_lengths_rejected(self):
+        lm = make_lm(block_size=8)
+        step = lm.step_function([1, 2])
+        short = step(())
+        step((3,))  # queued before the shorter window is converted
+        with pytest.raises(ValueError):
+            np.asarray(short)
+
     @pytest.mark.parametrize("seed_len", [2, 7], ids=["fits", "slides"])
     def test_deferred_step_equals_eager_step_bitwise(self, seed_len):
         # block 8: a 2-token seed plus 5 new tokens fits; a 7-token seed slides
         for seed in range(6):
-            lm = make_lm(seed=seed, n_layers=seed % 2 + 1, block_size=8)
+            lm = make_lm(seed=seed, layers=seed % 2 + 1, block_size=8)
             eot = lm.vocab.end_of_text_id
             seed_ids = [int(t) for t in np.random.default_rng(seed).integers(0, 256, seed_len)]
             batches = []
