@@ -21,7 +21,7 @@ import numpy as np
 from . import checkpoint
 from .captioner import (CaptionExample, CaptionModel, attention_heatmap, make_optimizers,
                         train_teacher_forcing)
-from .config import ConfigError, RunConfig, load_run_config
+from .config import RunConfig, load_run_config
 from .decoding import decode, lm_seed, two_stage_generate
 from .lm import TransformerLm, build_token_stream, make_optimizer, train_lm
 from .metrics import EvalPair, evaluate_corpus, geometric_mean_bleu, bleu_n
@@ -60,10 +60,7 @@ def _config_from(args) -> RunConfig:
         overrides[key.strip()] = value
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
-    try:
-        return load_run_config(args.config, overrides)
-    except ConfigError as exc:
-        raise CliValidationError(str(exc))
+    return load_run_config(args.config, overrides)
 
 
 def _load_manifest(path) -> dict:
@@ -462,6 +459,10 @@ def cmd_heatmap(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     steps = [(t, np.array([float(v) for v in row.split(",")]))
              for t, row in enumerate(rows) if row.strip()]  # blank rows still count as steps
+    weights = args.pooled_side * args.pooled_side
+    for t, alpha in steps:  # every row is checked before any PGM is written
+        if alpha.shape != (weights,) or not np.isfinite(alpha).all():
+            raise CliValidationError(f"{args.alphas}: row {t + 1} is not {weights} finite weights")
     names = _write_heatmaps(out_dir, Path(args.alphas).stem, steps,
                             args.pooled_side, args.height, args.width)
     print(f"wrote {len(names)} heatmaps -> {out_dir}")

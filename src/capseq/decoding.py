@@ -8,11 +8,12 @@ conditioning (image annotations, language-model seed) lives in the closure.
 followed by the selection of one ranked beam.
 
 A step may return its log-probabilities eagerly, as an array, or deferred, as
-a handle that ``np.asarray`` converts. A deferring step function (the
-language model's) queues each prefix and evaluates everything queued on the
-first conversion. Greedy converts every result at once; beam search queues
-all the unseen live prefixes of a step, which have one length, before it
-converts any, so the step costs one batched evaluation.
+a handle that ``np.asarray`` converts. Both models defer: their step functions
+are ``deferred_step`` over a batched evaluation, which queues each prefix and
+evaluates everything queued on the first conversion. Greedy converts every
+result at once; beam search queues all the unseen live prefixes of a step,
+which have one length, before it converts any, so the step costs one batched
+evaluation.
 
 Prefix contract: the first call is ``step(())``, and every later prefix is an
 earlier-evaluated prefix extended by one token. Greedy and beam search only
@@ -61,6 +62,46 @@ class Beam:
         if length_normalize and self.tokens:
             return self.logprob / len(self.tokens)
         return self.logprob
+
+
+class PendingLogprobs:
+    """One queued step result; ``np.asarray`` on it runs the queued batch."""
+
+    __slots__ = ("_flush", "value")
+
+    def __init__(self, flush):
+        self._flush = flush
+        self.value: np.ndarray | None = None
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if self.value is None:
+            self._flush()
+        value = self.value if dtype is None else self.value.astype(dtype, copy=False)
+        return value.copy() if copy else value
+
+
+def deferred_step(evaluate):
+    """A deferring step function over ``evaluate(prefixes) -> rows``.
+
+    ``step(prefix)`` queues the prefix and returns a ``PendingLogprobs``. The
+    first conversion of any queued handle calls ``evaluate`` once with every
+    queued prefix, in queue order, and fills each handle with its row of
+    log-probabilities.
+    """
+    queue: list[tuple[tuple[int, ...], PendingLogprobs]] = []
+
+    def flush() -> None:
+        rows = evaluate([prefix for prefix, _ in queue])
+        for row, (_, handle) in zip(rows, queue):
+            handle.value = row
+        queue.clear()
+
+    def step(prefix) -> PendingLogprobs:
+        handle = PendingLogprobs(flush)
+        queue.append((tuple(prefix), handle))
+        return handle
+
+    return step
 
 
 def greedy_decode(step_fn, max_len: int, end_token: int | None = None) -> list[int]:

@@ -14,6 +14,7 @@ import logging
 import numpy as np
 
 from . import autodiff as ad
+from . import decoding
 from .config import LmConfig, RunConfig
 from .optim import Adam, train_epochs
 from .tokenizers import BpeVocabulary
@@ -160,53 +161,33 @@ class TransformerLm:
         ``decoding.decode``. The seed must leave room for one token; when the
         context outgrows the block size the window slides left.
 
-        ``step(prefix)`` is deferred: it queues the prefix's window and
-        returns a handle. The first numpy conversion of any queued handle
-        runs one ``forward`` over every queued window, stacked as (B, T),
-        and fills every handle. The queued windows must share one length,
-        as the prefixes of one decoding step do: greedy converts each step
-        at once, and a beam step queues all its live prefixes before
-        converting any, so the whole step is one forward. Windows of mixed
-        lengths do not stack: their conversion raises ``ValueError``.
+        ``step`` is ``decoding.deferred_step``: a call queues the prefix, and
+        the first numpy conversion of any queued handle runs one ``forward``
+        over every queued window, stacked as (B, T). The queued windows must
+        share one length, as the prefixes of one decoding step do: greedy
+        converts each step at once, and a beam step queues all its live
+        prefixes before converting any, so the whole step is one forward.
+        Windows of mixed lengths do not stack: their conversion raises
+        ``ValueError``.
         """
         block = self.config.block_size
         if len(seed_ids) >= block:
             raise ValueError(f"seed length {len(seed_ids)} already at block size {block}")
-        queue: list[tuple[list[int], _PendingLogprobs]] = []
+        seed_ids = list(seed_ids)
 
-        def flush() -> None:
-            windows = [window for window, _ in queue]
+        def evaluate(prefixes) -> list[np.ndarray]:
+            windows = [(seed_ids + list(prefix))[-block:] for prefix in prefixes]
             # a lone window (every greedy step) runs as (T,): fewer per-op
             # costs than (1, T), and the same bytes
             ids = windows[0] if len(windows) == 1 else windows
             last = self.forward(ids).data[..., -1, :].reshape(len(windows), -1)
-            for row, (_, handle) in zip(last, queue):
+            rows = []
+            for row in last:
                 shifted = row - row.max()
-                handle.value = shifted - np.log(np.exp(shifted).sum())
-            queue.clear()
+                rows.append(shifted - np.log(np.exp(shifted).sum()))
+            return rows
 
-        def step(prefix) -> _PendingLogprobs:
-            handle = _PendingLogprobs(flush)
-            queue.append(((list(seed_ids) + list(prefix))[-block:], handle))
-            return handle
-
-        return step
-
-
-class _PendingLogprobs:
-    """One queued step result; ``np.asarray`` on it runs the queued batch."""
-
-    __slots__ = ("_flush", "value")
-
-    def __init__(self, flush):
-        self._flush = flush
-        self.value: np.ndarray | None = None
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if self.value is None:
-            self._flush()
-        value = self.value if dtype is None else self.value.astype(dtype, copy=False)
-        return value.copy() if copy else value
+        return decoding.deferred_step(evaluate)
 
 
 # ---------------------------------------------------------------------------

@@ -275,6 +275,43 @@ def replay_caption_attention(model, annotations, ids, start_id=1):
     return alphas
 
 
+def eager_caption_step(model, annotations, start_id=1, floor=1e-12):
+    """The caption step function evaluated one prefix per call, on (1, n)
+    state: ``(step, record)`` as ``CaptionModel.step_function`` returns them,
+    with every step eager."""
+    proj_regions = model._project_regions(annotations)
+    record = {}
+
+    def step(prefix):
+        prefix = tuple(prefix)
+        if prefix:
+            h, c, _ = record[prefix[:-1]]
+            h, c, token = ad.as_constant(h), ad.as_constant(c), prefix[-1]
+        else:
+            (h, c), token = model.init_state(annotations), start_id
+        alpha, context = model.attend(annotations, h, proj_regions)
+        h2, c2 = model.lstm_step(np.array([token]), h, c, context)
+        probs = model.output_distribution(h2, context, np.array([token]))
+        record[prefix] = (h2.data, c2.data, alpha.data[0])
+        return np.log(np.maximum(probs.data[0], floor))
+
+    return step, record
+
+
+# ---------------------------------------------------------------------------
+# PGM rasters
+
+
+def per_pixel_p2(values01, maxval=255):
+    """P2 bytes of a [0, 1] grid, one ``str`` per sample."""
+    arr = np.asarray(values01, dtype=np.float64)
+    quantized = np.clip(np.rint(arr * maxval), 0, maxval).astype(np.int64)
+    lines = ["P2", f"{arr.shape[1]} {arr.shape[0]}", str(maxval)]
+    for row in quantized:
+        lines.append(" ".join(str(v) for v in row))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 # ---------------------------------------------------------------------------
 # transformer forward
 

@@ -12,18 +12,19 @@ from capseq.captioner import (CaptionExample, CaptionModel, attention_heatmap,
                               effective_batch_sizes, sort_batch_by_length,
                               train_teacher_forcing)
 from capseq.config import RunConfig
+from capseq.decoding import beam_search, greedy_decode
 from capseq.synthetic import overfit_pairs
 from capseq.tokenizers import WordVocabulary
 
-from oracles import replay_caption_attention
+from oracles import eager_caption_step, replay_caption_attention
 
 
-def tiny_model(seed=0, **overrides) -> CaptionModel:
+def tiny_model(seed=0, vocab_size=8, **overrides) -> CaptionModel:
     cfg = dict(embed_dim=4, decoder_dim=5, attention_dim=4, dropout=0.0,
                pooled_side=2, encoder_channels=3, max_caption_len=8)
     cfg.update(overrides)
     return CaptionModel(dataclasses.replace(RunConfig().caption_config(), **cfg),
-                        vocab_size=8, seed=seed)
+                        vocab_size=vocab_size, seed=seed)
 
 
 def zero_params(model, names):
@@ -359,3 +360,76 @@ class TestDecodeCaption:
             g_ids, _ = model.decode_caption(image, strategy="greedy", max_len=6)
             b_ids, _ = model.decode_caption(image, strategy="beam", beam_width=3, max_len=6)
             assert len(b_ids) <= 6 and len(g_ids) <= 6
+
+
+class TestDeferredStep:
+    """The deferred caption step against the eager one-prefix-per-call
+    reference: equal bytes, one batched evaluation per decoding step."""
+
+    # four shapes of products: the tiny model, two odd sizes and the desk
+    # profile's dimensions
+    MODELS = [
+        {},
+        dict(vocab_size=11, embed_dim=6, decoder_dim=7, attention_dim=3),
+        dict(vocab_size=40, embed_dim=12, decoder_dim=33, attention_dim=17,
+             encoder_channels=9, pooled_side=3),
+        dict(vocab_size=60, embed_dim=24, decoder_dim=64, attention_dim=32,
+             encoder_channels=32, pooled_side=4),
+    ]
+
+    @staticmethod
+    def _searches(step, strategy, k):
+        if strategy == "greedy":
+            return greedy_decode(step, 6, end_token=2)
+        return beam_search(step, k, 6, end_token=2)
+
+    @pytest.mark.parametrize("strategy, k", [("greedy", 1)] + [("beam", k) for k in range(1, 6)])
+    def test_logprobs_and_record_equal_eager_reference_bitwise(self, strategy, k):
+        early = 0
+        for seed, sizes in enumerate(self.MODELS):
+            model = tiny_model(seed=seed, **sizes)
+            model.train_mode(False)
+            for draw in range(3):
+                annotations = model.encode(np.random.default_rng((seed, draw)).random((8, 8)))
+                step, record = model.step_function(annotations, 1)
+                handles = {}
+
+                def keeping(prefix):
+                    handles[tuple(prefix)] = step(prefix)
+                    return handles[tuple(prefix)]
+
+                out = self._searches(keeping, strategy, k)
+                ref_step, ref_record = eager_caption_step(model, annotations, 1)
+                assert out == self._searches(ref_step, strategy, k)
+                assert handles.keys() == record.keys() == ref_record.keys()
+                for prefix, handle in handles.items():
+                    assert np.asarray(handle).tobytes() == ref_step(prefix).tobytes()
+                    for got, want in zip(record[prefix], ref_record[prefix]):
+                        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                if strategy == "beam":
+                    early += any(b.finished and len(b.tokens) < 6 for b in out)
+        if k == 5:
+            assert early  # some searches hold beams that finished before the cap
+
+    def test_one_evaluation_per_beam_step(self):
+        for seed in range(4):
+            model = tiny_model(seed=seed)
+            model.train_mode(False)
+            annotations = model.encode(np.random.default_rng(seed).random((8, 8)))
+            step, _ = model.step_function(annotations, 1)
+            queued, batches = [], []
+            attend = model.attend
+
+            def counting_attend(annotations, h_prev, proj_regions=None):
+                batches.append(h_prev.shape[0] if h_prev.ndim == 3 else 1)
+                return attend(annotations, h_prev, proj_regions)
+
+            model.attend = counting_attend
+            beam_search(lambda prefix: queued.append(tuple(prefix)) or step(prefix), 5, 6,
+                        end_token=2)
+            del model.attend
+            assert len(queued) == len(set(queued))   # each prefix queued once
+            assert sum(batches) == len(queued)       # and evaluated once
+            assert len(batches) <= 6                 # one evaluation per step, max_len steps
+            assert max(batches) > 1
+

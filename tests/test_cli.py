@@ -162,6 +162,13 @@ class TestTraining:
     def test_train_lm_requires_an_input(self, tmp_path):
         assert main(["train-lm", "--out", str(tmp_path / "x"), *FAST]) == 1
 
+    def test_invalid_setting_exits_one_with_its_message(self, tmp_path, capsys):
+        corpus = tmp_path / "reports.txt"
+        corpus.write_text("lungs are clear\n")
+        assert main(["train-lm", "--text", str(corpus), "--out", str(tmp_path / "x"), *FAST,
+                     "--set", "lm_heads=3"]) == 1
+        assert capsys.readouterr().err == "error: lm_model_dim 8 must divide evenly into 3 heads\n"
+
     def _train(self, prepped, stage, out, *extra):
         return main([f"train-{stage}", "--dataset", str(prepped / "dataset.csds"),
                      "--manifest", str(prepped / "manifest.json"), "--out", str(out),
@@ -383,6 +390,18 @@ class TestHeatmapCommand:
         assert rc == 0
         files = sorted(p.name for p in (tmp_path / "maps").iterdir())
         assert files == ["alphas_step00.pgm", "alphas_step01.pgm"]
+
+    @pytest.mark.parametrize("bad_row", [
+        ",".join(["nan"] + ["0.0625"] * 15), ",".join(["inf"] + ["0"] * 15), "0.5,0.5",
+    ])
+    def test_bad_row_leaves_no_pgm(self, tmp_path, capsys, bad_row):
+        csv = tmp_path / "alphas.csv"
+        csv.write_text(",".join(["0.0625"] * 16) + "\n" + bad_row + "\n")
+        rc = main(["heatmap", "--alphas", str(csv), "--pooled-side", "4",
+                   "--height", "16", "--width", "16", "--out", str(tmp_path / "maps")])
+        assert rc == 1
+        assert "row 2 is not 16 finite weights" in capsys.readouterr().err
+        assert list((tmp_path / "maps").iterdir()) == []
 
 
 class TestExitCodes:

@@ -86,11 +86,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="decode_strategy"):
             cfg.validate()
 
-    def test_head_divisibility(self):
-        cfg = RunConfig(lm_model_dim=30, lm_heads=4)
-        with pytest.raises(ConfigError):
-            cfg.validate()
-
     def test_ratio_sum(self):
         cfg = RunConfig(train_ratio=0.5, val_ratio=0.5, test_ratio=0.5)
         with pytest.raises(ConfigError, match="ratios"):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from capseq.captioner import CaptionModel
 from capseq.config import RunConfig
-from capseq.decoding import (Beam, beam_search, decode, greedy_decode, lm_seed,
-                             select_beam, two_stage_generate)
+from capseq.decoding import (Beam, beam_search, decode, deferred_step, greedy_decode,
+                             lm_seed, select_beam, two_stage_generate)
 from capseq.lm import LmConfig, TransformerLm
 from capseq.tokenizers import BpeVocabulary, WordVocabulary
 
@@ -58,36 +58,13 @@ def reference_beams(*args):
     return [Beam(*triple) for triple in pooled_beam_search(*args)]
 
 
-class _Deferred:
-    """A step result held back until numpy converts it."""
-
-    def __init__(self, owner):
-        self.owner, self.value = owner, None
-
-    def __array__(self, dtype=None, copy=None):
-        if self.value is None:
-            self.owner.flush()
-        return np.asarray(self.value, dtype=dtype)
-
-
-class DeferringStep:
-    """Wraps an eager step function the way a batching model does: a call
-    queues its prefix and returns a handle; the first conversion of any
-    handle evaluates the whole queue, recorded as one batch."""
-
-    def __init__(self, eager):
-        self.eager, self.queue, self.batches = eager, [], []
-
-    def __call__(self, prefix):
-        handle = _Deferred(self)
-        self.queue.append((tuple(prefix), handle))
-        return handle
-
-    def flush(self):
-        self.batches.append([prefix for prefix, _ in self.queue])
-        for prefix, handle in self.queue:
-            handle.value = self.eager(prefix)
-        self.queue = []
+def deferring(eager, batches):
+    """``deferred_step`` over an eager step function, logging each batch of
+    prefixes it evaluates."""
+    def evaluate(prefixes):
+        batches.append(list(prefixes))
+        return [eager(prefix) for prefix in prefixes]
+    return deferred_step(evaluate)
 
 
 class TestGreedy:
@@ -199,14 +176,14 @@ class TestBeamSearch:
         eager = tied_table_step(seed, vocab, values)
         if end_token is not None:
             end_token %= vocab
-        deferring = DeferringStep(eager)
-        beams = beam_search(deferring, k, max_len, end_token, length_normalize)
+        batches = []
+        beams = beam_search(deferring(eager, batches), k, max_len, end_token, length_normalize)
         assert _bits(beams) == _bits(reference_beams(eager, k, max_len, end_token,
                                                      length_normalize))
-        queued = [prefix for batch in deferring.batches for prefix in batch]
+        queued = [prefix for batch in batches for prefix in batch]
         assert len(queued) == len(set(queued))
-        assert all(len({len(prefix) for prefix in batch}) == 1 for batch in deferring.batches)
-        assert len(deferring.batches) <= max_len
+        assert all(len({len(prefix) for prefix in batch}) == 1 for batch in batches)
+        assert len(batches) <= max_len
         # the same prefixes an eager search evaluates
         calls = []
         beam_search(lambda prefix: calls.append(prefix) or eager(prefix), k, max_len,

@@ -2,8 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from capseq.pgm import PgmError, read_pgm, write_pgm
+
+from oracles import per_pixel_p2
+
+
+@st.composite
+def grids(draw):
+    """(grid, maxval): shapes 1-40 x 1-40 holding exact 0 and 1, rounding
+    ties (k + 0.5) / maxval, values outside [0, 1] and anything between."""
+    maxval = draw(st.sampled_from([1, 255, 65535]))
+    ties = st.integers(0, maxval - 1).map(lambda k: (k + 0.5) / maxval)
+    values = st.one_of(st.sampled_from([0.0, 1.0]), ties, st.floats(-0.5, 1.5))
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    return draw(arrays(np.float64, shape, elements=values)), maxval
 
 
 class TestWriteRead:
@@ -39,6 +55,40 @@ class TestWriteRead:
         np.testing.assert_array_equal(pixels, [[0, 1], [2, 3]])
 
 
+class TestRaster:
+    @given(case=grids())
+    def test_bytes_equal_per_pixel_reference(self, tmp_path_factory, case):
+        grid, maxval = case
+        path = tmp_path_factory.mktemp("raster") / "img.pgm"
+        write_pgm(path, grid, maxval)
+        assert path.read_bytes() == per_pixel_p2(grid, maxval)
+
+    def test_infinities_clip_to_the_range(self, tmp_path):
+        grid = np.array([[np.inf, 0.5, -np.inf]])
+        write_pgm(tmp_path / "inf.pgm", grid)
+        assert (tmp_path / "inf.pgm").read_bytes() == per_pixel_p2(grid) == b"P2\n3 1\n255\n255 128 0\n"
+
+    @pytest.mark.parametrize("shape, maxval", [((3, 4), 255), ((17, 5), 65535), ((1, 9), 1)])
+    def test_comment_path_reads_the_fast_path_values(self, tmp_path, shape, maxval):
+        grid = np.random.default_rng(maxval).random(shape)
+        plain = tmp_path / "plain.pgm"
+        write_pgm(plain, grid, maxval)
+        *header, raster = plain.read_bytes().split(b"\n", 3)
+        commented = tmp_path / "commented.pgm"
+        commented.write_bytes(b"\n".join(header) + b"\n# raster follows\n"
+                              + raster.replace(b"\n", b" # end of row\n"))
+        fast, slow = read_pgm(plain), read_pgm(commented)
+        assert fast[1] == slow[1] == maxval
+        assert fast[0].dtype == slow[0].dtype and np.array_equal(fast[0], slow[0])
+
+    @pytest.mark.parametrize("comment", [b"", b"# note\n"])
+    def test_sample_count_message_same_on_both_paths(self, tmp_path, comment):
+        path = tmp_path / "short.pgm"
+        path.write_bytes(b"P2\n2 2\n255\n" + comment + b"0 1 2\n")
+        with pytest.raises(PgmError, match=r"expected 4 samples, found 3$"):
+            read_pgm(path)
+
+
 class TestErrors:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pgm"
@@ -67,3 +117,12 @@ class TestErrors:
     def test_write_rejects_non_2d(self, tmp_path):
         with pytest.raises(PgmError):
             write_pgm(tmp_path / "x.pgm", np.zeros(5))
+
+    @pytest.mark.parametrize("grid, maxval", [
+        (np.zeros((0, 3)), 255), (np.array([[0.5, np.nan]]), 255), (np.zeros((2, 2)), 0),
+    ])
+    def test_write_rejects_what_no_pgm_can_hold(self, tmp_path, grid, maxval):
+        with pytest.raises(PgmError):
+            write_pgm(tmp_path / "x.pgm", grid, maxval)
+        assert not (tmp_path / "x.pgm").exists()
+
