@@ -9,11 +9,21 @@ state are bit-identical.
 
 The engine is single-threaded: one tape, one execution context. With no tape
 active the ops are pure numpy functions and may run concurrently (inference).
+
+Every op that computes on values rejects NaN and infinities in its inputs. A
+tensor's array is scanned once: a passing scan marks the tensor finite, and
+only assigning to ``data`` clears the mark, so a parameter is scanned again
+after an optimizer step or a checkpoint load, not on every use. Change a
+tensor's values by assigning to ``data`` (``p.data = a`` or ``p.data -= d``),
+never by writing through an alias of the array (``p.data[i] = v``, ``out=``,
+``np.copyto``): such a write does not clear the mark, and a non-finite value
+written that way goes unseen.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
 
 import numpy as np
 
@@ -32,37 +42,49 @@ def _as_f64(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
 
-def _require_finite(op: str, *arrays: np.ndarray) -> None:
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise NonFiniteInputError(f"{op}: input contains non-finite values")
+def _require_finite(op: str, *tensors: Tensor) -> None:
+    """Scan each tensor not yet marked finite, and mark it if it passes."""
+    for t in tensors:
+        if not t._finite:
+            if not np.isfinite(t._data).all():
+                raise NonFiniteInputError(f"{op}: input contains non-finite values")
+            t._finite = True
 
 
 class Tensor:
     """Dense float64 array plus a gradient slot filled in by Tape.backward."""
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("_data", "_finite", "grad")
 
     def __init__(self, data):
-        self.data = _as_f64(data)
+        self._data = _as_f64(data)
+        self._finite = False
         self.grad: np.ndarray | None = None
+
+    def _set_data(self, value: np.ndarray) -> None:
+        self._data = value
+        self._finite = False
+
+    # assignment, plain or augmented, goes through the setter and clears the
+    # finite mark (see the module docstring)
+    data = property(operator.attrgetter("_data"), _set_data)
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.data.shape
+        return self._data.shape
 
     @property
     def ndim(self) -> int:
-        return self.data.ndim
+        return self._data.ndim
 
     @property
     def size(self) -> int:
-        return self.data.size
+        return self._data.size
 
     def item(self) -> float:
-        if self.data.size != 1:
+        if self._data.size != 1:
             raise ValueError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self.data.reshape(()))
+        return float(self._data.reshape(()))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
@@ -118,7 +140,7 @@ class Parameter(Tensor):
         super().__init__(data)
         self.name = name
         self.trainable = bool(trainable)
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros_like(self._data)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape}, trainable={self.trainable})"
@@ -152,7 +174,7 @@ class Tape:
         records are replayed newest-to-oldest; frozen parameters are skipped
         so they keep a zero gradient.
         """
-        if loss.data.size != 1:
+        if loss._data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
         touched: list[Tensor] = []
         seen: set[int] = set()
@@ -167,8 +189,8 @@ class Tape:
         if not on_tape:
             raise ValueError("loss tensor was not produced on this tape")
         for t in touched:
-            t.grad = np.zeros_like(t.data)
-        loss.grad = np.ones_like(loss.data)
+            t.grad = np.zeros_like(t._data)
+        loss.grad = np.ones_like(loss._data)
         for out, inputs, vjp in reversed(self._entries):
             grads = vjp(out.grad)
             for t, g in zip(inputs, grads):
@@ -198,11 +220,19 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _broadcast_shapes(op: str, a: Tensor, b: Tensor) -> None:
+def _broadcasting(op: str, ufunc, a: Tensor, b: Tensor) -> np.ndarray:
+    """``ufunc`` of two finite operands under numpy broadcasting. A pair that
+    does not broadcast raises ShapeMismatchError, also when it is not finite;
+    the shapes are checked only once numpy or the scan has failed."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        _require_finite(op, a, b)
+        return ufunc(a._data, b._data)
     except ValueError:
-        raise ShapeMismatchError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
+        try:
+            np.broadcast_shapes(a.shape, b.shape)
+        except ValueError:
+            raise ShapeMismatchError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +241,7 @@ def _broadcast_shapes(op: str, a: Tensor, b: Tensor) -> None:
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    _broadcast_shapes("add", a, b)
-    _require_finite("add", a.data, b.data)
-    out = Tensor(a.data + b.data)
+    out = Tensor(_broadcasting("add", np.add, a, b))
 
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -224,9 +252,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    _broadcast_shapes("sub", a, b)
-    _require_finite("sub", a.data, b.data)
-    out = Tensor(a.data - b.data)
+    out = Tensor(_broadcasting("sub", np.subtract, a, b))
 
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
@@ -238,12 +264,10 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     """Elementwise product with numpy broadcasting."""
     a, b = _coerce(a), _coerce(b)
-    _broadcast_shapes("mul", a, b)
-    _require_finite("mul", a.data, b.data)
-    out = Tensor(a.data * b.data)
+    out = Tensor(_broadcasting("mul", np.multiply, a, b))
 
     def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * b._data, a.shape), _unbroadcast(g * a._data, b.shape)
 
     _record(out, (a, b), vjp)
     return out
@@ -258,14 +282,14 @@ def matmul(a, b) -> Tensor:
         raise ShapeMismatchError(f"matmul: expected operands of rank >= 2, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError(f"matmul: inner extents differ, {a.shape} vs {b.shape}")
-    _require_finite("matmul", a.data, b.data)
+    _require_finite("matmul", a, b)
     try:
-        out = Tensor(a.data @ b.data)
+        out = Tensor(a._data @ b._data)
     except ValueError:  # the leading axes, checked by numpy
         raise ShapeMismatchError(f"matmul: leading axes of {a.shape} and {b.shape} do not broadcast")
 
     def vjp(g):
-        return _unbroadcast(g @ b.data.mT, a.shape), _unbroadcast(a.data.mT @ g, b.shape)
+        return _unbroadcast(g @ b._data.mT, a.shape), _unbroadcast(a._data.mT @ g, b.shape)
 
     _record(out, (a, b), vjp)
     return out
@@ -273,8 +297,8 @@ def matmul(a, b) -> Tensor:
 
 def sigmoid(x) -> Tensor:
     x = _coerce(x)
-    _require_finite("sigmoid", x.data)
-    d = x.data
+    _require_finite("sigmoid", x)
+    d = x._data
     y = np.empty_like(d)
     pos = d >= 0
     y[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
@@ -291,8 +315,8 @@ def sigmoid(x) -> Tensor:
 
 def tanh(x) -> Tensor:
     x = _coerce(x)
-    _require_finite("tanh", x.data)
-    y = np.tanh(x.data)
+    _require_finite("tanh", x)
+    y = np.tanh(x._data)
     out = Tensor(y)
 
     def vjp(g):
@@ -304,12 +328,12 @@ def tanh(x) -> Tensor:
 
 def relu(x) -> Tensor:
     x = _coerce(x)
-    _require_finite("relu", x.data)
-    out = Tensor(np.maximum(x.data, 0.0))
-    mask = x.data > 0
+    _require_finite("relu", x)
+    d = x._data
+    out = Tensor(np.maximum(d, 0.0))
 
     def vjp(g):
-        return (g * mask,)
+        return (g * (d > 0),)
 
     _record(out, (x,), vjp)
     return out
@@ -317,13 +341,13 @@ def relu(x) -> Tensor:
 
 def log(x) -> Tensor:
     x = _coerce(x)
-    _require_finite("log", x.data)
-    if np.any(x.data <= 0):
+    _require_finite("log", x)
+    if np.any(x._data <= 0):
         raise ValueError("log: input must be strictly positive (clamp first)")
-    out = Tensor(np.log(x.data))
+    out = Tensor(np.log(x._data))
 
     def vjp(g):
-        return (g / x.data,)
+        return (g / x._data,)
 
     _record(out, (x,), vjp)
     return out
@@ -332,11 +356,11 @@ def log(x) -> Tensor:
 def powc(x, exponent: float) -> Tensor:
     """Elementwise power with a constant exponent."""
     x = _coerce(x)
-    _require_finite("powc", x.data)
-    out = Tensor(x.data ** exponent)
+    _require_finite("powc", x)
+    out = Tensor(x._data ** exponent)
 
     def vjp(g):
-        return (g * exponent * x.data ** (exponent - 1.0),)
+        return (g * exponent * x._data ** (exponent - 1.0),)
 
     _record(out, (x,), vjp)
     return out
@@ -345,12 +369,12 @@ def powc(x, exponent: float) -> Tensor:
 def clamp_min(x, floor: float) -> Tensor:
     """max(x, floor); gradient passes only where the input was not clamped."""
     x = _coerce(x)
-    _require_finite("clamp_min", x.data)
-    out = Tensor(np.maximum(x.data, floor))
-    mask = x.data > floor
+    _require_finite("clamp_min", x)
+    d = x._data
+    out = Tensor(np.maximum(d, floor))
 
     def vjp(g):
-        return (g * mask,)
+        return (g * (d > floor),)
 
     _record(out, (x,), vjp)
     return out
@@ -359,8 +383,8 @@ def clamp_min(x, floor: float) -> Tensor:
 def softmax(x, axis: int = -1) -> Tensor:
     """Stable softmax; output is strictly positive and sums to 1 along axis."""
     x = _coerce(x)
-    _require_finite("softmax", x.data)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    _require_finite("softmax", x)
+    shifted = x._data - x._data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
     out = Tensor(y)
@@ -375,15 +399,14 @@ def softmax(x, axis: int = -1) -> Tensor:
 
 def log_softmax(x, axis: int = -1) -> Tensor:
     x = _coerce(x)
-    _require_finite("log_softmax", x.data)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    _require_finite("log_softmax", x)
+    shifted = x._data - x._data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     y = shifted - lse
-    sm = np.exp(y)
     out = Tensor(y)
 
     def vjp(g):
-        return (g - sm * g.sum(axis=axis, keepdims=True),)
+        return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
 
     _record(out, (x,), vjp)
     return out
@@ -391,8 +414,8 @@ def log_softmax(x, axis: int = -1) -> Tensor:
 
 def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     x = _coerce(x)
-    _require_finite("sum", x.data)
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
+    _require_finite("sum", x)
+    out = Tensor(x._data.sum(axis=axis, keepdims=keepdims))
 
     def vjp(g):
         if axis is None:
@@ -406,9 +429,9 @@ def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
 
 def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
     x = _coerce(x)
-    _require_finite("mean", x.data)
+    _require_finite("mean", x)
     count = x.size if axis is None else x.shape[axis]
-    out = Tensor(x.data.mean(axis=axis, keepdims=keepdims))
+    out = Tensor(x._data.mean(axis=axis, keepdims=keepdims))
 
     def vjp(g):
         if axis is None:
@@ -426,7 +449,7 @@ def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(x, shape) -> Tensor:
     x = _coerce(x)
-    out = Tensor(x.data.reshape(shape))
+    out = Tensor(x._data.reshape(shape))
 
     def vjp(g):
         return (g.reshape(x.shape),)
@@ -437,10 +460,10 @@ def reshape(x, shape) -> Tensor:
 
 def transpose(x, axes=None) -> Tensor:
     x = _coerce(x)
-    out = Tensor(x.data.transpose(axes))
-    inverse = None if axes is None else [list(axes).index(i) for i in range(len(axes))]
+    out = Tensor(x._data.transpose(axes))
 
     def vjp(g):
+        inverse = None if axes is None else [list(axes).index(i) for i in range(len(axes))]
         return (g.transpose(inverse),)
 
     _record(out, (x,), vjp)
@@ -451,11 +474,10 @@ def concat(tensors, axis: int = 0) -> Tensor:
     parts = [_coerce(t) for t in tensors]
     if not parts:
         raise ValueError("concat: need at least one tensor")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    sizes = [p.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+    out = Tensor(np.concatenate([p._data for p in parts], axis=axis))
 
     def vjp(g):
+        splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
         return tuple(np.split(g, splits, axis=axis))
 
     _record(out, tuple(parts), vjp)
@@ -472,10 +494,10 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * x.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
-    out = Tensor(x.data[index])
+    out = Tensor(x._data[index])
 
     def vjp(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros_like(x._data)
         full[index] = g
         return (full,)
 
@@ -507,11 +529,11 @@ def embedding_lookup(table, ids) -> Tensor:
     if table.ndim != 2:
         raise ShapeMismatchError(f"embedding_lookup: table {table.shape} must be 2-D")
     _check_ids("embedding_lookup", ids, table.shape[0])
-    _require_finite("embedding_lookup", table.data)
-    out = Tensor(table.data[ids])
+    _require_finite("embedding_lookup", table)
+    out = Tensor(table._data[ids])
 
     def vjp(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros_like(table._data)
         np.add.at(gt, ids, g)
         return (gt,)
 
@@ -527,10 +549,10 @@ def pick(x, ids) -> Tensor:
         raise ShapeMismatchError(f"pick: input {x.shape} needs ids of shape ({x.shape[0]},)")
     _check_ids("pick", ids, x.shape[1])
     rows = np.arange(x.shape[0])
-    out = Tensor(x.data[rows, ids])
+    out = Tensor(x._data[rows, ids])
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros_like(x._data)
         np.add.at(gx, (rows, ids), g)
         return (gx,)
 
@@ -559,19 +581,19 @@ def conv2d(x, weight, bias, pad_mode: str = "zeros") -> Tensor:
     c_out, c_in, kh, kw = weight.shape
     if x.shape[0] != c_in or bias.shape[0] != c_out:
         raise ShapeMismatchError(f"conv2d: channel mismatch, input {x.shape} vs kernel {weight.shape}")
-    _require_finite("conv2d", x.data, weight.data, bias.data)
+    _require_finite("conv2d", x, weight, bias)
     _, h, w = x.shape
     pt, pb = (kh - 1) // 2, kh // 2
     pl, pr = (kw - 1) // 2, kw // 2
     np_mode = "constant" if pad_mode == "zeros" else "edge"
-    padded = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr)), mode=np_mode)
+    padded = np.pad(x._data, ((0, 0), (pt, pb), (pl, pr)), mode=np_mode)
     col = np.empty((c_in, kh, kw, h, w))
     for dy in range(kh):
         for dx in range(kw):
             col[:, dy, dx] = padded[:, dy:dy + h, dx:dx + w]
     colm = col.reshape(c_in * kh * kw, h * w)
-    wflat = weight.data.reshape(c_out, c_in * kh * kw)
-    out = Tensor((wflat @ colm + bias.data[:, None]).reshape(c_out, h, w))
+    wflat = weight._data.reshape(c_out, c_in * kh * kw)
+    out = Tensor((wflat @ colm + bias._data[:, None]).reshape(c_out, h, w))
 
     def vjp(g):
         gflat = g.reshape(c_out, h * w)
@@ -589,7 +611,7 @@ def conv2d(x, weight, bias, pad_mode: str = "zeros") -> Tensor:
             # source edge pixels
             rows = np.clip(np.arange(h + pt + pb) - pt, 0, h - 1)
             cols = np.clip(np.arange(w + pl + pr) - pl, 0, w - 1)
-            gx = np.zeros_like(x.data)
+            gx = np.zeros_like(x._data)
             np.add.at(
                 gx,
                 (np.arange(c_in)[:, None, None], rows[None, :, None], cols[None, None, :]),
@@ -617,19 +639,19 @@ def adaptive_avg_pool(x, out_h: int, out_w: int) -> Tensor:
         raise ShapeMismatchError(
             f"adaptive_avg_pool: input extents {(h, w)} smaller than output {(out_h, out_w)}"
         )
-    _require_finite("adaptive_avg_pool", x.data)
+    _require_finite("adaptive_avg_pool", x)
     y = np.empty((c, out_h, out_w))
     windows = []
     for i in range(out_h):
         y0, y1 = _pool_bounds(h, out_h, i)
         for j in range(out_w):
             x0, x1 = _pool_bounds(w, out_w, j)
-            y[:, i, j] = x.data[:, y0:y1, x0:x1].mean(axis=(1, 2))
+            y[:, i, j] = x._data[:, y0:y1, x0:x1].mean(axis=(1, 2))
             windows.append((i, j, y0, y1, x0, x1))
     out = Tensor(y)
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros_like(x._data)
         for i, j, y0, y1, x0, x1 in windows:
             area = (y1 - y0) * (x1 - x0)
             gx[:, y0:y1, x0:x1] += g[:, i, j][:, None, None] / area
@@ -647,9 +669,9 @@ def dropout(x, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
     x = _coerce(x)
     if not training or rate == 0.0:
         return x
-    _require_finite("dropout", x.data)
+    _require_finite("dropout", x)
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    out = Tensor(x.data * mask)
+    out = Tensor(x._data * mask)
 
     def vjp(g):
         return (g * mask,)

@@ -259,35 +259,39 @@ class CaptionModel:
         ``step`` is ``decoding.deferred_step``: the first numpy conversion of
         a queued handle runs one attention, LSTM and output step over every
         queued prefix, their (1, n) states stacked on a leading beam axis.
+        A lone prefix (every greedy step) runs unstacked, as (1, n): the
+        stacked (1, 1, n) step is the same bytes but timed 3-4% slower
+        (+15-20 us of ~450 us, desk config, 1 BLAS thread).
         """
         proj_regions = self._project_regions(annotations)
         initial = tuple(t.data for t in self.init_state(annotations))
         record: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-        def evaluate(prefixes) -> np.ndarray:
-            k = len(prefixes)
-            states = [record[p[:-1]] if p else initial for p in prefixes]
-            tokens = np.array([p[-1] if p else start_id for p in prefixes])
-            if k == 1:
-                # a lone prefix (every greedy step) runs unstacked, as (1, n):
-                # the stacked (1, 1, n) step is the same bytes but timed 3-4%
-                # slower (+15-20 us of ~450 us, desk config, 1 BLAS thread)
-                h, c = states[0][:2]
-            else:
-                # (K, 1, n): each beam's products stay the (1, n) ones
-                h, c = (np.array([s[i] for s in states]) for i in (0, 1))
-                tokens = tokens[:, None]
+        def advance(tokens, h, c):
             h, c = ad.as_constant(h), ad.as_constant(c)
             alpha, context = self.attend(annotations, h, proj_regions)
             h2, c2 = self.lstm_step(tokens, h, c, context)
-            probs = self.output_distribution(h2, context, tokens)
-            hs, cs = h2.data.reshape(k, 1, -1), c2.data.reshape(k, 1, -1)
-            alphas = alpha.data.reshape(k, -1)
-            for i, prefix in enumerate(prefixes):
-                record[prefix] = (hs[i], cs[i], alphas[i])
-            return np.log(np.maximum(probs.data.reshape(k, -1), PROB_FLOOR))
+            return h2.data, c2.data, alpha.data, self.output_distribution(h2, context, tokens).data
 
-        return decoding.deferred_step(evaluate), record
+        def evaluate_one(prefix) -> np.ndarray:
+            h, c = (record[prefix[:-1]] if prefix else initial)[:2]
+            h2, c2, alpha, probs = advance(np.array([prefix[-1] if prefix else start_id]), h, c)
+            record[prefix] = (h2, c2, alpha.reshape(-1))
+            return np.log(np.maximum(probs.reshape(-1), PROB_FLOOR))
+
+        def evaluate(prefixes) -> np.ndarray:
+            k = len(prefixes)
+            states = [record[p[:-1]] if p else initial for p in prefixes]
+            tokens = np.array([[p[-1] if p else start_id] for p in prefixes])
+            # (K, 1, n): each beam's products stay the (1, n) ones
+            h, c = (np.array([s[i] for s in states]) for i in (0, 1))
+            h2, c2, alpha, probs = advance(tokens, h, c)
+            alphas = alpha.reshape(k, -1)
+            for i, prefix in enumerate(prefixes):
+                record[prefix] = (h2[i], c2[i], alphas[i])
+            return np.log(np.maximum(probs.reshape(k, -1), PROB_FLOOR))
+
+        return decoding.deferred_step(evaluate, evaluate_one), record
 
     def decode_caption(self, image, strategy: str = "greedy", beam_width: int = 5,
                        max_len: int | None = None, length_normalize: bool = True,

@@ -80,17 +80,24 @@ class PendingLogprobs:
         return value.copy() if copy else value
 
 
-def deferred_step(evaluate):
+def deferred_step(evaluate, evaluate_one):
     """A deferring step function over ``evaluate(prefixes) -> rows``.
 
     ``step(prefix)`` queues the prefix and returns a ``PendingLogprobs``. The
     first conversion of any queued handle calls ``evaluate`` once with every
     queued prefix, in queue order, and fills each handle with its row of
-    log-probabilities.
+    log-probabilities. A lone queued prefix (every greedy step) goes to
+    ``evaluate_one(prefix) -> row`` instead, which skips the batch's list and
+    reshape bookkeeping; it must give the bytes ``evaluate([prefix])[0]``
+    would.
     """
     queue: list[tuple[tuple[int, ...], PendingLogprobs]] = []
 
     def flush() -> None:
+        if len(queue) == 1:
+            prefix, handle = queue.pop()
+            handle.value = evaluate_one(prefix)
+            return
         rows = evaluate([prefix for prefix, _ in queue])
         for row, (_, handle) in zip(rows, queue):
             handle.value = row

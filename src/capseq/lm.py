@@ -175,19 +175,23 @@ class TransformerLm:
             raise ValueError(f"seed length {len(seed_ids)} already at block size {block}")
         seed_ids = list(seed_ids)
 
-        def evaluate(prefixes) -> list[np.ndarray]:
-            windows = [(seed_ids + list(prefix))[-block:] for prefix in prefixes]
+        def window(prefix) -> list[int]:
+            return (seed_ids + list(prefix))[-block:]
+
+        def log_softmax(row: np.ndarray) -> np.ndarray:
+            shifted = row - row.max()
+            return shifted - np.log(np.exp(shifted).sum())
+
+        def evaluate_one(prefix) -> np.ndarray:
             # a lone window (every greedy step) runs as (T,): fewer per-op
             # costs than (1, T), and the same bytes
-            ids = windows[0] if len(windows) == 1 else windows
-            last = self.forward(ids).data[..., -1, :].reshape(len(windows), -1)
-            rows = []
-            for row in last:
-                shifted = row - row.max()
-                rows.append(shifted - np.log(np.exp(shifted).sum()))
-            return rows
+            return log_softmax(self.forward(window(prefix)).data[-1])
 
-        return decoding.deferred_step(evaluate)
+        def evaluate(prefixes) -> list[np.ndarray]:
+            last = self.forward([window(p) for p in prefixes]).data[:, -1]
+            return [log_softmax(row) for row in last]
+
+        return decoding.deferred_step(evaluate, evaluate_one)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,9 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
         tokens = [tok for tok, _ in _tokens(raster)] if b"#" in raster else raster.split()
         if len(tokens) != width * height:
             raise PgmError(f"{path}: expected {width * height} samples, found {len(tokens)}")
+        # int() would also take "-3", "+7" and "1_0"
+        if not b"".join(tokens).isdigit():
+            raise PgmError(f"{path}: P2 samples must be unsigned decimal integers")
         arr = np.array(list(map(int, tokens)), dtype=np.int64).reshape(height, width)
     else:
         body = data[end + 1:]

@@ -1,6 +1,9 @@
 """Forward-op analytics, gradient fidelity against finite differences, and
 optimizer/checkpoint contracts."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -9,8 +12,11 @@ from hypothesis.extra import numpy as hnp
 
 from capseq import autodiff as ad
 from capseq.binio import BinaryFormatError
-from capseq.checkpoint import CheckpointError, load_tensors, save_tensors
+from capseq.checkpoint import (CheckpointError, load_into_model, load_tensors, save_model,
+                               save_tensors)
+from capseq.lm import LmConfig, TransformerLm
 from capseq.optim import Adam, Sgd, clip_gradients, global_grad_norm, train_epochs
+from capseq.tokenizers import BpeVocabulary
 
 from oracles import finite_difference_gradients, worst_relative_error
 
@@ -187,6 +193,177 @@ class TestErrors:
         table = ad.Tensor(np.zeros((4, 2)))
         with pytest.raises(ValueError, match="out of range"):
             ad.embedding_lookup(table, np.array([4]))
+
+
+def _non_finite_message(op):
+    return rf"^{op}: input contains non-finite values$"
+
+
+class TestFiniteMark:
+    """A tensor's array is scanned once; assigning to ``data`` (plain,
+    augmented, or by a checkpoint load) makes the next op scan it again."""
+
+    OPS = [("add", lambda p: ad.add(p, 1.0)), ("mul", lambda p: ad.mul(2.0, p)),
+           ("matmul", lambda p: ad.matmul(p, np.ones((2, 1)))), ("tanh", ad.tanh),
+           ("softmax", ad.softmax), ("mean", ad.reduce_mean)]
+
+    @pytest.mark.parametrize("op, apply", OPS)
+    def test_assignment_rescans(self, op, apply):
+        p = ad.Parameter(np.ones((1, 2)), "p")
+        apply(p)
+        apply(p)
+        p.data = np.array([[1.0, np.nan]])
+        with pytest.raises(ad.NonFiniteInputError, match=_non_finite_message(op)):
+            apply(p)
+
+    @pytest.mark.parametrize("op, apply", OPS)
+    def test_augmented_assignment_rescans(self, op, apply):
+        p = ad.Parameter(np.ones((1, 2)), "p")
+        before = p.data
+        apply(p)
+        p.data -= np.array([[0.0, np.inf]])
+        assert p.data is before  # the array changed in place
+        with pytest.raises(ad.NonFiniteInputError, match=_non_finite_message(op)):
+            apply(p)
+
+    def test_optimizer_step_that_overflows_rescans(self):
+        p = ad.Parameter(np.array([1e308, 1.0]), "p")
+        ad.add(p, 1.0)
+        opt = Sgd([p], lr=1.0)
+        p.grad = np.array([-1e308, 0.0])  # finite, so the step is taken
+        with np.errstate(over="ignore"):
+            assert opt.step()
+        assert np.isinf(p.data[0])
+        with pytest.raises(ad.NonFiniteInputError, match=_non_finite_message("add")):
+            ad.add(p, 1.0)
+
+    def test_checkpoint_load_rescans(self, tmp_path):
+        p = ad.Parameter(np.ones(3), "w")
+        ad.mul(p, p)
+        path = tmp_path / "nan.ckpt"
+        save_tensors(path, {"w": np.array([0.0, np.nan, 1.0])})
+        load_into_model(path, {"w": p})
+        with pytest.raises(ad.NonFiniteInputError, match=_non_finite_message("mul")):
+            ad.mul(p, p)
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    @pytest.mark.parametrize("left, right", [
+        ([1.0, 2.0, 3.0], [1.0, 2.0]),
+        ([np.nan, 2.0, 3.0], [1.0, 2.0]),
+        ([1.0, 2.0, 3.0], [np.inf, 2.0]),
+        ([np.nan, 2.0, 3.0], [np.nan, np.inf]),
+    ])
+    def test_shapes_checked_before_values(self, op, left, right):
+        a, b = ad.Tensor(left), ad.Tensor(right)
+        with pytest.raises(ad.ShapeMismatchError, match=r"shapes \(3,\) and \(2,\) do not broadcast"):
+            op(a, b)
+        # the same values under broadcastable shapes fail on the scan
+        if not (np.isfinite(left).all() and np.isfinite(right).all()):
+            with pytest.raises(ad.NonFiniteInputError):
+                op(a.reshape((3, 1)), b)
+
+    def test_parameters_scanned_once_per_change(self, monkeypatch, tmp_path):
+        model = TransformerLm(LmConfig(layers=2, heads=2, model_dim=8, ffn_dim=16, block_size=16),
+                              BpeVocabulary.train("ab", 0), seed=0)
+        params = list(model.parameters().values())
+        ids = [5, 9, 2, 7, 7, 1]
+        scanned = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: scanned.append(a) or isfinite(a))
+
+        def parameter_scans(forward):
+            scanned.clear()
+            forward()
+            return sorted(p.name for p in params if any(a is p.data for a in scanned))
+
+        every = sorted(p.name for p in params)
+        assert parameter_scans(lambda: model.forward(ids)) == every
+        assert parameter_scans(lambda: model.forward(ids)) == []
+        assert parameter_scans(lambda: model.forward([ids, ids])) == []
+        opt = Adam(params, lr=1e-3)
+        with ad.Tape() as tape:
+            loss = model.loss(ids)
+        tape.backward(loss)
+        assert opt.step()
+        assert parameter_scans(lambda: model.forward(ids)) == every
+        assert parameter_scans(lambda: model.forward(ids)) == []
+        save_model(tmp_path / "lm.ckpt", model.parameters())
+        load_into_model(tmp_path / "lm.ckpt", model.parameters())
+        assert parameter_scans(lambda: model.forward(ids)) == every
+        assert parameter_scans(lambda: model.forward(ids)) == []
+
+
+# ndarray methods and numpy functions that write into their first operand
+_IN_PLACE_METHODS = {"fill", "sort", "partition", "put", "itemset", "resize", "setfield"}
+_IN_PLACE_FUNCTIONS = {"copyto", "put", "place", "putmask", "at"}
+
+
+def _aims_at_data(node) -> bool:
+    """Whether an expression's array is a tensor's ``data`` (or ``_data``)
+    or something taken from it: ``t.data``, ``t.data[i]``,
+    ``t.data.reshape(-1)``."""
+    while True:
+        if isinstance(node, ast.Attribute):
+            if node.attr in ("data", "_data"):
+                return True
+            node = node.value
+        elif isinstance(node, ast.Subscript):
+            node = node.value
+        elif isinstance(node, ast.Call):
+            node = node.func
+        else:
+            return False
+
+
+def _alias_writes(source: str) -> list[int]:
+    """Line numbers of writes into a tensor's array in place: subscript
+    assignment, an ``out=`` argument, ``np.copyto`` and its kin, or an
+    in-place ndarray method."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for t in (target.elts if isinstance(target, ast.Tuple) else [target]):
+                    if isinstance(t, ast.Subscript) and _aims_at_data(t.value):
+                        lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if any(kw.arg == "out" and _aims_at_data(kw.value) for kw in node.keywords):
+                lines.append(node.lineno)
+            elif name in _IN_PLACE_FUNCTIONS and node.args and _aims_at_data(node.args[0]):
+                lines.append(node.lineno)
+            elif (name in _IN_PLACE_METHODS and isinstance(func, ast.Attribute)
+                  and _aims_at_data(func.value)):
+                lines.append(node.lineno)
+    return lines
+
+
+class TestNoAliasWrites:
+    """Only assignment to ``data`` clears a tensor's finite mark, so no code
+    in the package may write into a tensor's array in place."""
+
+    def test_package_writes_tensor_values_by_assignment_only(self):
+        files = sorted(Path(ad.__file__).parent.glob("*.py"))
+        assert len(files) > 10
+        found = {f.name: _alias_writes(f.read_text()) for f in files}
+        assert {name: lines for name, lines in found.items() if lines} == {}
+
+    @pytest.mark.parametrize("source", [
+        "p.data[0] = 1.0", "p.data[0] += 1.0", "t._data[:, i] = v", "a, p.data[1] = 1, 2",
+        "p.data.reshape(-1)[3] = 0.0", "np.multiply(p.data, 2, out=p.data)",
+        "np.copyto(p.data, x)", "np.add.at(t.data, ids, g)", "p.data.fill(0.0)",
+    ])
+    def test_guard_sees_each_kind_of_write(self, source):
+        assert _alias_writes(source) == [1]
+
+    @pytest.mark.parametrize("source", [
+        "p.data = x", "p.data -= step", "full[x.data > 0] = g", "y = np.add(a.data, b.data)",
+        "np.add.at(gx, ids, g.data)", "flat = p.data.reshape(-1)",
+    ])
+    def test_guard_allows_assignment_and_reads(self, source):
+        assert _alias_writes(source) == []
 
 
 class TestBackward:

@@ -108,6 +108,14 @@ class TestErrors:
         with pytest.raises(PgmError, match="maxval"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("comment", ["", "# note\n"])
+    @pytest.mark.parametrize("samples", ["-3 7", "+7 3", "1_0 2", "0x1 2", "4 x"])
+    def test_p2_sample_not_unsigned_decimal(self, tmp_path, samples, comment):
+        path = tmp_path / "signed.pgm"
+        path.write_bytes(f"P2\n2 1\n255\n{comment}{samples}\n".encode())
+        with pytest.raises(PgmError, match="unsigned decimal"):
+            read_pgm(path)
+
     def test_truncated_binary(self, tmp_path):
         path = tmp_path / "trunc.pgm"
         path.write_bytes(b"P5\n4 4\n255\n\x00\x01")
