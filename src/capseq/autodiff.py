@@ -22,7 +22,9 @@ written that way goes unseen.
 
 from __future__ import annotations
 
+import functools
 import logging
+import math
 import operator
 
 import numpy as np
@@ -207,7 +209,12 @@ def _record(out: Tensor, inputs, vjp) -> None:
 
 
 def _coerce(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+    if isinstance(value, Tensor):
+        return value
+    t = Tensor(value)
+    # a finite Python number (an epsilon, a scale) needs no scan on each use
+    t._finite = isinstance(value, (int, float)) and math.isfinite(value)
+    return t
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -505,13 +512,6 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
     return out
 
 
-def stack_rows(tensors) -> Tensor:
-    """Stack equal-shape tensors along a new leading axis."""
-    parts = [_coerce(t) for t in tensors]
-    expanded = [reshape(p, (1,) + p.shape) for p in parts]
-    return concat(expanded, axis=0)
-
-
 # ---------------------------------------------------------------------------
 # lookup ops
 
@@ -564,60 +564,54 @@ def pick(x, ids) -> Tensor:
 # convolution, pooling, dropout
 
 
-def conv2d(x, weight, bias, pad_mode: str = "zeros") -> Tensor:
-    """Stride-1 cross-correlation with padding that preserves extents.
+def conv2d(x, weight, bias) -> Tensor:
+    """Stride-1 cross-correlation with edge padding that preserves extents;
+    replicating the border keeps spatially constant inputs exactly constant.
 
-    x: (C_in, H, W); weight: (C_out, C_in, kh, kw); bias: (C_out,).
-    pad_mode "zeros" is the default; "edge" replicates the border, which
-    keeps spatially constant inputs exactly constant through the layer.
+    x: (..., C_in, H, W); weight: (C_out, C_in, kh, kw); bias: (C_out,).
+    Each image of the leading axes is its own 2-D product, so each output
+    slice equals the call on that image alone, bitwise. The weight and bias
+    gradients add the per-image terms last image first, as a tape of one
+    call per image accumulates them, so those are bitwise equal too.
     """
     x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
-    if x.ndim != 3 or weight.ndim != 4 or bias.ndim != 1:
+    if x.ndim < 3 or weight.ndim != 4 or bias.ndim != 1:
         raise ShapeMismatchError(
-            f"conv2d: expected (C,H,W), (O,C,kh,kw), (O,), got {x.shape}, {weight.shape}, {bias.shape}"
+            f"conv2d: expected (...,C,H,W), (O,C,kh,kw), (O,), got {x.shape}, {weight.shape}, {bias.shape}"
         )
-    if pad_mode not in ("zeros", "edge"):
-        raise ValueError(f"conv2d: unknown pad_mode {pad_mode!r}")
     c_out, c_in, kh, kw = weight.shape
-    if x.shape[0] != c_in or bias.shape[0] != c_out:
+    if x.shape[-3] != c_in or bias.shape[0] != c_out:
         raise ShapeMismatchError(f"conv2d: channel mismatch, input {x.shape} vs kernel {weight.shape}")
     _require_finite("conv2d", x, weight, bias)
-    _, h, w = x.shape
+    h, w = x.shape[-2:]
     pt, pb = (kh - 1) // 2, kh // 2
     pl, pr = (kw - 1) // 2, kw // 2
-    np_mode = "constant" if pad_mode == "zeros" else "edge"
-    padded = np.pad(x._data, ((0, 0), (pt, pb), (pl, pr)), mode=np_mode)
-    col = np.empty((c_in, kh, kw, h, w))
+    images = x._data.reshape((-1, c_in, h, w))
+    padded = np.pad(images, ((0, 0), (0, 0), (pt, pb), (pl, pr)), mode="edge")
+    col = np.empty((len(images), c_in, kh, kw, h, w))
     for dy in range(kh):
         for dx in range(kw):
-            col[:, dy, dx] = padded[:, dy:dy + h, dx:dx + w]
-    colm = col.reshape(c_in * kh * kw, h * w)
+            col[:, :, dy, dx] = padded[:, :, dy:dy + h, dx:dx + w]
+    colm = col.reshape(len(images), c_in * kh * kw, h * w)
     wflat = weight._data.reshape(c_out, c_in * kh * kw)
-    out = Tensor((wflat @ colm + bias._data[:, None]).reshape(c_out, h, w))
+    out = Tensor((wflat @ colm + bias._data[:, None]).reshape(x.shape[:-3] + (c_out, h, w)))
 
     def vjp(g):
-        gflat = g.reshape(c_out, h * w)
-        gb = gflat.sum(axis=1)
-        gw = (gflat @ colm.T).reshape(weight.shape)
-        gcol = (wflat.T @ gflat).reshape(c_in, kh, kw, h, w)
+        gflat = g.reshape(len(images), c_out, h * w)
+        gb = functools.reduce(np.add, gflat.sum(axis=2)[::-1])
+        gw = functools.reduce(np.add, (gflat @ colm.mT)[::-1]).reshape(weight.shape)
+        gcol = (wflat.T @ gflat).reshape(col.shape)
         gpad = np.zeros_like(padded)
         for dy in range(kh):
             for dx in range(kw):
-                gpad[:, dy:dy + h, dx:dx + w] += gcol[:, dy, dx]
-        if pad_mode == "zeros":
-            gx = gpad[:, pt:pt + h, pl:pl + w]
-        else:
-            # replicated border cells fold their gradient back onto the
-            # source edge pixels
-            rows = np.clip(np.arange(h + pt + pb) - pt, 0, h - 1)
-            cols = np.clip(np.arange(w + pl + pr) - pl, 0, w - 1)
-            gx = np.zeros_like(x._data)
-            np.add.at(
-                gx,
-                (np.arange(c_in)[:, None, None], rows[None, :, None], cols[None, None, :]),
-                gpad,
-            )
-        return gx, gw, gb
+                gpad[:, :, dy:dy + h, dx:dx + w] += gcol[:, :, dy, dx]
+        # replicated border cells fold their gradient back onto the source
+        # edge pixels
+        rows = np.clip(np.arange(h + pt + pb) - pt, 0, h - 1)
+        cols = np.clip(np.arange(w + pl + pr) - pl, 0, w - 1)
+        gx = np.zeros_like(images)
+        np.add.at(gx, (..., rows[:, None], cols[None, :]), gpad)
+        return gx.reshape(x.shape), gw, gb
 
     _record(out, (x, weight, bias), vjp)
     return out
@@ -630,23 +624,23 @@ def _pool_bounds(extent: int, cells: int, i: int) -> tuple[int, int]:
 
 
 def adaptive_avg_pool(x, out_h: int, out_w: int) -> Tensor:
-    """Average-pool a (C, H, W) map to the requested spatial extents."""
+    """Average-pool a (..., C, H, W) map to the requested spatial extents."""
     x = _coerce(x)
-    if x.ndim != 3:
-        raise ShapeMismatchError(f"adaptive_avg_pool: expected (C,H,W), got {x.shape}")
-    c, h, w = x.shape
+    if x.ndim < 3:
+        raise ShapeMismatchError(f"adaptive_avg_pool: expected (...,C,H,W), got {x.shape}")
+    h, w = x.shape[-2:]
     if h < out_h or w < out_w:
         raise ShapeMismatchError(
             f"adaptive_avg_pool: input extents {(h, w)} smaller than output {(out_h, out_w)}"
         )
     _require_finite("adaptive_avg_pool", x)
-    y = np.empty((c, out_h, out_w))
+    y = np.empty(x.shape[:-2] + (out_h, out_w))
     windows = []
     for i in range(out_h):
         y0, y1 = _pool_bounds(h, out_h, i)
         for j in range(out_w):
             x0, x1 = _pool_bounds(w, out_w, j)
-            y[:, i, j] = x._data[:, y0:y1, x0:x1].mean(axis=(1, 2))
+            y[..., i, j] = x._data[..., y0:y1, x0:x1].mean(axis=(-2, -1))
             windows.append((i, j, y0, y1, x0, x1))
     out = Tensor(y)
 
@@ -654,7 +648,7 @@ def adaptive_avg_pool(x, out_h: int, out_w: int) -> Tensor:
         gx = np.zeros_like(x._data)
         for i, j, y0, y1, x0, x1 in windows:
             area = (y1 - y0) * (x1 - x0)
-            gx[:, y0:y1, x0:x1] += g[:, i, j][:, None, None] / area
+            gx[..., y0:y1, x0:x1] += g[..., i, j, None, None] / area
         return (gx,)
 
     _record(out, (x,), vjp)

@@ -106,23 +106,19 @@ class CaptionModel:
     # -- forward pieces -------------------------------------------------------
 
     def encode(self, images) -> ad.Tensor:
-        """(B, H, W) normalized grayscale -> (B, R, F) annotation grid."""
+        """(B, H, W) or (H, W) normalized grayscale -> (B, R, F) annotation grid."""
         images = np.asarray(images, dtype=np.float64)
         if images.ndim == 2:
             images = images[None]
+        x = ad.as_constant(images[:, None])                      # (B, 1, H, W)
+        # edge padding keeps constant images constant, so uniform inputs
+        # yield identical region vectors after pooling
+        for layer in ("encoder.conv1", "encoder.conv2", "encoder.conv3"):
+            x = ad.relu(ad.conv2d(x, self._p(f"{layer}.weight"), self._p(f"{layer}.bias")))
         r = self.config.pooled_side
-        grids = []
-        for i in range(images.shape[0]):
-            x = ad.as_constant(images[i][None])  # (1, H, W)
-            # edge padding keeps constant images constant, so uniform inputs
-            # yield identical region vectors after pooling
-            for layer in ("encoder.conv1", "encoder.conv2", "encoder.conv3"):
-                x = ad.relu(ad.conv2d(x, self._p(f"{layer}.weight"),
-                                      self._p(f"{layer}.bias"), pad_mode="edge"))
-            pooled = ad.adaptive_avg_pool(x, r, r)             # (F, r, r)
-            flat = pooled.reshape((self.config.encoder_channels, r * r))
-            grids.append(flat.transpose())                      # (R, F)
-        return ad.stack_rows(grids)                             # (B, R, F)
+        pooled = ad.adaptive_avg_pool(x, r, r)                   # (B, F, r, r)
+        flat = pooled.reshape((images.shape[0], self.config.encoder_channels, r * r))
+        return flat.transpose((0, 2, 1))                         # (B, R, F)
 
     def init_state(self, annotations: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
         """Mean region vector through two separate one-layer tanh MLPs."""
@@ -368,6 +364,8 @@ def train_teacher_forcing(model: CaptionModel, examples: list[CaptionExample],
     cached = None
     if not fine_tune:
         model.train_mode(False)
+        # one image per call: a batched call would hold every image's
+        # im2col buffer at once
         cached = [model.encode(ex.image).data[0] for ex in examples]
     model.train_mode(True)
 

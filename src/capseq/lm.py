@@ -104,23 +104,21 @@ class TransformerLm:
         mask = ad.as_constant(np.triu(np.full((t, t), MASK_VALUE), k=1))
         dk = cfg.model_dim // cfg.heads
         scale = 1.0 / np.sqrt(dk)
-        swap_last = (*range(ids.ndim - 1), ids.ndim, ids.ndim - 1)  # K -> K^T per sequence
+        # heads on a leading axis: q and v (..., h, T, d_k), K (..., h, d_k, T);
+        # each head's slice views its own d_k columns, as a per-head slice would
+        n = ids.ndim - 1
+        head_major = (*range(n), n + 1, n, n + 2)
+        key_major = (*range(n), n + 1, n + 2, n)
+        split = ids.shape + (cfg.heads, dk)
         for layer in range(cfg.layers):
             p = f"layer{layer}."
             normed = self._layernorm(x, p + "ln1")
-            q = self._apply_affine(normed, p + "q")
-            k = self._apply_affine(normed, p + "k")
-            v = self._apply_affine(normed, p + "v")
-            heads = []
-            for h in range(cfg.heads):
-                qh = ad.narrow(q, -1, h * dk, dk)
-                kh = ad.narrow(k, -1, h * dk, dk)
-                vh = ad.narrow(v, -1, h * dk, dk)
-                scores = (qh @ kh.transpose(swap_last)) * scale + mask
-                weights = ad.softmax(scores, axis=-1)
-                heads.append(weights @ vh)
-            attended = self._apply_affine(ad.concat(heads, axis=-1), p + "proj")
-            x = x + attended
+            q = self._apply_affine(normed, p + "q").reshape(split).transpose(head_major)
+            k = self._apply_affine(normed, p + "k").reshape(split).transpose(key_major)
+            v = self._apply_affine(normed, p + "v").reshape(split).transpose(head_major)
+            weights = ad.softmax((q @ k) * scale + mask, axis=-1)       # (..., h, T, T)
+            heads = (weights @ v).transpose(head_major).reshape(ids.shape + (cfg.model_dim,))
+            x = x + self._apply_affine(heads, p + "proj")
             normed = self._layernorm(x, p + "ln2")
             hidden = ad.relu(self._apply_affine(normed, p + "ffn1"))
             x = x + self._apply_affine(hidden, p + "ffn2")

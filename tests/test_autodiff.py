@@ -163,6 +163,43 @@ class TestLeadingAxis:
             for i in range(b):
                 assert _same_bytes(out[i], op(*(a[i] for a in args)).data), (op, i)
 
+    @pytest.mark.parametrize("b", [1, 2, 5])
+    @given(c=st.integers(1, 3), o=st.integers(1, 4), h=st.integers(2, 9), w=st.integers(2, 9),
+           k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_conv_and_pool_on_image_batch(self, b, c, o, h, w, k, seed):
+        x, weight, bias = _normal(seed, b, c, h, w), _normal(seed + 1, o, c, k, k), _normal(seed + 2, o)
+        out_h, out_w = 1 + seed % h, 1 + seed % w
+        conv = ad.conv2d(x, weight, bias).data
+        pooled = ad.adaptive_avg_pool(x, out_h, out_w).data
+        assert conv.shape == (b, o, h, w) and pooled.shape == (b, c, out_h, out_w)
+        for i in range(b):
+            assert _same_bytes(conv[i], ad.conv2d(x[i], weight, bias).data), i
+            assert _same_bytes(pooled[i], ad.adaptive_avg_pool(x[i], out_h, out_w).data), i
+
+    @pytest.mark.parametrize("b", [1, 2, 5])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_conv_gradients_equal_per_image_tape(self, b, k):
+        """What fine-tuning the encoder on a batch relies on: one batched
+        call under a tape gives the gradients of one call per image."""
+        x, g = _normal(b, b, 2, 6, 5), _normal(b + 1, b, 3, 6, 5)
+        weight = ad.Parameter(_normal(b + 2, 3, 2, k, k), "w")
+        bias = ad.Parameter(_normal(b + 3, 3), "b")
+
+        def gradients(images):
+            with ad.Tape() as tape:
+                loss = None
+                for image, gi in images:
+                    piece = (ad.tanh(ad.conv2d(image, weight, bias)) * gi).sum()
+                    loss = piece if loss is None else loss + piece
+            tape.backward(loss)
+            return [image.grad for image, _ in images], weight.grad.copy(), bias.grad.copy()
+
+        (batched,), w_batched, b_batched = gradients([(ad.Parameter(x, "x"), g)])
+        per_image, w_each, b_each = gradients([(ad.Parameter(x[i], "x"), g[i]) for i in range(b)])
+        assert _same_bytes(batched, np.stack(per_image))
+        assert _same_bytes(w_batched, w_each)
+        assert _same_bytes(b_batched, b_each)
+
     def test_matmul_leading_axes_must_broadcast(self):
         with pytest.raises(ad.ShapeMismatchError, match="do not broadcast"):
             ad.matmul(np.zeros((2, 3, 4)), np.zeros((3, 4, 5)))
@@ -261,6 +298,21 @@ class TestFiniteMark:
         if not (np.isfinite(left).all() and np.isfinite(right).all()):
             with pytest.raises(ad.NonFiniteInputError):
                 op(a.reshape((3, 1)), b)
+
+    def test_python_number_constants_are_not_scanned(self, monkeypatch):
+        model = TransformerLm(LmConfig(layers=2, heads=2, model_dim=8, ffn_dim=16, block_size=16),
+                              BpeVocabulary.train("ab", 0), seed=0)
+        model.forward([5, 9, 2, 7])
+        scanned = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: scanned.append(np.ndim(a)) or isfinite(a))
+        model.forward([5, 9, 2, 7])
+        assert scanned and 0 not in scanned
+        monkeypatch.undo()
+        x = ad.Tensor([1.0, 2.0])
+        for value in (float("nan"), float("inf"), np.float64("-inf")):
+            with pytest.raises(ad.NonFiniteInputError, match=_non_finite_message("mul")):
+                ad.mul(x, value)
 
     def test_parameters_scanned_once_per_change(self, monkeypatch, tmp_path):
         model = TransformerLm(LmConfig(layers=2, heads=2, model_dim=8, ffn_dim=16, block_size=16),

@@ -45,6 +45,15 @@ class TestEncoder:
         a = model.encode(np.full((8, 8), 0.7)).data[0]
         np.testing.assert_allclose(a, np.broadcast_to(a[0], a.shape), atol=1e-12)
 
+    @pytest.mark.parametrize("fine_tune", [False, True])
+    def test_batch_equals_stacked_per_image_encodes(self, fine_tune):
+        model = tiny_model(fine_tune_encoder=fine_tune, encoder_channels=4, pooled_side=3)
+        images = np.random.default_rng(5).random((3, 10, 9))
+        batch = model.encode(images).data
+        assert batch.shape == (3, 9, 4)
+        want = np.concatenate([model.encode(image).data for image in images])
+        assert batch.tobytes() == want.tobytes()
+
     def test_image_smaller_than_pooled_side_rejected(self):
         model = tiny_model(pooled_side=4)
         with pytest.raises(ad.ShapeMismatchError):

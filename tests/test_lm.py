@@ -65,7 +65,7 @@ class TestForward:
 
         def spy(x, axis=-1):
             out = orig(x, axis=axis)
-            if out.ndim == 2 and out.shape[0] == out.shape[1]:
+            if out.ndim >= 2 and out.shape[-2] == out.shape[-1]:
                 captured.append(out.data)
             return out
 
@@ -74,9 +74,10 @@ class TestForward:
             lm.forward([5, 6, 7, 8, 9])
         finally:
             ad.softmax = orig
-        assert captured
+        # one (heads, T, T) weight stack per layer
+        assert [w.shape for w in captured] == [(2, 5, 5)] * 2
         for rows in captured:
-            np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(rows.sum(axis=-1), 1.0, atol=1e-12)
             assert np.array_equal(np.triu(rows, k=1), np.zeros_like(rows))
 
     def test_matches_straightline_oracle(self):
@@ -88,8 +89,9 @@ class TestForward:
         want = straightline_lm_logits(lm, ids)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
-    def test_matches_oracle_multilayer_multihead(self):
-        lm = make_lm(seed=11, layers=2, heads=2, model_dim=8)
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_oracle_multilayer_multihead(self, heads):
+        lm = make_lm(seed=11, layers=2, heads=heads, model_dim=8)
         ids = [3, 1, 4, 1, 5]
         np.testing.assert_allclose(lm.forward(ids).data,
                                    straightline_lm_logits(lm, ids), atol=1e-9)
@@ -107,9 +109,9 @@ class TestForward:
         assert not np.allclose(table[0], table[1])
 
 
-def perturbed_lm(block_size, seed):
+def perturbed_lm(block_size, seed, heads=2):
     """Desk-sized LM whose parameters are moved off their initial values."""
-    lm = make_lm(seed=seed, model_dim=32, ffn_dim=64, block_size=block_size)
+    lm = make_lm(seed=seed, heads=heads, model_dim=32, ffn_dim=64, block_size=block_size)
     rng = np.random.default_rng(seed + 1000)
     for p in lm.parameters().values():
         p.data = p.data + rng.normal(scale=0.2, size=p.data.shape)
@@ -127,9 +129,10 @@ def eager_step(lm, seed_ids):
 
 
 class TestBatchedForward:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("block_size", [64, 128])
-    def test_rows_equal_per_sequence_forward_bitwise(self, block_size):
-        lm = perturbed_lm(block_size, seed=block_size)
+    def test_rows_equal_per_sequence_forward_bitwise(self, block_size, heads):
+        lm = perturbed_lm(block_size, seed=block_size, heads=heads)
         rng = np.random.default_rng(block_size)
         for b in range(1, 6):
             lengths = {1, 2, block_size - 1, block_size, int(rng.integers(3, block_size - 1))}
