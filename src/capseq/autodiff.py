@@ -18,10 +18,24 @@ tensor's values by assigning to ``data`` (``p.data = a`` or ``p.data -= d``),
 never by writing through an alias of the array (``p.data[i] = v``, ``out=``,
 ``np.copyto``): such a write does not clear the mark, and a non-finite value
 written that way goes unseen.
+
+Inside an ``FpTraps`` scope, op outputs are finite by construction: numpy
+raises on overflow, invalid operations and division by zero, so a value op
+(add, sub, mul, sigmoid, tanh, relu, log, powc, clamp_min, softmax,
+log_softmax, sum, mean, adaptive_avg_pool, dropout) that ran on finite inputs
+with no trap firing marks its output finite. On a trap the op computes again
+under the caller's errstate, so numpy's warning still shows, and leaves its
+output unmarked for the next op to reject. Structural ops (reshape,
+transpose, narrow, concat, embedding_lookup, pick) pass their input's mark
+on, in a scope or not. Still scanned: matmul and conv2d outputs (BLAS
+worker threads keep their own FP flags, so a trap there can go unseen),
+``as_constant`` and other arrays from outside the ops, and ``data`` after
+assignment. The scope's state is per thread, as numpy's errstate is.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import logging
 import math
@@ -42,6 +56,69 @@ class NonFiniteInputError(ValueError):
 
 def _as_f64(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
+
+
+# the caller's errstate while an FpTraps scope is open in this context (numpy
+# keeps its errstate per context too), else None
+_CALLER_ERRSTATE: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "capseq_caller_errstate", default=None)
+
+
+class FpTraps:
+    """Scope in which op outputs computed without a floating-point trap are
+    marked finite (see the module docstring).
+
+    The outermost entry makes numpy raise ``FloatingPointError`` on overflow,
+    invalid operations and division by zero (underflow stays silent); nested
+    entries change nothing, and exit restores the caller's errstate. Ops
+    catch their own traps; other numpy code run inside the scope raises on
+    them too.
+    """
+
+    __slots__ = ("_token", "_errstate")
+
+    def __enter__(self) -> "FpTraps":
+        self._token = None
+        if _CALLER_ERRSTATE.get() is None:
+            self._errstate = np.errstate(over="raise", invalid="raise", divide="raise",
+                                         under="ignore")
+            self._token = _CALLER_ERRSTATE.set(np.geterr())
+            self._errstate.__enter__()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self._token is not None:
+            self._errstate.__exit__(exc_type, exc, tb)
+            _CALLER_ERRSTATE.reset(self._token)
+        return False
+
+
+def _run(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and whether it ran trapped with no trap firing.
+    A trap repeats the call under the caller's errstate, so numpy warns as it
+    would outside the scope; ``fn`` must draw no random numbers."""
+    caller = _CALLER_ERRSTATE.get()
+    if caller is None:
+        return fn(*args, **kwargs), False
+    try:
+        return fn(*args, **kwargs), True
+    except FloatingPointError:
+        with np.errstate(**caller):
+            return fn(*args, **kwargs), False
+
+
+def _marked(value: np.ndarray, finite: bool) -> Tensor:
+    """A new tensor over ``value`` whose finite mark is ``finite``; a
+    structural op passes on its input's mark."""
+    out = Tensor(value)
+    out._finite = finite
+    return out
+
+
+def _fresh(fn, *args, **kwargs) -> Tensor:
+    """A value op's output from finite inputs: ``fn(*args, **kwargs)``,
+    marked finite when it ran trapped and no trap fired."""
+    return _marked(*_run(fn, *args, **kwargs))
 
 
 def _require_finite(op: str, *tensors: Tensor) -> None:
@@ -227,13 +304,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _broadcasting(op: str, ufunc, a: Tensor, b: Tensor) -> np.ndarray:
+def _broadcasting(op: str, ufunc, a: Tensor, b: Tensor) -> Tensor:
     """``ufunc`` of two finite operands under numpy broadcasting. A pair that
     does not broadcast raises ShapeMismatchError, also when it is not finite;
     the shapes are checked only once numpy or the scan has failed."""
     try:
         _require_finite(op, a, b)
-        return ufunc(a._data, b._data)
+        return _fresh(ufunc, a._data, b._data)
     except ValueError:
         try:
             np.broadcast_shapes(a.shape, b.shape)
@@ -248,7 +325,7 @@ def _broadcasting(op: str, ufunc, a: Tensor, b: Tensor) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    out = Tensor(_broadcasting("add", np.add, a, b))
+    out = _broadcasting("add", np.add, a, b)
 
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -259,7 +336,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    out = Tensor(_broadcasting("sub", np.subtract, a, b))
+    out = _broadcasting("sub", np.subtract, a, b)
 
     def vjp(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
@@ -271,7 +348,7 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     """Elementwise product with numpy broadcasting."""
     a, b = _coerce(a), _coerce(b)
-    out = Tensor(_broadcasting("mul", np.multiply, a, b))
+    out = _broadcasting("mul", np.multiply, a, b)
 
     def vjp(g):
         return _unbroadcast(g * b._data, a.shape), _unbroadcast(g * a._data, b.shape)
@@ -291,7 +368,8 @@ def matmul(a, b) -> Tensor:
         raise ShapeMismatchError(f"matmul: inner extents differ, {a.shape} vs {b.shape}")
     _require_finite("matmul", a, b)
     try:
-        out = Tensor(a._data @ b._data)
+        # never marked: BLAS worker threads keep their own FP flags
+        out = Tensor(_run(operator.matmul, a._data, b._data)[0])
     except ValueError:  # the leading axes, checked by numpy
         raise ShapeMismatchError(f"matmul: leading axes of {a.shape} and {b.shape} do not broadcast")
 
@@ -302,16 +380,20 @@ def matmul(a, b) -> Tensor:
     return out
 
 
-def sigmoid(x) -> Tensor:
-    x = _coerce(x)
-    _require_finite("sigmoid", x)
-    d = x._data
+def _sigmoid(d: np.ndarray) -> np.ndarray:
     y = np.empty_like(d)
     pos = d >= 0
     y[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     e = np.exp(d[~pos])
     y[~pos] = e / (1.0 + e)
-    out = Tensor(y)
+    return y
+
+
+def sigmoid(x) -> Tensor:
+    x = _coerce(x)
+    _require_finite("sigmoid", x)
+    out = _fresh(_sigmoid, x._data)
+    y = out._data
 
     def vjp(g):
         return (g * y * (1.0 - y),)
@@ -323,8 +405,8 @@ def sigmoid(x) -> Tensor:
 def tanh(x) -> Tensor:
     x = _coerce(x)
     _require_finite("tanh", x)
-    y = np.tanh(x._data)
-    out = Tensor(y)
+    out = _fresh(np.tanh, x._data)
+    y = out._data
 
     def vjp(g):
         return (g * (1.0 - y * y),)
@@ -337,7 +419,7 @@ def relu(x) -> Tensor:
     x = _coerce(x)
     _require_finite("relu", x)
     d = x._data
-    out = Tensor(np.maximum(d, 0.0))
+    out = _fresh(np.maximum, d, 0.0)
 
     def vjp(g):
         return (g * (d > 0),)
@@ -351,7 +433,7 @@ def log(x) -> Tensor:
     _require_finite("log", x)
     if np.any(x._data <= 0):
         raise ValueError("log: input must be strictly positive (clamp first)")
-    out = Tensor(np.log(x._data))
+    out = _fresh(np.log, x._data)
 
     def vjp(g):
         return (g / x._data,)
@@ -364,7 +446,7 @@ def powc(x, exponent: float) -> Tensor:
     """Elementwise power with a constant exponent."""
     x = _coerce(x)
     _require_finite("powc", x)
-    out = Tensor(x._data ** exponent)
+    out = _fresh(operator.pow, x._data, exponent)
 
     def vjp(g):
         return (g * exponent * x._data ** (exponent - 1.0),)
@@ -378,7 +460,7 @@ def clamp_min(x, floor: float) -> Tensor:
     x = _coerce(x)
     _require_finite("clamp_min", x)
     d = x._data
-    out = Tensor(np.maximum(d, floor))
+    out = _fresh(np.maximum, d, floor)
 
     def vjp(g):
         return (g * (d > floor),)
@@ -387,14 +469,22 @@ def clamp_min(x, floor: float) -> Tensor:
     return out
 
 
+def _softmax(d: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(d - d.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _log_softmax(d: np.ndarray, axis: int) -> np.ndarray:
+    shifted = d - d.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
 def softmax(x, axis: int = -1) -> Tensor:
     """Stable softmax; output is strictly positive and sums to 1 along axis."""
     x = _coerce(x)
     _require_finite("softmax", x)
-    shifted = x._data - x._data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y)
+    out = _fresh(_softmax, x._data, axis)
+    y = out._data
 
     def vjp(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
@@ -407,10 +497,8 @@ def softmax(x, axis: int = -1) -> Tensor:
 def log_softmax(x, axis: int = -1) -> Tensor:
     x = _coerce(x)
     _require_finite("log_softmax", x)
-    shifted = x._data - x._data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    y = shifted - lse
-    out = Tensor(y)
+    out = _fresh(_log_softmax, x._data, axis)
+    y = out._data
 
     def vjp(g):
         return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
@@ -422,7 +510,7 @@ def log_softmax(x, axis: int = -1) -> Tensor:
 def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     x = _coerce(x)
     _require_finite("sum", x)
-    out = Tensor(x._data.sum(axis=axis, keepdims=keepdims))
+    out = _fresh(x._data.sum, axis=axis, keepdims=keepdims)
 
     def vjp(g):
         if axis is None:
@@ -438,7 +526,7 @@ def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
     x = _coerce(x)
     _require_finite("mean", x)
     count = x.size if axis is None else x.shape[axis]
-    out = Tensor(x._data.mean(axis=axis, keepdims=keepdims))
+    out = _fresh(x._data.mean, axis=axis, keepdims=keepdims)
 
     def vjp(g):
         if axis is None:
@@ -456,7 +544,7 @@ def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
 
 def reshape(x, shape) -> Tensor:
     x = _coerce(x)
-    out = Tensor(x._data.reshape(shape))
+    out = _marked(x._data.reshape(shape), x._finite)
 
     def vjp(g):
         return (g.reshape(x.shape),)
@@ -467,7 +555,7 @@ def reshape(x, shape) -> Tensor:
 
 def transpose(x, axes=None) -> Tensor:
     x = _coerce(x)
-    out = Tensor(x._data.transpose(axes))
+    out = _marked(x._data.transpose(axes), x._finite)
 
     def vjp(g):
         inverse = None if axes is None else [list(axes).index(i) for i in range(len(axes))]
@@ -481,7 +569,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
     parts = [_coerce(t) for t in tensors]
     if not parts:
         raise ValueError("concat: need at least one tensor")
-    out = Tensor(np.concatenate([p._data for p in parts], axis=axis))
+    out = _marked(np.concatenate([p._data for p in parts], axis=axis),
+                  all(p._finite for p in parts))
 
     def vjp(g):
         splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
@@ -501,7 +590,7 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
     index = [slice(None)] * x.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
-    out = Tensor(x._data[index])
+    out = _marked(x._data[index], x._finite)
 
     def vjp(g):
         full = np.zeros_like(x._data)
@@ -530,7 +619,7 @@ def embedding_lookup(table, ids) -> Tensor:
         raise ShapeMismatchError(f"embedding_lookup: table {table.shape} must be 2-D")
     _check_ids("embedding_lookup", ids, table.shape[0])
     _require_finite("embedding_lookup", table)
-    out = Tensor(table._data[ids])
+    out = _marked(table._data[ids], True)
 
     def vjp(g):
         gt = np.zeros_like(table._data)
@@ -549,7 +638,7 @@ def pick(x, ids) -> Tensor:
         raise ShapeMismatchError(f"pick: input {x.shape} needs ids of shape ({x.shape[0]},)")
     _check_ids("pick", ids, x.shape[1])
     rows = np.arange(x.shape[0])
-    out = Tensor(x._data[rows, ids])
+    out = _marked(x._data[rows, ids], x._finite)
 
     def vjp(g):
         gx = np.zeros_like(x._data)
@@ -594,7 +683,9 @@ def conv2d(x, weight, bias) -> Tensor:
             col[:, :, dy, dx] = padded[:, :, dy:dy + h, dx:dx + w]
     colm = col.reshape(len(images), c_in * kh * kw, h * w)
     wflat = weight._data.reshape(c_out, c_in * kh * kw)
-    out = Tensor((wflat @ colm + bias._data[:, None]).reshape(x.shape[:-3] + (c_out, h, w)))
+    # never marked, as matmul
+    product = _run(lambda: wflat @ colm + bias._data[:, None])[0]
+    out = Tensor(product.reshape(x.shape[:-3] + (c_out, h, w)))
 
     def vjp(g):
         gflat = g.reshape(len(images), c_out, h * w)
@@ -634,15 +725,16 @@ def adaptive_avg_pool(x, out_h: int, out_w: int) -> Tensor:
             f"adaptive_avg_pool: input extents {(h, w)} smaller than output {(out_h, out_w)}"
         )
     _require_finite("adaptive_avg_pool", x)
-    y = np.empty(x.shape[:-2] + (out_h, out_w))
-    windows = []
-    for i in range(out_h):
-        y0, y1 = _pool_bounds(h, out_h, i)
-        for j in range(out_w):
-            x0, x1 = _pool_bounds(w, out_w, j)
+    windows = [(i, j, *_pool_bounds(h, out_h, i), *_pool_bounds(w, out_w, j))
+               for i in range(out_h) for j in range(out_w)]
+
+    def pooled():
+        y = np.empty(x.shape[:-2] + (out_h, out_w))
+        for i, j, y0, y1, x0, x1 in windows:
             y[..., i, j] = x._data[..., y0:y1, x0:x1].mean(axis=(-2, -1))
-            windows.append((i, j, y0, y1, x0, x1))
-    out = Tensor(y)
+        return y
+
+    out = _fresh(pooled)
 
     def vjp(g):
         gx = np.zeros_like(x._data)
@@ -665,7 +757,7 @@ def dropout(x, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
         return x
     _require_finite("dropout", x)
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    out = Tensor(x._data * mask)
+    out = _fresh(np.multiply, x._data, mask)
 
     def vjp(g):
         return (g * mask,)

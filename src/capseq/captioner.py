@@ -111,12 +111,13 @@ class CaptionModel:
         if images.ndim == 2:
             images = images[None]
         x = ad.as_constant(images[:, None])                      # (B, 1, H, W)
-        # edge padding keeps constant images constant, so uniform inputs
-        # yield identical region vectors after pooling
-        for layer in ("encoder.conv1", "encoder.conv2", "encoder.conv3"):
-            x = ad.relu(ad.conv2d(x, self._p(f"{layer}.weight"), self._p(f"{layer}.bias")))
         r = self.config.pooled_side
-        pooled = ad.adaptive_avg_pool(x, r, r)                   # (B, F, r, r)
+        with ad.FpTraps():
+            # edge padding keeps constant images constant, so uniform inputs
+            # yield identical region vectors after pooling
+            for layer in ("encoder.conv1", "encoder.conv2", "encoder.conv3"):
+                x = ad.relu(ad.conv2d(x, self._p(f"{layer}.weight"), self._p(f"{layer}.bias")))
+            pooled = ad.adaptive_avg_pool(x, r, r)               # (B, F, r, r)
         flat = pooled.reshape((images.shape[0], self.config.encoder_channels, r * r))
         return flat.transpose((0, 2, 1))                         # (B, R, F)
 
@@ -206,39 +207,40 @@ class CaptionModel:
         if np.any(np.diff(lengths) > 0):
             raise ValueError("captions must be sorted by decreasing length")
         b = captions.shape[0]
-        h, c = self.init_state(annotations)
-        a_t = annotations
-        total_nll = None
-        count = 0
-        alpha_steps: list[ad.Tensor] = []
-        for t, bt in enumerate(effective_batch_sizes(lengths)):
-            if bt < a_t.shape[0]:
-                a_t = ad.narrow(a_t, 0, 0, bt)
-                h = ad.narrow(h, 0, 0, bt)
-                c = ad.narrow(c, 0, 0, bt)
-            alpha, context = self.attend(a_t, h)
-            inputs = captions[:bt, t]
-            h, c = self.lstm_step(inputs, h, c, context)
-            probs = self.output_distribution(h, context, inputs)
-            target_p = ad.pick(probs, captions[:bt, t + 1])
-            if np.any(target_p.data <= PROB_FLOOR):
-                logger.warning("target probability underflow at step %d; clamping to %g",
-                               t, PROB_FLOOR)
-            step_nll = -ad.log(ad.clamp_min(target_p, PROB_FLOOR)).sum()
-            total_nll = step_nll if total_nll is None else total_nll + step_nll
-            count += bt
-            alpha_steps.append(alpha)
-        loss = total_nll * (1.0 / count)
-        weight = self.config.doubly_stochastic_weight
-        if weight > 0.0:
-            penalty = None
-            for i in range(b):
-                rows = [ad.narrow(alpha_steps[t], 0, i, 1) for t in range(int(lengths[i]))]
-                coverage = ad.concat(rows, axis=0).sum(axis=0)      # (R,)
-                deficit = ad.powc(ad.sub(1.0, coverage), 2.0).sum()
-                penalty = deficit if penalty is None else penalty + deficit
-            loss = loss + penalty * (weight / b)
-        return loss
+        with ad.FpTraps():
+            h, c = self.init_state(annotations)
+            a_t = annotations
+            total_nll = None
+            count = 0
+            alpha_steps: list[ad.Tensor] = []
+            for t, bt in enumerate(effective_batch_sizes(lengths)):
+                if bt < a_t.shape[0]:
+                    a_t = ad.narrow(a_t, 0, 0, bt)
+                    h = ad.narrow(h, 0, 0, bt)
+                    c = ad.narrow(c, 0, 0, bt)
+                alpha, context = self.attend(a_t, h)
+                inputs = captions[:bt, t]
+                h, c = self.lstm_step(inputs, h, c, context)
+                probs = self.output_distribution(h, context, inputs)
+                target_p = ad.pick(probs, captions[:bt, t + 1])
+                if np.any(target_p.data <= PROB_FLOOR):
+                    logger.warning("target probability underflow at step %d; clamping to %g",
+                                   t, PROB_FLOOR)
+                step_nll = -ad.log(ad.clamp_min(target_p, PROB_FLOOR)).sum()
+                total_nll = step_nll if total_nll is None else total_nll + step_nll
+                count += bt
+                alpha_steps.append(alpha)
+            loss = total_nll * (1.0 / count)
+            weight = self.config.doubly_stochastic_weight
+            if weight > 0.0:
+                penalty = None
+                for i in range(b):
+                    rows = [ad.narrow(alpha_steps[t], 0, i, 1) for t in range(int(lengths[i]))]
+                    coverage = ad.concat(rows, axis=0).sum(axis=0)      # (R,)
+                    deficit = ad.powc(ad.sub(1.0, coverage), 2.0).sum()
+                    penalty = deficit if penalty is None else penalty + deficit
+                loss = loss + penalty * (weight / b)
+            return loss
 
     # -- decoding ----------------------------------------------------------------
 
@@ -265,9 +267,11 @@ class CaptionModel:
 
         def advance(tokens, h, c):
             h, c = ad.as_constant(h), ad.as_constant(c)
-            alpha, context = self.attend(annotations, h, proj_regions)
-            h2, c2 = self.lstm_step(tokens, h, c, context)
-            return h2.data, c2.data, alpha.data, self.output_distribution(h2, context, tokens).data
+            with ad.FpTraps():
+                alpha, context = self.attend(annotations, h, proj_regions)
+                h2, c2 = self.lstm_step(tokens, h, c, context)
+                probs = self.output_distribution(h2, context, tokens)
+            return h2.data, c2.data, alpha.data, probs.data
 
         def evaluate_one(prefix) -> np.ndarray:
             h, c = (record[prefix[:-1]] if prefix else initial)[:2]

@@ -33,7 +33,11 @@ Selection rule of a pass: at each step the candidates are laid out in
 generation order, beam-major and token-minor (a finished beam is one
 candidate, itself; a live beam is one candidate per token id), and the
 ``width`` with the highest cumulative log-probability survive. Ties keep
-generation order: the earlier beam first, then the lower token id.
+generation order: the earlier beam first, then the lower token id. The pick
+equals a stable sort of every candidate cut to ``width``, but sorts only a
+few: ``np.partition`` finds the ``width``-th best score, and the candidates
+at or above it, taken in generation order, are stable-sorted. At width 1 the
+pick is the first maximum.
 """
 
 from __future__ import annotations
@@ -126,6 +130,19 @@ def greedy_decode(step_fn, max_len: int, end_token: int | None = None) -> list[i
     return list(prefix)
 
 
+def _top(scores: np.ndarray, width: int) -> np.ndarray:
+    """``np.argsort(-scores, kind="stable")[:width]`` for finite scores,
+    without sorting them all."""
+    n = scores.shape[0]
+    if width == 1:
+        return scores.argmax(keepdims=True)  # the first of tied maxima
+    if n <= width:
+        return np.argsort(-scores, kind="stable")
+    cut = np.partition(scores, n - width)[n - width]
+    keep = np.flatnonzero(scores >= cut)
+    return keep[np.argsort(-scores[keep], kind="stable")[:width]]
+
+
 def _advance(beams: list[Beam], width: int, memo: dict,
              end_token: int | None) -> list[Beam]:
     """One step of a standard beam pass: every live beam extended by every
@@ -138,8 +155,7 @@ def _advance(beams: list[Beam], width: int, memo: dict,
             for b in beams]
     starts = np.cumsum([0] + [row.shape[0] for row in rows[:-1]])
     scores = np.concatenate(rows)
-    # stable: ties keep generation order
-    picked = np.argsort(-scores, kind="stable")[:width]
+    picked = _top(scores, width)
     owners = np.searchsorted(starts, picked, side="right") - 1
     survivors: list[Beam] = []
     for flat, owner in zip(picked.tolist(), owners.tolist()):

@@ -98,32 +98,33 @@ class TransformerLm:
         axis or multiplies over the last two, so each row of a batch equals
         the forward of that sequence alone, bitwise."""
         ids = self._check_ids(ids)
-        t = ids.shape[-1]
-        cfg = self.config
-        x = ad.embedding_lookup(self._p("embedding"), ids) + ad.as_constant(self._positions[:t])
-        mask = ad.as_constant(np.triu(np.full((t, t), MASK_VALUE), k=1))
-        dk = cfg.model_dim // cfg.heads
-        scale = 1.0 / np.sqrt(dk)
-        # heads on a leading axis: q and v (..., h, T, d_k), K (..., h, d_k, T);
-        # each head's slice views its own d_k columns, as a per-head slice would
-        n = ids.ndim - 1
-        head_major = (*range(n), n + 1, n, n + 2)
-        key_major = (*range(n), n + 1, n + 2, n)
-        split = ids.shape + (cfg.heads, dk)
-        for layer in range(cfg.layers):
-            p = f"layer{layer}."
-            normed = self._layernorm(x, p + "ln1")
-            q = self._apply_affine(normed, p + "q").reshape(split).transpose(head_major)
-            k = self._apply_affine(normed, p + "k").reshape(split).transpose(key_major)
-            v = self._apply_affine(normed, p + "v").reshape(split).transpose(head_major)
-            weights = ad.softmax((q @ k) * scale + mask, axis=-1)       # (..., h, T, T)
-            heads = (weights @ v).transpose(head_major).reshape(ids.shape + (cfg.model_dim,))
-            x = x + self._apply_affine(heads, p + "proj")
-            normed = self._layernorm(x, p + "ln2")
-            hidden = ad.relu(self._apply_affine(normed, p + "ffn1"))
-            x = x + self._apply_affine(hidden, p + "ffn2")
-        x = self._layernorm(x, "final_ln")
-        return self._apply_affine(x, "head")
+        with ad.FpTraps():
+            t = ids.shape[-1]
+            cfg = self.config
+            x = ad.embedding_lookup(self._p("embedding"), ids) + ad.as_constant(self._positions[:t])
+            mask = ad.as_constant(np.triu(np.full((t, t), MASK_VALUE), k=1))
+            dk = cfg.model_dim // cfg.heads
+            scale = 1.0 / np.sqrt(dk)
+            # heads on a leading axis: q and v (..., h, T, d_k), K (..., h, d_k, T);
+            # each head's slice views its own d_k columns, as a per-head slice would
+            n = ids.ndim - 1
+            head_major = (*range(n), n + 1, n, n + 2)
+            key_major = (*range(n), n + 1, n + 2, n)
+            split = ids.shape + (cfg.heads, dk)
+            for layer in range(cfg.layers):
+                p = f"layer{layer}."
+                normed = self._layernorm(x, p + "ln1")
+                q = self._apply_affine(normed, p + "q").reshape(split).transpose(head_major)
+                k = self._apply_affine(normed, p + "k").reshape(split).transpose(key_major)
+                v = self._apply_affine(normed, p + "v").reshape(split).transpose(head_major)
+                weights = ad.softmax((q @ k) * scale + mask, axis=-1)       # (..., h, T, T)
+                heads = (weights @ v).transpose(head_major).reshape(ids.shape + (cfg.model_dim,))
+                x = x + self._apply_affine(heads, p + "proj")
+                normed = self._layernorm(x, p + "ln2")
+                hidden = ad.relu(self._apply_affine(normed, p + "ffn1"))
+                x = x + self._apply_affine(hidden, p + "ffn2")
+            x = self._layernorm(x, "final_ln")
+            return self._apply_affine(x, "head")
 
     def _check_ids(self, ids) -> np.ndarray:
         ids = np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids, dtype=np.int64)

@@ -2,6 +2,8 @@
 optimizer/checkpoint contracts."""
 
 import ast
+import contextlib
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from capseq import autodiff as ad
 from capseq.binio import BinaryFormatError
 from capseq.checkpoint import (CheckpointError, load_into_model, load_tensors, save_model,
                                save_tensors)
-from capseq.lm import LmConfig, TransformerLm
+from capseq.lm import MASK_VALUE, LmConfig, TransformerLm
 from capseq.optim import Adam, Sgd, clip_gradients, global_grad_norm, train_epochs
 from capseq.tokenizers import BpeVocabulary
 
@@ -238,7 +240,9 @@ def _non_finite_message(op):
 
 class TestFiniteMark:
     """A tensor's array is scanned once; assigning to ``data`` (plain,
-    augmented, or by a checkpoint load) makes the next op scan it again."""
+    augmented, or by a checkpoint load) makes the next op scan it again.
+    Inside ``FpTraps`` a value op's output needs no scan unless a trap fired
+    or it is a matmul product."""
 
     OPS = [("add", lambda p: ad.add(p, 1.0)), ("mul", lambda p: ad.mul(2.0, p)),
            ("matmul", lambda p: ad.matmul(p, np.ones((2, 1)))), ("tanh", ad.tanh),
@@ -343,6 +347,127 @@ class TestFiniteMark:
         load_into_model(tmp_path / "lm.ckpt", model.parameters())
         assert parameter_scans(lambda: model.forward(ids)) == every
         assert parameter_scans(lambda: model.forward(ids)) == []
+
+    @pytest.mark.parametrize("make, warning", [
+        (lambda: ad.mul(ad.Tensor([1e200, 1.0]), 1e200), "overflow encountered in multiply"),
+        (lambda: ad.powc(ad.Tensor([0.0, 1.0]), -0.5), "divide by zero"),
+    ])
+    def test_trapped_output_warns_and_stays_unmarked(self, make, warning):
+        with pytest.warns(RuntimeWarning, match=warning):
+            expected = make().data
+        with ad.FpTraps():
+            with pytest.warns(RuntimeWarning, match=warning):
+                y = make()
+            assert not y._finite
+            with pytest.raises(ad.NonFiniteInputError, match=_non_finite_message("add")):
+                ad.add(y, 1.0)
+        assert _same_bytes(y.data, expected)
+
+    def test_untrapped_outputs_marked_inside_scope_only(self):
+        x = ad.Tensor([0.5, -2.0])
+        assert not ad.tanh(x)._finite
+        with ad.FpTraps():
+            assert ad.tanh(x)._finite
+        assert not ad.tanh(x)._finite
+
+    @pytest.mark.parametrize("op", [
+        lambda t, _: ad.reshape(t, (2, 1)), lambda t, _: ad.transpose(t),
+        lambda t, _: ad.narrow(t, 1, 1, 1), lambda t, _: ad.pick(t, [1]),
+        lambda t, marked: ad.concat([marked, t]),
+    ])
+    def test_structural_ops_pass_the_mark(self, op):
+        with ad.FpTraps():
+            marked = ad.tanh(ad.Tensor([[0.5, 1.0]]))
+        assert op(marked, marked)._finite
+        with pytest.raises(ad.NonFiniteInputError, match=_non_finite_message("tanh")):
+            ad.tanh(op(ad.Tensor([[1.0, np.nan]]), marked))
+        assert ad.embedding_lookup(ad.Tensor([[1.0], [2.0]]), [1, 0])._finite
+
+    def test_matmul_output_never_marked(self):
+        with ad.FpTraps():
+            assert not ad.matmul(np.ones((2, 2)), np.ones((2, 2)))._finite
+        # whether BLAS raised the overflow flag or not, the next op scans
+        with np.errstate(over="ignore"), ad.FpTraps():
+            big = ad.matmul(np.full((3, 2), 1e200), np.full((2, 3), 1e200))
+            assert not big._finite
+            with pytest.raises(ad.NonFiniteInputError, match=_non_finite_message("tanh")):
+                ad.tanh(big)
+
+    def test_scope_of_one_thread_marks_nothing_in_another(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def hold_scope():
+            with ad.FpTraps():
+                entered.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold_scope)
+        holder.start()
+        try:
+            assert entered.wait(10)
+            with np.errstate(over="ignore"):
+                y = ad.mul(ad.Tensor([1e200]), 1e200)
+            with pytest.raises(ad.NonFiniteInputError, match=_non_finite_message("add")):
+                ad.add(y, 1.0)
+        finally:
+            release.set()
+            holder.join(10)
+        assert not holder.is_alive()
+
+    def test_trapped_dropout_draws_one_mask(self):
+        x = ad.Tensor(np.full((3, 4), 1e308))
+        outputs, states = [], []
+        for scope in (contextlib.nullcontext, ad.FpTraps):
+            rng = np.random.default_rng(7)
+            with np.errstate(over="ignore"), scope():
+                y = ad.dropout(x, 0.5, rng, True)
+                with pytest.raises(ad.NonFiniteInputError, match=_non_finite_message("sum")):
+                    y.sum()
+            outputs.append(y.data)
+            states.append(rng.bit_generator.state)
+        assert np.isinf(outputs[0]).any()
+        assert _same_bytes(outputs[0], outputs[1])
+        assert states[0] == states[1]
+
+    def test_scope_restores_caller_errstate(self):
+        trapped = dict(divide="raise", over="raise", under="ignore", invalid="raise")
+        with np.errstate(divide="print", over="warn", under="raise", invalid="ignore"):
+            caller = np.geterr()
+            with ad.FpTraps():
+                assert np.geterr() == trapped
+                with ad.FpTraps():
+                    assert np.geterr() == trapped
+                assert np.geterr() == trapped
+                assert ad.tanh(ad.Tensor([1.0]))._finite  # the outer scope is still open
+            assert np.geterr() == caller
+            with pytest.raises(KeyError):
+                with ad.FpTraps():
+                    raise KeyError("inside")
+            assert np.geterr() == caller
+            assert not ad.tanh(ad.Tensor([1.0]))._finite
+
+    def test_forward_scans_only_products_and_constant_tables(self, monkeypatch):
+        model = TransformerLm(LmConfig(layers=2, heads=2, model_dim=32, ffn_dim=64, block_size=64),
+                              BpeVocabulary.train("ab", 0), seed=0)
+        ids = np.arange(64) % model.vocab_size
+        model.forward(ids)
+        products, scanned = [], []
+        matmul, isfinite = ad.matmul, np.isfinite
+        monkeypatch.setattr(ad, "matmul", lambda a, b: products.append(matmul(a, b)) or products[-1])
+        monkeypatch.setattr(np, "isfinite", lambda a: scanned.append(a) or isfinite(a))
+        model.forward(ids)
+        monkeypatch.undo()
+        assert len(products) == 17  # q, k, v, scores, mix, proj, ffn1, ffn2 per layer; head
+        tables = [model._positions, np.triu(np.full((64, 64), MASK_VALUE), k=1)]
+
+        def found_in(a, arrays):
+            # a product may be scanned after a transpose and reshape
+            return any(_same_bytes(np.sort(a, axis=None), np.sort(b, axis=None)) for b in arrays)
+
+        assert sum(found_in(a, tables) for a in scanned) == len(tables)
+        assert all(found_in(a, [p.data for p in products]) for a in scanned
+                   if not found_in(a, tables))
+        assert len(scanned) == len(products) + len(tables)
 
 
 # ndarray methods and numpy functions that write into their first operand

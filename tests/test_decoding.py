@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from capseq.captioner import CaptionModel
 from capseq.config import RunConfig
-from capseq.decoding import (Beam, beam_search, decode, deferred_step, greedy_decode,
+from capseq.decoding import (Beam, _top, beam_search, decode, deferred_step, greedy_decode,
                              lm_seed, select_beam, two_stage_generate)
 from capseq.lm import LmConfig, TransformerLm
 from capseq.tokenizers import BpeVocabulary, WordVocabulary
@@ -189,6 +189,30 @@ class TestBeamSearch:
         beam_search(lambda prefix: calls.append(prefix) or eager(prefix), k, max_len,
                     end_token, length_normalize)
         assert set(queued) == set(calls)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_selection_matches_stable_sort_at_lm_size(self, seed):
+        # a step's candidates as _advance lays them out: held finished beams
+        # (one score each) and live beams (one tie-heavy row of V scores each)
+        rng = np.random.default_rng(seed)
+        vocab = int(rng.integers(330, 350))
+        values = rng.choice([-0.1, -0.2, -0.3, -0.7, -1.0], size=int(rng.integers(1, 4)),
+                            replace=False)
+        for width in range(1, 6):
+            for live in range(width + 1):
+                rows = [np.array([rng.choice(values)]) if i >= live
+                        else rng.choice([0.0, -0.3]) + rng.choice(values, size=vocab)
+                        for i in rng.permutation(width)]
+                scores = np.concatenate(rows)
+                expected = np.argsort(-scores, kind="stable")[:width]
+                assert _top(scores, width).tolist() == expected.tolist(), (width, live)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_candidate_reference_at_lm_size(self, seed):
+        step = tied_table_step(seed, 340, [-0.1, -0.2, -0.3])
+        end_token = seed % 3 or None
+        expected = reference_beams(step, 5, 3, end_token, True)
+        assert _bits(beam_search(step, 5, 3, end_token, True)) == _bits(expected)
 
     def test_each_prefix_evaluated_once(self):
         base = random_table_step(17, 4)
