@@ -31,6 +31,15 @@ on, in a scope or not. Still scanned: matmul and conv2d outputs (BLAS
 worker threads keep their own FP flags, so a trap there can go unseen),
 ``as_constant`` and other arrays from outside the ops, and ``data`` after
 assignment. The scope's state is per thread, as numpy's errstate is.
+
+``conv2d`` unrolls its input into im2col columns one band of output rows at
+a time (about ``CONV_BAND_COLUMNS`` columns, on whole 8-column GEMM tiles),
+so the forward never holds the full column buffer. Each band's product is
+bitwise the full product's columns: a GEMM computes each output column from
+its own column of the second operand, in tiles that the bands keep intact
+(``conv2d`` names the one measured limit). The VJP keeps only the padded
+input and rebuilds the full columns, so the weight gradient's reduction over
+all pixels stays one GEMM.
 """
 
 from __future__ import annotations
@@ -653,6 +662,36 @@ def pick(x, ids) -> Tensor:
 # convolution, pooling, dropout
 
 
+# Columns of one im2col band in conv2d's forward: whole output rows, at least
+# one. 1024 columns of a 32-channel 3x3 layer are 2.4 MB, about one core's
+# L2 cache; widths from 256 to 2048 ran a 128 px 32-channel layer about
+# equally fast.
+CONV_BAND_COLUMNS = 1024
+# OpenBLAS computes a product in tiles of 8 columns. Columns past the last
+# whole tile go through narrower kernels that can round differently, and a
+# 1-column product is a gemv. So a band holds a multiple of 8 columns, and an
+# image whose H*W is not one runs as one band.
+_BAND_ALIGN = 8
+
+
+def _band_rows(h: int, w: int) -> int:
+    """Output rows per im2col band of an (h, w) image."""
+    if (h * w) % _BAND_ALIGN:
+        return h
+    step = _BAND_ALIGN // math.gcd(w, _BAND_ALIGN)
+    return min(h, max(step, CONV_BAND_COLUMNS // w // step * step))
+
+
+def _unroll(padded: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Fill ``cols`` (..., C, kh, kw, h, w) with the im2col columns of
+    ``padded`` (..., C, h + kh - 1, w + kw - 1) and return it."""
+    kh, kw, h, w = cols.shape[-4:]
+    for dy in range(kh):
+        for dx in range(kw):
+            cols[..., dy, dx, :, :] = padded[..., dy:dy + h, dx:dx + w]
+    return cols
+
+
 def conv2d(x, weight, bias) -> Tensor:
     """Stride-1 cross-correlation with edge padding that preserves extents;
     replicating the border keeps spatially constant inputs exactly constant.
@@ -662,6 +701,22 @@ def conv2d(x, weight, bias) -> Tensor:
     slice equals the call on that image alone, bitwise. The weight and bias
     gradients add the per-image terms last image first, as a tape of one
     call per image accumulates them, so those are bitwise equal too.
+
+    The im2col columns (Chellapilla et al. 2006) are built one band of whole
+    output rows at a time, about ``CONV_BAND_COLUMNS`` columns, so a band
+    stays in cache while the GEMM reads it (Goto & van de Geijn 2008) and
+    the full ``(C_in*kh*kw, H*W)`` buffer never exists in the forward. A
+    band is bitwise the full product's columns: each output column of a
+    GEMM comes from its own column of the second operand, OpenBLAS splits
+    the reduction by its length alone, and the bands keep its 8-column tiles
+    whole. One limit, measured with scipy-openblas 0.3.31: a product of at
+    most 1e6 multiply-adds goes to a small-matrix kernel that does not split
+    a reduction longer than 384, so a band that small with C_in*kh*kw > 384
+    can round unlike the full product. The encoder's square images keep
+    every band at 112 columns or more, above that size for such layers.
+    The VJP keeps only the padded input and rebuilds the full columns,
+    because the weight gradient's reduction over H*W must stay one GEMM to
+    keep its bytes.
     """
     x, weight, bias = _coerce(x), _coerce(weight), _coerce(bias)
     if x.ndim < 3 or weight.ndim != 4 or bias.ndim != 1:
@@ -677,21 +732,33 @@ def conv2d(x, weight, bias) -> Tensor:
     pl, pr = (kw - 1) // 2, kw // 2
     images = x._data.reshape((-1, c_in, h, w))
     padded = np.pad(images, ((0, 0), (0, 0), (pt, pb), (pl, pr)), mode="edge")
-    col = np.empty((len(images), c_in, kh, kw, h, w))
-    for dy in range(kh):
-        for dx in range(kw):
-            col[:, :, dy, dx] = padded[:, :, dy:dy + h, dx:dx + w]
-    colm = col.reshape(len(images), c_in * kh * kw, h * w)
-    wflat = weight._data.reshape(c_out, c_in * kh * kw)
+    ckk = c_in * kh * kw
+    wflat = weight._data.reshape(c_out, ckk)
+    rows = _band_rows(h, w)
+
+    def banded():
+        product = np.empty((len(images), c_out, h * w))
+        band = np.empty(ckk * rows * w)  # per call: no-tape ops may run concurrently
+        for i in range(len(images)):
+            for top in range(0, h, rows):
+                bottom = min(top + rows, h)
+                cols = band[:ckk * (bottom - top) * w].reshape(c_in, kh, kw, bottom - top, w)
+                _unroll(padded[i, :, top:bottom + kh - 1], cols)
+                np.add(wflat @ cols.reshape(ckk, -1), bias._data[:, None],
+                       out=product[i, :, top * w:bottom * w])
+        return product
+
     # never marked, as matmul
-    product = _run(lambda: wflat @ colm + bias._data[:, None])[0]
-    out = Tensor(product.reshape(x.shape[:-3] + (c_out, h, w)))
+    out = Tensor(_run(banded)[0].reshape(x.shape[:-3] + (c_out, h, w)))
 
     def vjp(g):
+        shape = (len(images), c_in, kh, kw, h, w)
+        colm = _unroll(padded, np.empty(shape)).reshape(len(images), ckk, h * w)
         gflat = g.reshape(len(images), c_out, h * w)
         gb = functools.reduce(np.add, gflat.sum(axis=2)[::-1])
         gw = functools.reduce(np.add, (gflat @ colm.mT)[::-1]).reshape(weight.shape)
-        gcol = (wflat.T @ gflat).reshape(col.shape)
+        del colm  # before gcol, which is as large
+        gcol = (wflat.T @ gflat).reshape(shape)
         gpad = np.zeros_like(padded)
         for dy in range(kh):
             for dx in range(kw):

@@ -296,12 +296,14 @@ class CaptionModel:
     def decode_caption(self, image, strategy: str = "greedy", beam_width: int = 5,
                        max_len: int | None = None, length_normalize: bool = True,
                        start_id: int = START_ID, end_id: int = END_ID):
-        """Generate a caption for one image. Returns (token ids without
-        specials, attention weights per emitted token)."""
+        """Generate a caption for one image, given as an (H, W) array or as
+        its annotation grid from ``encode``, which a caller may keep while the
+        encoder is frozen. Returns (token ids without specials, attention
+        weights per emitted token)."""
         was_training = self.training
         self.training = False
         try:
-            annotations = self.encode(np.asarray(image))
+            annotations = image if isinstance(image, ad.Tensor) else self.encode(np.asarray(image))
             step, record = self.step_function(annotations, start_id)
             ids = decoding.decode(step, max_len or self.config.max_caption_len, end_id,
                                   strategy=strategy, beam_width=beam_width,
@@ -369,7 +371,7 @@ def train_teacher_forcing(model: CaptionModel, examples: list[CaptionExample],
     if not fine_tune:
         model.train_mode(False)
         # one image per call: a batched call would hold every image's
-        # im2col buffer at once
+        # activation maps at once
         cached = [model.encode(ex.image).data[0] for ex in examples]
     model.train_mode(True)
 

@@ -288,11 +288,17 @@ def cmd_train_sat(args) -> int:
     model = CaptionModel(cfg.caption_config(), len(vocab), cfg.seed)
     dec_opt, enc_opt = make_optimizers(model, cfg)
 
+    # a frozen encoder cannot change a validation image's annotations, so
+    # each image is then encoded once per run, not once per epoch
+    annotations = {}
+
     def validate(model: CaptionModel) -> list[EvalPair]:
         model.train_mode(False)
         pairs = []
-        for rec in val_records:
-            ids, _ = model.decode_caption(rec.image, strategy="greedy")
+        for i, rec in enumerate(val_records):
+            if model.config.fine_tune_encoder or i not in annotations:
+                annotations[i] = model.encode(rec.image)
+            ids, _ = model.decode_caption(annotations[i], strategy="greedy")
             pairs.append(EvalPair(vocab.decode(ids) or [""], [refs[rec.study_id]]))
         model.train_mode(True)
         return pairs

@@ -9,6 +9,7 @@ transformer forward pass.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 
@@ -257,6 +258,48 @@ def brute_cider(pairs, max_order=4):
                     sim += float(cv @ rv) / (cn * rn)
             total += sim / len(refs)
     return 10.0 * total / (max_order * n_docs)
+
+
+# ---------------------------------------------------------------------------
+# convolution
+
+
+def full_im2col_conv2d(x, weight, bias):
+    """``autodiff.conv2d`` as it was before its forward went in bands: one
+    ``(N, C_in*kh*kw, H*W)`` im2col buffer for the whole batch and one
+    broadcast product, recorded on the active tape with the same VJP."""
+    x, weight, bias = (t if isinstance(t, ad.Tensor) else ad.Tensor(t) for t in (x, weight, bias))
+    c_out, c_in, kh, kw = weight.shape
+    h, w = x.shape[-2:]
+    pt, pb = (kh - 1) // 2, kh // 2
+    pl, pr = (kw - 1) // 2, kw // 2
+    images = x.data.reshape((-1, c_in, h, w))
+    padded = np.pad(images, ((0, 0), (0, 0), (pt, pb), (pl, pr)), mode="edge")
+    col = np.empty((len(images), c_in, kh, kw, h, w))
+    for dy in range(kh):
+        for dx in range(kw):
+            col[:, :, dy, dx] = padded[:, :, dy:dy + h, dx:dx + w]
+    colm = col.reshape(len(images), c_in * kh * kw, h * w)
+    wflat = weight.data.reshape(c_out, c_in * kh * kw)
+    out = ad.Tensor((wflat @ colm + bias.data[:, None]).reshape(x.shape[:-3] + (c_out, h, w)))
+
+    def vjp(g):
+        gflat = g.reshape(len(images), c_out, h * w)
+        gb = functools.reduce(np.add, gflat.sum(axis=2)[::-1])
+        gw = functools.reduce(np.add, (gflat @ colm.mT)[::-1]).reshape(weight.shape)
+        gcol = (wflat.T @ gflat).reshape(col.shape)
+        gpad = np.zeros_like(padded)
+        for dy in range(kh):
+            for dx in range(kw):
+                gpad[:, :, dy:dy + h, dx:dx + w] += gcol[:, :, dy, dx]
+        rows = np.clip(np.arange(h + pt + pb) - pt, 0, h - 1)
+        cols = np.clip(np.arange(w + pl + pr) - pl, 0, w - 1)
+        gx = np.zeros_like(images)
+        np.add.at(gx, (..., rows[:, None], cols[None, :]), gpad)
+        return gx.reshape(x.shape), gw, gb
+
+    ad._record(out, (x, weight, bias), vjp)
+    return out
 
 
 # ---------------------------------------------------------------------------

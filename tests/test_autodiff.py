@@ -3,7 +3,12 @@ optimizer/checkpoint contracts."""
 
 import ast
 import contextlib
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +25,7 @@ from capseq.lm import MASK_VALUE, LmConfig, TransformerLm
 from capseq.optim import Adam, Sgd, clip_gradients, global_grad_norm, train_epochs
 from capseq.tokenizers import BpeVocabulary
 
-from oracles import finite_difference_gradients, worst_relative_error
+from oracles import finite_difference_gradients, full_im2col_conv2d, worst_relative_error
 
 _small_arrays = hnp.arrays(
     np.float64,
@@ -205,6 +210,117 @@ class TestLeadingAxis:
     def test_matmul_leading_axes_must_broadcast(self):
         with pytest.raises(ad.ShapeMismatchError, match="do not broadcast"):
             ad.matmul(np.zeros((2, 3, 4)), np.zeros((3, 4, 5)))
+
+
+def _conv_results(op, x, weight, bias, g):
+    """Forward output, then input, weight and bias gradients of
+    ``sum(tanh(op(x, weight, bias)) * g)`` under a tape."""
+    params = [ad.Parameter(v, name) for v, name in ((x, "x"), (weight, "w"), (bias, "b"))]
+    with ad.Tape() as tape:
+        y = op(*params)
+        loss = (ad.tanh(y) * g).sum()
+    tape.backward(loss)
+    return [y.data] + [p.grad for p in params]
+
+
+# (CONV_BAND_COLUMNS, h, w): bands of one row, of several rows with a
+# partial last band, rows rounded up to whole 8-column tiles for narrow
+# images, and an H*W off the 8-column tiles (one band)
+_BAND_CASES = [(1, 5, 8), (16, 9, 8), (48, 6, 12), (1, 20, 6), (8, 16, 5), (1, 10, 6)]
+
+
+class TestConvBands:
+    """``conv2d``'s forward builds its im2col columns in bands of output
+    rows; every result equals the full-im2col oracle's bitwise."""
+
+    def test_band_rows(self, monkeypatch):
+        rows = []
+        for band, h, w in _BAND_CASES:
+            monkeypatch.setattr(ad, "CONV_BAND_COLUMNS", band)
+            rows.append(ad._band_rows(h, w))
+        assert rows == [1, 2, 4, 4, 8, 10]
+        monkeypatch.setattr(ad, "CONV_BAND_COLUMNS", 1024)
+        assert ad._band_rows(128, 128) == 8 and ad._band_rows(224, 224) == 4
+        assert ad._band_rows(32, 32) == 32 and ad._band_rows(60, 60) == 16
+
+    @pytest.mark.parametrize("b", [1, 2, 5])
+    @pytest.mark.parametrize("c_in", [1, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("band, h, w", _BAND_CASES)
+    def test_bands_equal_full_im2col(self, monkeypatch, b, c_in, k, band, h, w):
+        monkeypatch.setattr(ad, "CONV_BAND_COLUMNS", band)
+        seed = 1000 * b + 100 * c_in + 10 * k + h
+        x, g = _normal(seed, b, c_in, h, w), _normal(seed + 1, b, 4, h, w)
+        weight, bias = _normal(seed + 2, 4, c_in, k, k), _normal(seed + 3, 4)
+        with ad.FpTraps():
+            assert _same_bytes(ad.conv2d(x, weight, bias).data,
+                               full_im2col_conv2d(x, weight, bias).data)
+        banded = _conv_results(ad.conv2d, x, weight, bias, g)
+        full = _conv_results(full_im2col_conv2d, x, weight, bias, g)
+        for name, got, want in zip(("y", "gx", "gw", "gb"), banded, full):
+            assert _same_bytes(got, want), name
+
+    def test_bitwise_at_one_and_two_blas_threads(self):
+        """OpenBLAS reads its thread count when it loads, so each count runs
+        in its own process; the products there are large enough to thread."""
+        child = textwrap.dedent("""
+            from capseq import autodiff as ad
+            from oracles import full_im2col_conv2d
+            from test_autodiff import _conv_results, _normal, _same_bytes
+            for band, (b, c, h, w) in ((1024, (1, 16, 64, 64)), (64, (2, 16, 32, 24)),
+                                       (1, (1, 8, 20, 40))):
+                ad.CONV_BAND_COLUMNS = band
+                operands = (_normal(h, b, c, h, w), _normal(h + 1, 16, c, 3, 3),
+                            _normal(h + 2, 16), _normal(h + 3, b, 16, h, w))
+                banded = _conv_results(ad.conv2d, *operands)
+                full = _conv_results(full_im2col_conv2d, *operands)
+                assert all(map(_same_bytes, banded, full)), band
+            print("bitwise")
+        """)
+        tests = Path(__file__).parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=path)
+            done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0 and done.stdout == "bitwise\n", (threads, done.stderr)
+
+
+class TestConvMemory:
+    """The forward never holds the full im2col buffer: a (1, 32, 128, 128)
+    input with a 3x3 kernel would need 37.7 MB for it."""
+
+    FULL_COLUMNS = 32 * 9 * 128 * 128 * 8
+
+    @staticmethod
+    def _operands():
+        return _normal(0, 1, 32, 128, 128), _normal(1, 32, 32, 3, 3), _normal(2, 32)
+
+    def test_no_tape_forward_peak(self):
+        x, weight, bias = self._operands()
+        tracemalloc.start()
+        try:
+            ad.conv2d(x, weight, bias)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.FULL_COLUMNS / 2
+
+    def test_taped_forward_keeps_no_columns(self):
+        x, weight, bias = self._operands()
+        weight = ad.Parameter(weight, "w")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with ad.Tape() as tape:
+                y = ad.conv2d(x, weight, bias)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the output and the padded input, about 8.5 MB
+        assert len(tape) == 1 and y.shape == (1, 32, 128, 128)
+        assert held < self.FULL_COLUMNS / 2
 
 
 class TestErrors:

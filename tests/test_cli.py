@@ -7,7 +7,8 @@ import shutil
 import numpy as np
 import pytest
 
-from capseq import checkpoint
+from capseq import checkpoint, cli
+from capseq.captioner import CaptionModel
 from capseq.cli import main
 from capseq.pgm import write_pgm
 from capseq.synthetic import write_raw_corpus
@@ -180,6 +181,35 @@ class TestTraining:
         assert sorted(p.name for p in actual.iterdir()) == names
         for name in names:
             assert (actual / name).read_bytes() == (expected / name).read_bytes(), name
+
+    @pytest.mark.parametrize("fine_tune, encodes", [("false", [2, 0, 0]), ("true", [2, 2, 2])])
+    def test_validation_encodes(self, prepped, tmp_path, monkeypatch, fine_tune, encodes):
+        # a frozen encoder's validation annotations are encoded in the first
+        # epoch only; a fine-tuned one's every epoch
+        assert len(json.loads((prepped / "manifest.json").read_text())["splits"]["validation"]) == 2
+        calls, per_epoch = [], []
+        encode, train_stage = CaptionModel.encode, cli._train_stage
+
+        def counting_encode(model, images):
+            calls.append(images)
+            return encode(model, images)
+
+        def counting_stage(*args):
+            *head, validate = args
+
+            def counted(model):
+                start = len(calls)
+                pairs = validate(model)
+                per_epoch.append(len(calls) - start)
+                return pairs
+
+            return train_stage(*head, counted)
+
+        monkeypatch.setattr(CaptionModel, "encode", counting_encode)
+        monkeypatch.setattr(cli, "_train_stage", counting_stage)
+        assert self._train(prepped, "sat", tmp_path / "run", "--set", "sat_epochs=3",
+                           "--set", f"sat_fine_tune_encoder={fine_tune}") == 0
+        assert per_epoch == encodes
 
     def test_resume_continues(self, prepped, tmp_path):
         # 2 epochs, then --resume to 3: every output equals a straight 3-epoch run
