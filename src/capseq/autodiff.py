@@ -662,6 +662,15 @@ def pick(x, ids) -> Tensor:
 # convolution, pooling, dropout
 
 
+# OpenBLAS (measured: scipy-openblas 0.3.31) hands a GEMM of at most this many
+# multiply-adds (M*N*K) to a small-matrix kernel, which can round unlike the
+# regular kernel: measured for reductions longer than _SMALL_GEMM_SPLIT, which
+# it does not split, and for the LM head's (T, 32) @ (32, 337) product. So a
+# band or row tail of a GEMM above the bound that falls under it can differ
+# from the full product's columns or rows.
+SMALL_GEMM_MULADDS = 1_000_000
+_SMALL_GEMM_SPLIT = 384
+
 # Columns of one im2col band in conv2d's forward: whole output rows, at least
 # one. 1024 columns of a 32-channel 3x3 layer are 2.4 MB, about one core's
 # L2 cache; widths from 256 to 2048 ran a 128 px 32-channel layer about
@@ -674,12 +683,26 @@ CONV_BAND_COLUMNS = 1024
 _BAND_ALIGN = 8
 
 
-def _band_rows(h: int, w: int) -> int:
-    """Output rows per im2col band of an (h, w) image."""
+def _band_rows(h: int, w: int, least: int = 1) -> int:
+    """Output rows per im2col band of an (h, w) image, at least ``least``."""
     if (h * w) % _BAND_ALIGN:
         return h
     step = _BAND_ALIGN // math.gcd(w, _BAND_ALIGN)
-    return min(h, max(step, CONV_BAND_COLUMNS // w // step * step))
+    return min(h, max(step, -(-least // step) * step, CONV_BAND_COLUMNS // w // step * step))
+
+
+def _band_edges(h: int, w: int, c_out: int, ckk: int) -> list[int]:
+    """Row edges ``[0, ..., h]`` of the im2col bands of an (h, w) image for a
+    (c_out, ckk) kernel matrix. When the full product is above
+    ``SMALL_GEMM_MULADDS`` and its reduction longer than ``_SMALL_GEMM_SPLIT``,
+    every band stays above the bound too: bands get enough rows, and a short
+    last band joins the one before."""
+    per_row = c_out * ckk * w  # multiply-adds of one output row
+    small = ckk > _SMALL_GEMM_SPLIT and per_row * h > SMALL_GEMM_MULADDS
+    edges = list(range(0, h, _band_rows(h, w, SMALL_GEMM_MULADDS // per_row + 1 if small else 1)))
+    if small and len(edges) > 1 and (h - edges[-1]) * per_row <= SMALL_GEMM_MULADDS:
+        edges.pop()
+    return edges + [h]
 
 
 def _unroll(padded: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -710,10 +733,10 @@ def conv2d(x, weight, bias) -> Tensor:
     GEMM comes from its own column of the second operand, OpenBLAS splits
     the reduction by its length alone, and the bands keep its 8-column tiles
     whole. One limit, measured with scipy-openblas 0.3.31: a product of at
-    most 1e6 multiply-adds goes to a small-matrix kernel that does not split
-    a reduction longer than 384, so a band that small with C_in*kh*kw > 384
-    can round unlike the full product. The encoder's square images keep
-    every band at 112 columns or more, above that size for such layers.
+    most ``SMALL_GEMM_MULADDS`` goes to a small-matrix kernel that does not
+    split a reduction longer than 384, so a band that small with
+    C_in*kh*kw > 384 could round unlike a full product above the bound.
+    ``_band_edges`` keeps every band of such a product above the bound.
     The VJP keeps only the padded input and rebuilds the full columns,
     because the weight gradient's reduction over H*W must stay one GEMM to
     keep its bytes.
@@ -734,14 +757,15 @@ def conv2d(x, weight, bias) -> Tensor:
     padded = np.pad(images, ((0, 0), (0, 0), (pt, pb), (pl, pr)), mode="edge")
     ckk = c_in * kh * kw
     wflat = weight._data.reshape(c_out, ckk)
-    rows = _band_rows(h, w)
+    edges = _band_edges(h, w, c_out, ckk)
+    bands = list(zip(edges, edges[1:]))
 
     def banded():
         product = np.empty((len(images), c_out, h * w))
-        band = np.empty(ckk * rows * w)  # per call: no-tape ops may run concurrently
+        # per call: no-tape ops may run concurrently
+        band = np.empty(ckk * max(bottom - top for top, bottom in bands) * w)
         for i in range(len(images)):
-            for top in range(0, h, rows):
-                bottom = min(top + rows, h)
+            for top, bottom in bands:
                 cols = band[:ckk * (bottom - top) * w].reshape(c_in, kh, kw, bottom - top, w)
                 _unroll(padded[i, :, top:bottom + kh - 1], cols)
                 np.add(wflat @ cols.reshape(ckk, -1), bias._data[:, None],

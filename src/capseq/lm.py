@@ -92,14 +92,27 @@ class TransformerLm:
     def _apply_affine(self, x: ad.Tensor, name: str) -> ad.Tensor:
         return x @ self._p(f"{name}.weight") + self._p(f"{name}.bias")
 
-    def forward(self, ids) -> ad.Tensor:
+    def forward(self, ids, start: int = 0) -> ad.Tensor:
         """Token ids (T,) -> logits (T, vocab), or a batch (B, T) -> logits
         (B, T, vocab), with T <= block size. Every op reduces over the last
         axis or multiplies over the last two, so each row of a batch equals
-        the forward of that sequence alone, bitwise."""
+        the forward of that sequence alone, bitwise.
+
+        With ``start`` > 0 only rows ``start..T-1`` of the logits are
+        computed: (..., T - start, vocab). Earlier layers, and the last
+        layer's keys and values, still run on all T rows; the last layer's
+        queries, attention, projection and feed-forward net, the final norm
+        and the head run on the tail rows only. Those rows equal
+        ``forward(ids)[..., start:, :]`` bitwise when ``start`` is a multiple
+        of 8, so the tail keeps OpenBLAS's 8-row tiles whole (unaligned
+        starts were measured to differ), the tail holds at least 2 rows (a
+        1-row product is a gemv), and no full-height product it cuts exceeds
+        ``ad.SMALL_GEMM_MULADDS``: ``_tail_start`` picks such a row."""
         ids = self._check_ids(ids)
+        t = ids.shape[-1]
+        if not 0 <= start < t:
+            raise ValueError(f"start row {start} outside a {t}-token input")
         with ad.FpTraps():
-            t = ids.shape[-1]
             cfg = self.config
             x = ad.embedding_lookup(self._p("embedding"), ids) + ad.as_constant(self._positions[:t])
             mask = ad.as_constant(np.triu(np.full((t, t), MASK_VALUE), k=1))
@@ -110,21 +123,39 @@ class TransformerLm:
             n = ids.ndim - 1
             head_major = (*range(n), n + 1, n, n + 2)
             key_major = (*range(n), n + 1, n + 2, n)
-            split = ids.shape + (cfg.heads, dk)
+            split = q_split = ids.shape + (cfg.heads, dk)
             for layer in range(cfg.layers):
                 p = f"layer{layer}."
-                normed = self._layernorm(x, p + "ln1")
-                q = self._apply_affine(normed, p + "q").reshape(split).transpose(head_major)
+                normed = queries = self._layernorm(x, p + "ln1")
+                if start and layer == cfg.layers - 1:
+                    # from here on only the tail rows, but keys and values see all
+                    x, queries, mask = (ad.narrow(a, -2, start, t - start)
+                                        for a in (x, normed, mask))
+                    q_split = ids.shape[:-1] + (t - start, cfg.heads, dk)
+                q = self._apply_affine(queries, p + "q").reshape(q_split).transpose(head_major)
                 k = self._apply_affine(normed, p + "k").reshape(split).transpose(key_major)
                 v = self._apply_affine(normed, p + "v").reshape(split).transpose(head_major)
                 weights = ad.softmax((q @ k) * scale + mask, axis=-1)       # (..., h, T, T)
-                heads = (weights @ v).transpose(head_major).reshape(ids.shape + (cfg.model_dim,))
+                heads = (weights @ v).transpose(head_major).reshape(x.shape)
                 x = x + self._apply_affine(heads, p + "proj")
                 normed = self._layernorm(x, p + "ln2")
                 hidden = ad.relu(self._apply_affine(normed, p + "ffn1"))
                 x = x + self._apply_affine(hidden, p + "ffn2")
             x = self._layernorm(x, "final_ln")
             return self._apply_affine(x, "head")
+
+    def _tail_start(self, t: int) -> int:
+        """First row of a T-token forward that decoding needs computed: the
+        largest multiple of 8 at most T - 2, so the tail holds 2-9 rows on
+        whole 8-row tiles. 0 (every row) when a full-height product the tail
+        would cut exceeds ``ad.SMALL_GEMM_MULADDS``: a tail under the bound
+        goes to OpenBLAS's small-matrix kernel and can round unlike the full
+        product (measured: the desk head at T >= 93)."""
+        cfg = self.config
+        dk = cfg.model_dim // cfg.heads
+        # per slice: q, proj (d x d), ffn1/ffn2 (d x f), head (d x vocab), scores and mix (T x d_k)
+        widest = t * max(cfg.model_dim * max(cfg.model_dim, cfg.ffn_dim, self.vocab_size), t * dk)
+        return 0 if widest > ad.SMALL_GEMM_MULADDS else max(0, (t - 2) // 8 * 8)
 
     def _check_ids(self, ids) -> np.ndarray:
         ids = np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids, dtype=np.int64)
@@ -168,6 +199,12 @@ class TransformerLm:
         prefixes before converting any, so the whole step is one forward.
         Windows of mixed lengths do not stack: their conversion raises
         ``ValueError``.
+
+        Only the last row of the logits is read, so each forward starts at
+        ``_tail_start(T)``: the largest multiple of 8 at most T - 2, whose
+        2-9 tail rows equal the full forward's bitwise, or row 0 when a tail
+        would fall under OpenBLAS's small-matrix bound while the full product
+        is above it (desk dims: T >= 93).
         """
         block = self.config.block_size
         if len(seed_ids) >= block:
@@ -184,10 +221,12 @@ class TransformerLm:
         def evaluate_one(prefix) -> np.ndarray:
             # a lone window (every greedy step) runs as (T,): fewer per-op
             # costs than (1, T), and the same bytes
-            return log_softmax(self.forward(window(prefix)).data[-1])
+            ids = window(prefix)
+            return log_softmax(self.forward(ids, self._tail_start(len(ids))).data[-1])
 
         def evaluate(prefixes) -> list[np.ndarray]:
-            last = self.forward([window(p) for p in prefixes]).data[:, -1]
+            windows = [window(p) for p in prefixes]
+            last = self.forward(windows, self._tail_start(len(windows[0]))).data[:, -1]
             return [log_softmax(row) for row in last]
 
         return decoding.deferred_step(evaluate, evaluate_one)

@@ -260,6 +260,30 @@ class TestConvBands:
         for name, got, want in zip(("y", "gx", "gw", "gb"), banded, full):
             assert _same_bytes(got, want), name
 
+    def test_band_edges(self, monkeypatch):
+        monkeypatch.setattr(ad, "CONV_BAND_COLUMNS", 8)
+        # a 288-long reduction (desk): 1-row bands
+        assert ad._band_edges(67, 40, 16, 288) == list(range(68))
+        # a 387-long one: 5-row bands (16 * 387 * 200 > 1e6 multiply-adds),
+        # and the 2 rows left join the last of them
+        assert ad._band_edges(67, 40, 16, 387) == list(range(0, 61, 5)) + [67]
+        # a full product under the bound keeps its bands
+        assert ad._band_edges(4, 40, 16, 387) == [0, 1, 2, 3, 4]
+        monkeypatch.setattr(ad, "CONV_BAND_COLUMNS", 1024)
+        assert ad._band_edges(224, 224, 64, 576) == list(range(0, 225, 4))  # full.cfg
+
+    def test_long_reduction_bands_equal_full_im2col(self, monkeypatch):
+        """C_in 43, 3x3: a 387-long reduction, which OpenBLAS's small-matrix
+        kernel does not split as the regular one does. 1-row bands of this
+        layer fall under its bound and differed from the full product."""
+        monkeypatch.setattr(ad, "CONV_BAND_COLUMNS", 8)
+        x, g = _normal(1, 1, 43, 67, 40), _normal(4, 1, 16, 67, 40)
+        weight, bias = _normal(2, 16, 43, 3, 3), _normal(3, 16)
+        banded = _conv_results(ad.conv2d, x, weight, bias, g)
+        full = _conv_results(full_im2col_conv2d, x, weight, bias, g)
+        for name, got, want in zip(("y", "gx", "gw", "gb"), banded, full):
+            assert _same_bytes(got, want), name
+
     def test_bitwise_at_one_and_two_blas_threads(self):
         """OpenBLAS reads its thread count when it loads, so each count runs
         in its own process; the products there are large enough to thread."""
@@ -563,15 +587,23 @@ class TestFiniteMark:
             assert not ad.tanh(ad.Tensor([1.0]))._finite
 
     def test_forward_scans_only_products_and_constant_tables(self, monkeypatch):
+        self._check_scans(monkeypatch, 0)
+
+    def test_tail_forward_scans_only_products_and_constant_tables(self, monkeypatch):
+        # the last layer narrows the mask; the first has scanned the whole table
+        self._check_scans(monkeypatch, 56)
+
+    @staticmethod
+    def _check_scans(monkeypatch, start):
         model = TransformerLm(LmConfig(layers=2, heads=2, model_dim=32, ffn_dim=64, block_size=64),
                               BpeVocabulary.train("ab", 0), seed=0)
         ids = np.arange(64) % model.vocab_size
-        model.forward(ids)
+        model.forward(ids, start)
         products, scanned = [], []
         matmul, isfinite = ad.matmul, np.isfinite
         monkeypatch.setattr(ad, "matmul", lambda a, b: products.append(matmul(a, b)) or products[-1])
         monkeypatch.setattr(np, "isfinite", lambda a: scanned.append(a) or isfinite(a))
-        model.forward(ids)
+        model.forward(ids, start)
         monkeypatch.undo()
         assert len(products) == 17  # q, k, v, scores, mix, proj, ffn1, ffn2 per layer; head
         tables = [model._positions, np.triu(np.full((64, 64), MASK_VALUE), k=1)]

@@ -1,6 +1,12 @@
 """Language model contracts: strict causality, the straight-line forward
 oracle, loss analytics, training determinism, and generation rules."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -126,6 +132,81 @@ def eager_step(lm, seed_ids):
         shifted = logits - logits.max()
         return shifted - np.log(np.exp(shifted).sum())
     return step
+
+
+def desk_vocab():
+    """256 bytes + end-of-text + 80 merges: the desk BPE size, 337 ids."""
+    text = "".join(np.random.default_rng(0).choice(list("abcdefgh "), 3000))
+    return BpeVocabulary.train(text, 80)
+
+
+def desk_lm(block_size, seed):
+    """Random-weight LM at desk dims over the desk vocabulary size."""
+    return TransformerLm(LmConfig(layers=2, heads=2, model_dim=32, ffn_dim=64,
+                                  block_size=block_size), desk_vocab(), seed=seed)
+
+
+def tail_mismatches(lm, rng, batches=(1, 2, 3, 5, 15)):
+    """(B, T) cases where the narrowed forward's rows differ from the full
+    forward's tail rows, for every T up to the block and B in ``batches``."""
+    bad = []
+    for b in batches:
+        for t in range(2, lm.config.block_size + 1):
+            ids = rng.integers(0, lm.vocab_size, size=(b, t) if b > 1 else t)
+            start = lm._tail_start(t)
+            got = lm.forward(ids, start).data
+            if got.tobytes() != lm.forward(ids).data[..., start:, :].tobytes():
+                bad.append((b, t))
+    return bad
+
+
+class TestTailForward:
+    """Decoding reads only the last row of the logits; a forward from a
+    tile-aligned start row computes the tail rows and keeps their bytes."""
+
+    @pytest.mark.parametrize("block_size", [64, 128])
+    def test_tail_rows_equal_full_forward_bitwise(self, block_size):
+        lm = desk_lm(block_size, seed=block_size)
+        assert lm.vocab_size == 337
+        assert tail_mismatches(lm, np.random.default_rng(block_size)) == []
+
+    def test_tail_start_rule(self):
+        lm = desk_lm(128, seed=0)
+        starts = {t: lm._tail_start(t) for t in range(1, 129)}
+        for t, start in starts.items():
+            assert start % 8 == 0 and 0 <= start < t
+            assert start == 0 or t - start >= 2, t  # never a 1-row gemv
+        assert [starts[t] for t in (9, 10, 17, 18, 64, 92)] == [0, 8, 8, 16, 56, 88]
+        # 93 * 32 * 337 multiply-adds of the head exceed the small-kernel bound
+        assert 92 * 32 * 337 <= ad.SMALL_GEMM_MULADDS < 93 * 32 * 337
+        assert all(starts[t] == 0 for t in range(93, 129))
+
+    def test_tail_shape_and_start_range(self):
+        lm = desk_lm(64, seed=1)
+        assert lm.forward(np.arange(20), 16).shape == (4, 337)
+        assert lm.forward(np.ones((3, 20), dtype=np.int64), 8).shape == (3, 12, 337)
+        for start in (-8, 20):
+            with pytest.raises(ValueError, match="start row"):
+                lm.forward(np.arange(20), start)
+
+    def test_bitwise_at_one_and_two_blas_threads(self):
+        """OpenBLAS reads its thread count when it loads, so each count runs
+        in its own process."""
+        child = textwrap.dedent("""
+            import numpy as np
+            from test_lm import desk_lm, tail_mismatches
+            lm = desk_lm(128, seed=7)
+            assert tail_mismatches(lm, np.random.default_rng(7), batches=(1, 5)) == []
+            print("bitwise")
+        """)
+        tests = Path(__file__).parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=path)
+            done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0 and done.stdout == "bitwise\n", (threads, done.stderr)
 
 
 class TestBatchedForward:
@@ -312,19 +393,23 @@ class TestGeneration:
         with pytest.raises(ValueError):
             np.asarray(short)
 
-    @pytest.mark.parametrize("seed_len", [2, 7], ids=["fits", "slides"])
-    def test_deferred_step_equals_eager_step_bitwise(self, seed_len):
-        # block 8: a 2-token seed plus 5 new tokens fits; a 7-token seed slides
+    @pytest.mark.parametrize("seed_len, block_size", [(2, 8), (7, 8), (14, 24), (22, 24)],
+                             ids=["fits", "slides", "tail-fits", "tail-slides"])
+    def test_deferred_step_equals_eager_step_bitwise(self, seed_len, block_size):
+        # block 8: a 2-token seed plus 5 new tokens fits; a 7-token seed slides.
+        # Block 24: windows of 10 tokens or more, so the step's forwards start
+        # at row 8 or 16 while eager_step's run every row.
         for seed in range(6):
-            lm = make_lm(seed=seed, layers=seed % 2 + 1, block_size=8)
+            lm = make_lm(seed=seed, layers=seed % 2 + 1, block_size=block_size)
             eot = lm.vocab.end_of_text_id
             seed_ids = [int(t) for t in np.random.default_rng(seed).integers(0, 256, seed_len)]
-            batches = []
+            batches, starts = [], []
             forward = lm.forward
 
-            def counting(ids):
+            def counting(ids, start=0):
                 batches.append(np.shape(ids))
-                return forward(ids)
+                starts.append(start)
+                return forward(ids, start)
 
             lm.forward = counting
             beams = beam_search(lm.step_function(seed_ids), 4, 5, end_token=eot)
@@ -333,5 +418,6 @@ class TestGeneration:
             assert [(b.tokens, b.finished, np.float64(b.logprob).tobytes()) for b in beams] == \
                 [(b.tokens, b.finished, np.float64(b.logprob).tobytes()) for b in want], seed
             assert 1 <= len(batches) <= 5, batches
+            assert all(starts) if block_size > 8 else not any(starts), starts
             assert decode(lm.step_function(seed_ids), 5, eot) == \
                 decode(eager_step(lm, seed_ids), 5, eot), seed
