@@ -118,8 +118,14 @@ def _run(fn, *args, **kwargs):
 
 def _marked(value: np.ndarray, finite: bool) -> Tensor:
     """A new tensor over ``value`` whose finite mark is ``finite``; a
-    structural op passes on its input's mark."""
-    out = Tensor(value)
+    structural op passes on its input's mark. A float64 array is taken as it
+    is; other values convert as ``Tensor`` converts them."""
+    if type(value) is np.ndarray and value.dtype == np.float64:
+        out = Tensor.__new__(Tensor)
+        out._data = value
+        out.grad = None
+    else:
+        out = Tensor(value)
     out._finite = finite
     return out
 
@@ -531,11 +537,16 @@ def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     return out
 
 
+def _mean(d: np.ndarray, axis, keepdims: bool, count: int) -> np.ndarray:
+    return np.add.reduce(d, axis=axis, keepdims=keepdims) / count
+
+
 def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
     x = _coerce(x)
     _require_finite("mean", x)
     count = x.size if axis is None else x.shape[axis]
-    out = _fresh(x._data.mean, axis=axis, keepdims=keepdims)
+    # ndarray.mean's own sum and division, without its Python wrapper
+    out = _fresh(_mean, x._data, axis, keepdims, count)
 
     def vjp(g):
         if axis is None:

@@ -23,6 +23,24 @@ logger = logging.getLogger(__name__)
 
 LN_EPS = 1e-5
 MASK_VALUE = -1e30
+# Head width from which decoding runs every row. OpenBLAS computes the
+# attention scores, whose keys are a transposed view, through kernels that
+# change with the product's size and the keys' layout once the reduction over
+# d_k holds 32 or more terms (scipy-openblas 0.3.31): score rows on whole tiles
+# differed between windows of 34 and 35 tokens at d_k = 32, not at d_k = 31.
+WIDE_HEAD_DIM = 32
+# Windows whose keys and values decoding caches: a forward from cached rows
+# keeps the full forward's bytes only while each reduction over the window's
+# length groups its terms as it did when the rows were cached. Measured with
+# numpy 2.4.6 and scipy-openblas 0.3.31:
+# - OpenBLAS's small-matrix kernel sums fewer than 16 terms unlike 16 or more
+#   for some output widths (the attention mix at d_k = 4 or 12, not at 8, 16 or
+#   32), so rows cached from a window under 16 tokens can differ later;
+# - numpy sums up to 128 numbers in one unrolled block (its pairwise-sum block)
+#   and splits longer sums in halves, so the softmax row sums regroup past 128
+#   tokens: a block-256 model's cached rows differed from row 129 on.
+KV_CACHE_MIN_TOKENS = 16
+KV_CACHE_MAX_TOKENS = 128
 
 
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
@@ -92,7 +110,7 @@ class TransformerLm:
     def _apply_affine(self, x: ad.Tensor, name: str) -> ad.Tensor:
         return x @ self._p(f"{name}.weight") + self._p(f"{name}.bias")
 
-    def forward(self, ids, start: int = 0) -> ad.Tensor:
+    def forward(self, ids, start: int = 0, past=None, present=None) -> ad.Tensor:
         """Token ids (T,) -> logits (T, vocab), or a batch (B, T) -> logits
         (B, T, vocab), with T <= block size. Every op reduces over the last
         axis or multiplies over the last two, so each row of a batch equals
@@ -107,15 +125,33 @@ class TransformerLm:
         of 8, so the tail keeps OpenBLAS's 8-row tiles whole (unaligned
         starts were measured to differ), the tail holds at least 2 rows (a
         1-row product is a gemv), and no full-height product it cuts exceeds
-        ``ad.SMALL_GEMM_MULADDS``: ``_tail_start`` picks such a row."""
+        ``ad.SMALL_GEMM_MULADDS``: ``_tail_start`` picks such a row.
+
+        ``past``, given with ``start`` > 0, holds each layer's keys and values
+        of rows ``0..start-1`` as arrays, (..., heads, d_k, start) and (...,
+        heads, start, d_k). Then every layer runs on rows ``start..T-1`` only,
+        attending over the cached and the new keys; ``ids[..., :start]`` are
+        not read. The rows equal ``forward(ids)[..., start:, :]`` bitwise when
+        ``start`` is ``_tail_start(T)`` and the cached rows came from forwards
+        of the same tokens over windows of ``KV_CACHE_MIN_TOKENS`` to T tokens,
+        with T at most ``KV_CACHE_MAX_TOKENS``, as ``step_function`` keeps
+        them. A list given as ``present`` receives each layer's keys and
+        values over all T rows.
+        """
         ids = self._check_ids(ids)
         t = ids.shape[-1]
         if not 0 <= start < t:
             raise ValueError(f"start row {start} outside a {t}-token input")
+        cfg = self.config
+        if past is not None and (not start or len(past) != cfg.layers
+                                 or any(k.shape[-1] != start for k, _ in past)):
+            raise ValueError(f"past must hold {cfg.layers} layers of keys and values "
+                             f"for rows 0..{start - 1}")
         with ad.FpTraps():
-            cfg = self.config
-            x = ad.embedding_lookup(self._p("embedding"), ids) + ad.as_constant(self._positions[:t])
-            mask = ad.as_constant(np.triu(np.full((t, t), MASK_VALUE), k=1))
+            first = start if past is not None else 0  # first row that every layer computes
+            x = (ad.embedding_lookup(self._p("embedding"), ids[..., first:])
+                 + ad.as_constant(self._positions[first:t]))
+            mask = ad.as_constant(np.triu(np.full((t - first, t), MASK_VALUE), k=1 + first))
             dk = cfg.model_dim // cfg.heads
             scale = 1.0 / np.sqrt(dk)
             # heads on a leading axis: q and v (..., h, T, d_k), K (..., h, d_k, T);
@@ -123,11 +159,11 @@ class TransformerLm:
             n = ids.ndim - 1
             head_major = (*range(n), n + 1, n, n + 2)
             key_major = (*range(n), n + 1, n + 2, n)
-            split = q_split = ids.shape + (cfg.heads, dk)
+            split = q_split = ids.shape[:-1] + (t - first, cfg.heads, dk)
             for layer in range(cfg.layers):
                 p = f"layer{layer}."
                 normed = queries = self._layernorm(x, p + "ln1")
-                if start and layer == cfg.layers - 1:
+                if start > first and layer == cfg.layers - 1:
                     # from here on only the tail rows, but keys and values see all
                     x, queries, mask = (ad.narrow(a, -2, start, t - start)
                                         for a in (x, normed, mask))
@@ -135,6 +171,11 @@ class TransformerLm:
                 q = self._apply_affine(queries, p + "q").reshape(q_split).transpose(head_major)
                 k = self._apply_affine(normed, p + "k").reshape(split).transpose(key_major)
                 v = self._apply_affine(normed, p + "v").reshape(split).transpose(head_major)
+                if past is not None:
+                    k = ad.concat([ad.as_constant(past[layer][0]), k], axis=-1)
+                    v = ad.concat([ad.as_constant(past[layer][1]), v], axis=-2)
+                if present is not None:
+                    present.append((k.data, v.data))
                 weights = ad.softmax((q @ k) * scale + mask, axis=-1)       # (..., h, T, T)
                 heads = (weights @ v).transpose(head_major).reshape(x.shape)
                 x = x + self._apply_affine(heads, p + "proj")
@@ -150,12 +191,17 @@ class TransformerLm:
         whole 8-row tiles. 0 (every row) when a full-height product the tail
         would cut exceeds ``ad.SMALL_GEMM_MULADDS``: a tail under the bound
         goes to OpenBLAS's small-matrix kernel and can round unlike the full
-        product (measured: the desk head at T >= 93)."""
+        product (measured: the desk head at T >= 93). Also 0 when the heads
+        are ``WIDE_HEAD_DIM`` or more wide. At ``full.cfg`` shape (d_k = 32,
+        a 128 x 2,257 head) it is 0 for every T, so neither a tail nor the
+        key/value cache of ``step_function`` applies there."""
         cfg = self.config
         dk = cfg.model_dim // cfg.heads
         # per slice: q, proj (d x d), ffn1/ffn2 (d x f), head (d x vocab), scores and mix (T x d_k)
         widest = t * max(cfg.model_dim * max(cfg.model_dim, cfg.ffn_dim, self.vocab_size), t * dk)
-        return 0 if widest > ad.SMALL_GEMM_MULADDS else max(0, (t - 2) // 8 * 8)
+        if dk >= WIDE_HEAD_DIM or widest > ad.SMALL_GEMM_MULADDS:
+            return 0
+        return max(0, (t - 2) // 8 * 8)
 
     def _check_ids(self, ids) -> np.ndarray:
         ids = np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids, dtype=np.int64)
@@ -204,7 +250,18 @@ class TransformerLm:
         ``_tail_start(T)``: the largest multiple of 8 at most T - 2, whose
         2-9 tail rows equal the full forward's bitwise, or row 0 when a tail
         would fall under OpenBLAS's small-matrix bound while the full product
-        is above it (desk dims: T >= 93).
+        is above it (desk dims: T >= 93), or when the heads are
+        ``WIDE_HEAD_DIM`` wide or wider.
+
+        The step function keeps, for the prefixes of the last evaluated step
+        only, every layer's keys and values of rows ``0..8*(T//8)-1``, whole
+        8-row tiles. When every queued prefix's parent is among them and the
+        tail starts after row 0, the forward takes those rows as ``past`` and
+        runs every layer on the tail rows only. A step keeps its rows when
+        its window holds ``KV_CACHE_MIN_TOKENS`` tokens or more and the next
+        window, one token longer, neither slides nor exceeds
+        ``KV_CACHE_MAX_TOKENS``. At ``full.cfg`` shape ``_tail_start`` is 0
+        for every T, so neither the tail nor the cache applies there.
         """
         block = self.config.block_size
         if len(seed_ids) >= block:
@@ -218,15 +275,42 @@ class TransformerLm:
             shifted = row - row.max()
             return shifted - np.log(np.exp(shifted).sum())
 
+        # the last evaluated step's prefixes, each with its batch row, and each
+        # layer's keys and values of their windows over whole 8-row tiles
+        rows: dict[tuple[int, ...], int] = {}
+        cache: list[tuple[np.ndarray, np.ndarray]] = []
+
+        def logits(prefixes, ids, batched: bool) -> np.ndarray:
+            """Logit rows ``_tail_start(T)..T-1`` of each window, from its
+            parent's cached keys and values when every parent has them;
+            keeps this step's in their place."""
+            t = len(seed_ids) + len(prefixes[0])
+            start = self._tail_start(min(t, block))
+            parents = [rows.get(p[:-1]) if p else None for p in prefixes]
+            past = None
+            if start and None not in parents:
+                at = parents if batched else parents[0]
+                past = [(k[at, ..., :start], v[at, ..., :start, :]) for k, v in cache]
+            keep = KV_CACHE_MIN_TOKENS <= t < min(block, KV_CACHE_MAX_TOKENS)
+            present = [] if keep else None
+            out = self.forward(ids, start, past, present).data
+            rows.clear()
+            cache.clear()
+            if keep:
+                tiles = t // 8 * 8
+                rows.update((p, i) for i, p in enumerate(prefixes))
+                cache.extend((k[..., :tiles], v[..., :tiles, :]) if batched
+                             else (k[None, ..., :tiles], v[None, ..., :tiles, :])
+                             for k, v in present)
+            return out
+
         def evaluate_one(prefix) -> np.ndarray:
             # a lone window (every greedy step) runs as (T,): fewer per-op
             # costs than (1, T), and the same bytes
-            ids = window(prefix)
-            return log_softmax(self.forward(ids, self._tail_start(len(ids))).data[-1])
+            return log_softmax(logits([prefix], window(prefix), False)[-1])
 
         def evaluate(prefixes) -> list[np.ndarray]:
-            windows = [window(p) for p in prefixes]
-            last = self.forward(windows, self._tail_start(len(windows[0]))).data[:, -1]
+            last = logits(prefixes, [window(p) for p in prefixes], True)[:, -1]
             return [log_softmax(row) for row in last]
 
         return decoding.deferred_step(evaluate, evaluate_one)

@@ -117,6 +117,35 @@ def _same_bytes(a, b):
     return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
 
 
+class TestOpDispatch:
+    """Shortcuts in op dispatch keep every byte of what they replace."""
+
+    def test_marked_takes_float64_arrays_as_they_are(self):
+        a = np.arange(6.0).reshape(2, 3)
+        out = ad._marked(a, True)
+        assert out.data is a and out._finite and out.grad is None
+        view = a.T
+        assert ad._marked(view, False).data is view
+
+    @pytest.mark.parametrize("value", [np.float64(2.5), 3, np.arange(4, dtype=np.int64),
+                                       np.ones(3, dtype=np.float32)])
+    def test_marked_converts_scalars_and_other_dtypes(self, value):
+        out = ad._marked(value, False)
+        assert type(out.data) is np.ndarray and out.data.dtype == np.float64
+        assert _same_bytes(out.data, np.asarray(value, dtype=np.float64))
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 4, 32), (2, 2, 9, 130)])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_reduce_mean_equals_ndarray_mean_bitwise(self, shape, keepdims):
+        d = _normal(len(shape), *shape) * 1e3
+        for axis in [None, *range(-len(shape), len(shape))]:
+            want = d.mean(axis=axis, keepdims=keepdims)
+            for scope in (contextlib.nullcontext, ad.FpTraps):
+                with scope():
+                    got = ad.reduce_mean(ad.Tensor(d), axis=axis, keepdims=keepdims).data
+                assert _same_bytes(got, np.asarray(want)), (axis, scope)
+
+
 class TestLeadingAxis:
     """An op on a (B, ...) input equals, slice for slice and bitwise, the
     same op on each 2-D slice."""
@@ -593,29 +622,40 @@ class TestFiniteMark:
         # the last layer narrows the mask; the first has scanned the whole table
         self._check_scans(monkeypatch, 56)
 
+    def test_cached_forward_scans_products_tables_and_joined_keys(self, monkeypatch):
+        # each layer's keys and values, cached rows joined to new ones, are
+        # scanned once, as are the rows 56..63 of the two tables
+        self._check_scans(monkeypatch, 56, cached=True)
+
     @staticmethod
-    def _check_scans(monkeypatch, start):
+    def _check_scans(monkeypatch, start, cached=False):
         model = TransformerLm(LmConfig(layers=2, heads=2, model_dim=32, ffn_dim=64, block_size=64),
                               BpeVocabulary.train("ab", 0), seed=0)
         ids = np.arange(64) % model.vocab_size
-        model.forward(ids, start)
+        present = []
+        model.forward(ids, 0, None, present)
+        past = [(k[..., :start], v[..., :start, :]) for k, v in present] if cached else None
+        model.forward(ids, start, past)
         products, scanned = [], []
         matmul, isfinite = ad.matmul, np.isfinite
         monkeypatch.setattr(ad, "matmul", lambda a, b: products.append(matmul(a, b)) or products[-1])
         monkeypatch.setattr(np, "isfinite", lambda a: scanned.append(a) or isfinite(a))
-        model.forward(ids, start)
+        model.forward(ids, start, past)
         monkeypatch.undo()
         assert len(products) == 17  # q, k, v, scores, mix, proj, ffn1, ffn2 per layer; head
-        tables = [model._positions, np.triu(np.full((64, 64), MASK_VALUE), k=1)]
+        first = start if cached else 0
+        tables = [model._positions[first:], np.triu(np.full((64, 64), MASK_VALUE), k=1)[first:]]
+        joined = [a for pair in present for a in pair] if cached else []
 
         def found_in(a, arrays):
             # a product may be scanned after a transpose and reshape
             return any(_same_bytes(np.sort(a, axis=None), np.sort(b, axis=None)) for b in arrays)
 
         assert sum(found_in(a, tables) for a in scanned) == len(tables)
+        assert sum(found_in(a, joined) for a in scanned) == len(joined)
         assert all(found_in(a, [p.data for p in products]) for a in scanned
-                   if not found_in(a, tables))
-        assert len(scanned) == len(products) + len(tables)
+                   if not found_in(a, tables + joined))
+        assert len(scanned) == len(products) + len(tables) + len(joined)
 
 
 # ndarray methods and numpy functions that write into their first operand

@@ -1,6 +1,7 @@
 """Language model contracts: strict causality, the straight-line forward
 oracle, loss analytics, training determinism, and generation rules."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -11,10 +12,10 @@ import numpy as np
 import pytest
 
 from capseq import autodiff as ad
-from capseq.config import RunConfig
+from capseq.config import RunConfig, load_run_config
 from capseq.decoding import beam_search, decode
-from capseq.lm import (LmConfig, TransformerLm, build_token_stream, chunk_stream,
-                       sinusoidal_positions, train_lm)
+from capseq.lm import (KV_CACHE_MIN_TOKENS, WIDE_HEAD_DIM, LmConfig, TransformerLm,
+                       build_token_stream, chunk_stream, sinusoidal_positions, train_lm)
 from capseq.optim import global_grad_norm
 from capseq.tokenizers import BpeVocabulary
 
@@ -134,6 +135,7 @@ def eager_step(lm, seed_ids):
     return step
 
 
+@functools.lru_cache(maxsize=None)
 def desk_vocab():
     """256 bytes + end-of-text + 80 merges: the desk BPE size, 337 ids."""
     text = "".join(np.random.default_rng(0).choice(list("abcdefgh "), 3000))
@@ -190,23 +192,162 @@ class TestTailForward:
                 lm.forward(np.arange(20), start)
 
     def test_bitwise_at_one_and_two_blas_threads(self):
-        """OpenBLAS reads its thread count when it loads, so each count runs
-        in its own process."""
-        child = textwrap.dedent("""
-            import numpy as np
+        assert_bitwise_at_one_and_two_blas_threads("""
             from test_lm import desk_lm, tail_mismatches
             lm = desk_lm(128, seed=7)
             assert tail_mismatches(lm, np.random.default_rng(7), batches=(1, 5)) == []
-            print("bitwise")
         """)
-        tests = Path(__file__).parent
-        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=path)
-            done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
-                                  text=True, timeout=120)
-            assert done.returncode == 0 and done.stdout == "bitwise\n", (threads, done.stderr)
+
+    def test_full_cfg_shape_never_narrows(self):
+        # 2000 merges: full.cfg's 2,257-token vocabulary; its heads are 32 wide
+        cfg = load_run_config(Path(__file__).parent.parent / "configs" / "full.cfg").lm_config()
+        merges = [(bytes([i // 256]), bytes([i % 256])) for i in range(256, 2256)]
+        lm = TransformerLm(cfg, BpeVocabulary(merges), seed=0)
+        assert lm.vocab_size == 2257 and cfg.block_size == 1024
+        assert cfg.model_dim // cfg.heads == WIDE_HEAD_DIM
+        assert all(lm._tail_start(t) == 0 for t in range(1, 1025))
+
+    def test_wide_heads_run_every_row(self):
+        # d_k = 32: narrowed score rows were measured to differ from T = 35 on
+        lm = perturbed_lm(64, seed=0, heads=1)
+        assert all(lm._tail_start(t) == 0 for t in range(1, 65))
+        assert all(perturbed_lm(64, seed=0, heads=2)._tail_start(t) for t in range(10, 65))
+        seed_ids = list(range(1, 31))  # windows of 30 to 62 tokens
+        eot = lm.vocab.end_of_text_id
+        got = beam_search(lm.step_function(seed_ids), 3, 32, end_token=eot)
+        want = beam_search(eager_step(lm, seed_ids), 3, 32, end_token=eot)
+        assert [(b.tokens, np.float64(b.logprob).tobytes()) for b in got] == \
+            [(b.tokens, np.float64(b.logprob).tobytes()) for b in want]
+
+
+def assert_bitwise_at_one_and_two_blas_threads(check):
+    """Run the test code ``check``, after ``import numpy as np``, in a child
+    process at 1 and at 2 BLAS threads: OpenBLAS reads its thread count when
+    it loads, so each count needs its own process."""
+    child = "import numpy as np\n" + textwrap.dedent(check) + "print('bitwise')\n"
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0 and done.stdout == "bitwise\n", (threads, done.stderr)
+
+
+def path_steps(paths):
+    """The prefixes ``path[:i]`` of every path in ``paths``, one decoding
+    step per length i."""
+    return [[tuple(int(t) for t in path[:i]) for path in paths] for i in range(len(paths[0]) + 1)]
+
+
+def spied_steps(lm, seed_ids, steps):
+    """Run each list of prefixes in ``steps`` as one decoding step of
+    ``lm.step_function(seed_ids)``. Returns each forward the steps ran as
+    (ids, start, past given, logits)."""
+    calls = []
+    forward = lm.forward
+
+    def spy(ids, start=0, past=None, present=None):
+        out = forward(ids, start, past, present)
+        calls.append((np.asarray(ids), start, past is not None, out.data))
+        return out
+
+    lm.forward = spy
+    try:
+        step = lm.step_function(seed_ids)
+        for prefixes in steps:
+            handles = [step(p) for p in prefixes]
+            np.asarray(handles[0])
+    finally:
+        lm.forward = forward
+    return calls
+
+
+def cached_mismatches(lm, rng, batches=(1, 2, 3, 5, 15)):
+    """Decode B random paths from a 1-token seed up to the block, for B in
+    ``batches``. Returns the (B, T) cases whose forward differs from the
+    full forward's rows, and the set of T whose forwards ran from the
+    cache."""
+    bad, cached = [], set()
+    block = lm.config.block_size
+    for b in batches:
+        paths = rng.integers(0, lm.vocab_size, size=(b, block - 1))
+        seed_ids = [int(rng.integers(256))]
+        for ids, start, from_cache, got in spied_steps(lm, seed_ids, path_steps(paths)):
+            t = ids.shape[-1]
+            if got.tobytes() != lm.forward(ids).data[..., start:, :].tobytes():
+                bad.append((b, t))
+            if from_cache:
+                cached.add(t)
+    return bad, cached
+
+
+class TestCachedDecoding:
+    """A decoding step runs every layer on a 2-9 row tail, attending over
+    the keys and values its parent prefix kept of whole 8-row tiles, and
+    keeps the full forward's bytes."""
+
+    @pytest.mark.parametrize("block_size", [64, 128])
+    def test_cached_rows_equal_full_forward_bitwise(self, block_size):
+        lm = desk_lm(block_size, seed=block_size + 1)
+        bad, cached = cached_mismatches(lm, np.random.default_rng(block_size))
+        assert bad == []
+        # parents kept from 16 tokens on; at block 128 the head's bound stops the tail at 92
+        assert cached == set(range(KV_CACHE_MIN_TOKENS + 1, min(block_size, 92) + 1))
+
+    def test_bitwise_at_one_and_two_blas_threads(self):
+        assert_bitwise_at_one_and_two_blas_threads("""
+            from test_lm import desk_lm, cached_mismatches
+            bad, cached = cached_mismatches(desk_lm(128, seed=7), np.random.default_rng(7),
+                                            batches=(1, 5))
+            assert bad == [] and len(cached) == 92 - 16, (bad, cached)
+        """)
+
+    @staticmethod
+    def cached_lengths(lm, seed_len, steps, batch=3):
+        paths = np.random.default_rng(seed_len).integers(0, 256, size=(batch, steps))
+        calls = spied_steps(lm, list(range(1, seed_len + 1)), path_steps(paths))
+        for ids, start, _, got in calls:
+            assert got.tobytes() == lm.forward(ids).data[..., start:, :].tobytes()
+        return [(ids.shape[-1], from_cache) for ids, _, from_cache, _ in calls]
+
+    def test_not_used_once_the_window_slides(self):
+        # windows of 62..64 tokens, then the 64-token window slides
+        steps = self.cached_lengths(desk_lm(64, seed=2), 62, 4)
+        assert steps == [(62, False), (63, True), (64, True), (64, False), (64, False)]
+
+    def test_not_used_where_the_tail_is_every_row(self):
+        lm = desk_lm(128, seed=3)
+        assert lm._tail_start(92) and not lm._tail_start(93)
+        assert self.cached_lengths(lm, 90, 4) == \
+            [(90, False), (91, True), (92, True), (93, False), (94, False)]
+
+    def test_not_used_past_128_tokens(self):
+        lm = make_lm(seed=4, model_dim=16, ffn_dim=32, block_size=256)
+        assert all(lm._tail_start(t) for t in range(10, 140))  # the tail still applies
+        assert self.cached_lengths(lm, 126, 4, batch=2) == \
+            [(126, False), (127, True), (128, True), (129, False), (130, False)]
+
+    def test_not_kept_from_windows_under_16_tokens(self):
+        lm = make_lm(seed=5, block_size=64)  # d_k = 4, whose short mix rounds unlike a long one
+        assert [c for _, c in self.cached_lengths(lm, 12, 7)] == [False] * 5 + [True] * 3
+
+    def test_holds_the_last_step_only(self):
+        steps = [[()], [(7,), (8,)], [(9,)], [(7, 1)], [(9, 2), (9, 3)], [(9, 2, 4)]]
+        calls = spied_steps(desk_lm(64, seed=6), list(range(1, 21)), steps)
+        # (9,) and (7, 1) have parents from two steps back; (9, 2, 4)'s parent is in the last
+        assert [c for _, _, c, _ in calls] == [False, True, False, False, False, True]
+
+    def test_past_must_cover_the_rows_before_start(self):
+        lm = desk_lm(64, seed=8)
+        present = []
+        lm.forward(np.arange(24), 0, None, present)
+        past = [(k[..., :16], v[..., :16, :]) for k, v in present]
+        assert lm.forward(np.arange(25), 16, past).shape == (9, 337)
+        for start, layers in ((8, past), (16, past[:1]), (0, past)):
+            with pytest.raises(ValueError):
+                lm.forward(np.arange(25), start, layers)
 
 
 class TestBatchedForward:
@@ -398,18 +539,20 @@ class TestGeneration:
     def test_deferred_step_equals_eager_step_bitwise(self, seed_len, block_size):
         # block 8: a 2-token seed plus 5 new tokens fits; a 7-token seed slides.
         # Block 24: windows of 10 tokens or more, so the step's forwards start
-        # at row 8 or 16 while eager_step's run every row.
+        # at row 8 or 16 while eager_step's run every row, and the steps
+        # whose parents' windows held 16 to 23 tokens run from the cache.
         for seed in range(6):
             lm = make_lm(seed=seed, layers=seed % 2 + 1, block_size=block_size)
             eot = lm.vocab.end_of_text_id
             seed_ids = [int(t) for t in np.random.default_rng(seed).integers(0, 256, seed_len)]
-            batches, starts = [], []
+            batches, starts, cached = [], [], []
             forward = lm.forward
 
-            def counting(ids, start=0):
+            def counting(ids, start=0, past=None, present=None):
                 batches.append(np.shape(ids))
                 starts.append(start)
-                return forward(ids, start)
+                cached.append(past is not None)
+                return forward(ids, start, past, present)
 
             lm.forward = counting
             beams = beam_search(lm.step_function(seed_ids), 4, 5, end_token=eot)
@@ -419,5 +562,9 @@ class TestGeneration:
                 [(b.tokens, b.finished, np.float64(b.logprob).tobytes()) for b in want], seed
             assert 1 <= len(batches) <= 5, batches
             assert all(starts) if block_size > 8 else not any(starts), starts
+            # step i's parents ran at T = seed_len + i - 1, kept from 16 tokens
+            # on while the next window still fits
+            assert cached == [i > 0 and 16 <= seed_len + i - 1 < block_size
+                              for i in range(len(batches))], cached
             assert decode(lm.step_function(seed_ids), 5, eot) == \
                 decode(eager_step(lm, seed_ids), 5, eot), seed
