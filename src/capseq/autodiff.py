@@ -8,7 +8,8 @@ the start of each backward pass, so repeated backward calls from the same tape
 state are bit-identical.
 
 The engine is single-threaded: one tape, one execution context. With no tape
-active the ops are pure numpy functions and may run concurrently (inference).
+active the ops are pure numpy functions and may run concurrently (inference),
+and so may the array executor below.
 
 Every op that computes on values rejects NaN and infinities in its inputs. A
 tensor's array is scanned once: a passing scan marks the tensor finite, and
@@ -32,6 +33,20 @@ worker threads keep their own FP flags, so a trap there can go unseen),
 ``as_constant`` and other arrays from outside the ops, and ``data`` after
 assignment. The scope's state is per thread, as numpy's errstate is.
 
+Each model writes its forward and its caption step once, against the op
+namespace ``ops()``, as bodies decorated ``executed``. Two executors run
+them. While a ``Tape`` records (the losses and training), a body runs on this
+module's ops, the tape executor. Otherwise (decoding) it runs on
+``ArrayOps``, the array executor: the same numpy calls in the same order, on
+plain float64 arrays, with no tensors and no tape records, so its outputs
+have the tape executor's bytes. The array executor keeps the finiteness
+contract above. It enters ``FpTraps`` once per body and scans each matmul
+product. It scans a tensor operand, such as a parameter, only while the
+operand is not marked finite. It range-checks lookup ids as
+``embedding_lookup`` does, because plain indexing would wrap a negative id.
+On a trap, a failed scan or any ``ValueError``, the body runs again on the
+tape ops, so the warning and the error are the tape ops' own.
+
 ``conv2d`` unrolls its input into im2col columns one band of output rows at
 a time (about ``CONV_BAND_COLUMNS`` columns, on whole 8-column GEMM tiles),
 so the forward never holds the full column buffer. Each band's product is
@@ -49,6 +64,7 @@ import functools
 import logging
 import math
 import operator
+import sys
 
 import numpy as np
 
@@ -871,3 +887,142 @@ def dropout(x, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
 def as_constant(value) -> Tensor:
     """Wrap an array as a non-parameter tensor (gradient sink, never updated)."""
     return Tensor(value)
+
+
+# ---------------------------------------------------------------------------
+# executors
+
+
+def operand(value) -> Tensor:
+    """``value`` as the tape ops take it: a tensor as it is, an array as a
+    constant, scanned on first use."""
+    return _coerce(value)
+
+
+def array_of(t: Tensor) -> np.ndarray:
+    """The values of a tape operand."""
+    return t.data
+
+
+class _TapeOnly(Exception):
+    """Raised by the array executor for work it leaves to the tape ops."""
+
+
+class ArrayOps:
+    """The array executor: the ops of ``ops`` on plain float64 arrays. Each
+    makes the numpy calls of the tape op of its name, in the same order, so
+    its output has that op's bytes. ``executed`` runs it inside ``FpTraps``,
+    where a value op's output is finite by construction; each matmul product
+    is scanned, as ``matmul`` has its product scanned, and a tensor operand
+    unless it is marked. An array operand is taken as it is: it is a
+    constant of the model, or an output of an earlier executed body."""
+
+    @staticmethod
+    def operand(value) -> np.ndarray:
+        if isinstance(value, Tensor):
+            _require_finite("operand", value)
+            return value._data
+        return value
+
+    @staticmethod
+    def array_of(a: np.ndarray) -> np.ndarray:
+        return a
+
+    @staticmethod
+    def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out = a @ b
+        if not np.isfinite(out).all():
+            raise NonFiniteInputError("matmul: product contains non-finite values")
+        return out
+
+    @staticmethod
+    def relu(x: np.ndarray) -> np.ndarray:
+        return np.maximum(x, 0.0)
+
+    @staticmethod
+    def reduce_mean(x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
+        return _mean(x, axis, keepdims, x.size if axis is None else x.shape[axis])
+
+    @staticmethod
+    def narrow(x: np.ndarray, axis: int, start: int, length: int) -> np.ndarray:
+        index = [slice(None)] * x.ndim
+        index[axis] = slice(start, start + length)
+        return x[tuple(index)]
+
+    @staticmethod
+    def concat(arrays, axis: int = 0) -> np.ndarray:
+        return np.concatenate(arrays, axis=axis)
+
+    @staticmethod
+    def embedding_lookup(table: np.ndarray, ids) -> np.ndarray:
+        # plain indexing would wrap a negative id
+        ids = np.asarray(ids, dtype=np.int64)
+        _check_ids("embedding_lookup", ids, table.shape[0])
+        return table[ids]
+
+    @staticmethod
+    def dropout(x: np.ndarray, rate: float, rng, training: bool) -> np.ndarray:
+        if training and rate != 0.0 or not 0.0 <= rate < 1.0:
+            # a train-time mask is drawn once, and a bad rate raises, on the tape
+            raise _TapeOnly("dropout")
+        return x
+
+    softmax = staticmethod(_softmax)
+    sigmoid = staticmethod(_sigmoid)
+    tanh = np.tanh
+    powc = operator.pow
+
+
+_TAPE_OPS = sys.modules[__name__]
+# the executor of the executed body running in this context, if any
+_STEP_OPS: contextvars.ContextVar = contextvars.ContextVar("capseq_step_ops", default=None)
+
+
+def ops():
+    """The op namespace a model body calls: ``ArrayOps`` while an
+    ``executed`` body runs on arrays in this context, else this module, the
+    tape ops. Both offer ``operand``, ``array_of``, ``matmul``, ``softmax``,
+    ``relu``, ``tanh``, ``sigmoid``, ``powc``, ``reduce_mean``, ``narrow``,
+    ``concat``, ``embedding_lookup`` and ``dropout``. A body adds, subtracts
+    and multiplies with operators and takes ``reshape``, ``transpose`` and
+    ``sum`` as methods, which arrays and tensors share; the left operand is
+    always one of its executor's operands."""
+    return _STEP_OPS.get() or _TAPE_OPS
+
+
+def executed(body):
+    """Decorate a model body written against ``ops()``, so it runs on the
+    tape ops while a ``Tape`` records and on ``ArrayOps`` otherwise.
+
+    A body called inside another runs on that one's executor. Else, with no
+    tape recording, the body runs once on arrays, inside ``FpTraps``, and
+    each array it returns comes back as a tensor marked finite. A trap, a
+    failed scan, any ``ValueError`` or work left to the tape makes it run
+    again on the tape ops, which then warn and raise as they would have
+    alone. The body must not leave a change behind that a second run would
+    repeat. Tape ops run inside ``FpTraps`` too."""
+
+    @functools.wraps(body)
+    def run(*args, **kwargs):
+        if _STEP_OPS.get() is not None:
+            return body(*args, **kwargs)
+        if not _TAPES:
+            token = _STEP_OPS.set(ArrayOps)
+            try:
+                with FpTraps():
+                    out = body(*args, **kwargs)
+                if isinstance(out, tuple):
+                    return tuple(_marked(a, True) for a in out)
+                return _marked(out, True)
+            except (FloatingPointError, ValueError, _TapeOnly):
+                pass
+            finally:
+                _STEP_OPS.reset(token)
+        token = _STEP_OPS.set(_TAPE_OPS)
+        try:
+            with FpTraps():
+                return body(*args, **kwargs)
+        finally:
+            _STEP_OPS.reset(token)
+
+    return run

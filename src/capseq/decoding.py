@@ -84,21 +84,21 @@ class PendingLogprobs:
         return value.copy() if copy else value
 
 
-def deferred_step(evaluate, evaluate_one):
+def deferred_step(evaluate, evaluate_one=None):
     """A deferring step function over ``evaluate(prefixes) -> rows``.
 
     ``step(prefix)`` queues the prefix and returns a ``PendingLogprobs``. The
     first conversion of any queued handle calls ``evaluate`` once with every
     queued prefix, in queue order, and fills each handle with its row of
     log-probabilities. A lone queued prefix (every greedy step) goes to
-    ``evaluate_one(prefix) -> row`` instead, which skips the batch's list and
-    reshape bookkeeping; it must give the bytes ``evaluate([prefix])[0]``
-    would.
+    ``evaluate_one(prefix) -> row`` instead, when given, which skips the
+    batch's list and reshape bookkeeping; it must give the bytes
+    ``evaluate([prefix])[0]`` would.
     """
     queue: list[tuple[tuple[int, ...], PendingLogprobs]] = []
 
     def flush() -> None:
-        if len(queue) == 1:
+        if evaluate_one is not None and len(queue) == 1:
             prefix, handle = queue.pop()
             handle.value = evaluate_one(prefix)
             return

@@ -97,24 +97,31 @@ class TransformerLm:
     def parameters(self) -> dict[str, ad.Parameter]:
         return dict(self._params)
 
-    def _p(self, name) -> ad.Parameter:
-        return self._params[name]
+    def _operand(self, ops, name: str):
+        return ops.operand(self._params[name])
 
-    def _layernorm(self, x: ad.Tensor, name: str) -> ad.Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = ad.sub(x, mu)
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        inv = ad.powc(ad.add(var, LN_EPS), -0.5)
-        return centered * inv * self._p(f"{name}.gain") + self._p(f"{name}.bias")
+    def _layernorm(self, ops, x, name: str):
+        mu = ops.reduce_mean(x, -1, True)
+        centered = x - mu
+        var = ops.reduce_mean(centered * centered, -1, True)
+        inv = ops.powc(var + LN_EPS, -0.5)
+        gain, bias = self._operand(ops, f"{name}.gain"), self._operand(ops, f"{name}.bias")
+        return centered * inv * gain + bias
 
-    def _apply_affine(self, x: ad.Tensor, name: str) -> ad.Tensor:
-        return x @ self._p(f"{name}.weight") + self._p(f"{name}.bias")
+    def _apply_affine(self, ops, x, name: str):
+        weight, bias = self._operand(ops, f"{name}.weight"), self._operand(ops, f"{name}.bias")
+        return ops.matmul(x, weight) + bias
 
     def forward(self, ids, start: int = 0, past=None, present=None) -> ad.Tensor:
         """Token ids (T,) -> logits (T, vocab), or a batch (B, T) -> logits
         (B, T, vocab), with T <= block size. Every op reduces over the last
         axis or multiplies over the last two, so each row of a batch equals
         the forward of that sequence alone, bitwise.
+
+        The body is ``ad.executed``: it runs on the tape ops while a
+        ``Tape`` records (``loss`` and training), and on plain arrays
+        otherwise (decoding), with the same bytes and, on a non-finite
+        value, the tape ops' warning and error.
 
         With ``start`` > 0 only rows ``start..T-1`` of the logits are
         computed: (..., T - start, vocab). Earlier layers, and the last
@@ -136,7 +143,7 @@ class TransformerLm:
         of the same tokens over windows of ``KV_CACHE_MIN_TOKENS`` to T tokens,
         with T at most ``KV_CACHE_MAX_TOKENS``, as ``step_function`` keeps
         them. A list given as ``present`` receives each layer's keys and
-        values over all T rows.
+        values over all T rows, as arrays.
         """
         ids = self._check_ids(ids)
         t = ids.shape[-1]
@@ -147,43 +154,53 @@ class TransformerLm:
                                  or any(k.shape[-1] != start for k, _ in past)):
             raise ValueError(f"past must hold {cfg.layers} layers of keys and values "
                              f"for rows 0..{start - 1}")
-        with ad.FpTraps():
-            first = start if past is not None else 0  # first row that every layer computes
-            x = (ad.embedding_lookup(self._p("embedding"), ids[..., first:])
-                 + ad.as_constant(self._positions[first:t]))
-            mask = ad.as_constant(np.triu(np.full((t - first, t), MASK_VALUE), k=1 + first))
-            dk = cfg.model_dim // cfg.heads
-            scale = 1.0 / np.sqrt(dk)
-            # heads on a leading axis: q and v (..., h, T, d_k), K (..., h, d_k, T);
-            # each head's slice views its own d_k columns, as a per-head slice would
-            n = ids.ndim - 1
-            head_major = (*range(n), n + 1, n, n + 2)
-            key_major = (*range(n), n + 1, n + 2, n)
-            split = q_split = ids.shape[:-1] + (t - first, cfg.heads, dk)
-            for layer in range(cfg.layers):
-                p = f"layer{layer}."
-                normed = queries = self._layernorm(x, p + "ln1")
-                if start > first and layer == cfg.layers - 1:
-                    # from here on only the tail rows, but keys and values see all
-                    x, queries, mask = (ad.narrow(a, -2, start, t - start)
-                                        for a in (x, normed, mask))
-                    q_split = ids.shape[:-1] + (t - start, cfg.heads, dk)
-                q = self._apply_affine(queries, p + "q").reshape(q_split).transpose(head_major)
-                k = self._apply_affine(normed, p + "k").reshape(split).transpose(key_major)
-                v = self._apply_affine(normed, p + "v").reshape(split).transpose(head_major)
-                if past is not None:
-                    k = ad.concat([ad.as_constant(past[layer][0]), k], axis=-1)
-                    v = ad.concat([ad.as_constant(past[layer][1]), v], axis=-2)
-                if present is not None:
-                    present.append((k.data, v.data))
-                weights = ad.softmax((q @ k) * scale + mask, axis=-1)       # (..., h, T, T)
-                heads = (weights @ v).transpose(head_major).reshape(x.shape)
-                x = x + self._apply_affine(heads, p + "proj")
-                normed = self._layernorm(x, p + "ln2")
-                hidden = ad.relu(self._apply_affine(normed, p + "ffn1"))
-                x = x + self._apply_affine(hidden, p + "ffn2")
-            x = self._layernorm(x, "final_ln")
-            return self._apply_affine(x, "head")
+        return self._forward(ids, start, past, present)
+
+    @ad.executed
+    def _forward(self, ids, start, past, present):
+        ops = ad.ops()
+        cfg = self.config
+        t = ids.shape[-1]
+        first = start if past is not None else 0  # first row that every layer computes
+        x = (ops.embedding_lookup(self._operand(ops, "embedding"), ids[..., first:])
+             + ops.operand(self._positions[first:t]))
+        mask = ops.operand(np.triu(np.full((t - first, t), MASK_VALUE), k=1 + first))
+        dk = cfg.model_dim // cfg.heads
+        scale = 1.0 / np.sqrt(dk)
+        # heads on a leading axis: q and v (..., h, T, d_k), K (..., h, d_k, T);
+        # each head's slice views its own d_k columns, as a per-head slice would
+        n = ids.ndim - 1
+        head_major = (*range(n), n + 1, n, n + 2)
+        key_major = (*range(n), n + 1, n + 2, n)
+        split = q_split = ids.shape[:-1] + (t - first, cfg.heads, dk)
+        kept = []
+        for layer in range(cfg.layers):
+            p = f"layer{layer}."
+            normed = queries = self._layernorm(ops, x, p + "ln1")
+            if start > first and layer == cfg.layers - 1:
+                # from here on only the tail rows, but keys and values see all
+                x, queries, mask = (ops.narrow(a, -2, start, t - start)
+                                    for a in (x, normed, mask))
+                q_split = ids.shape[:-1] + (t - start, cfg.heads, dk)
+            q = self._apply_affine(ops, queries, p + "q").reshape(q_split).transpose(head_major)
+            k = self._apply_affine(ops, normed, p + "k").reshape(split).transpose(key_major)
+            v = self._apply_affine(ops, normed, p + "v").reshape(split).transpose(head_major)
+            if past is not None:
+                k = ops.concat([ops.operand(past[layer][0]), k], -1)
+                v = ops.concat([ops.operand(past[layer][1]), v], -2)
+            if present is not None:
+                kept.append((k, v))
+            weights = ops.softmax(ops.matmul(q, k) * scale + mask, -1)   # (..., h, T, T)
+            heads = ops.matmul(weights, v).transpose(head_major).reshape(x.shape)
+            x = x + self._apply_affine(ops, heads, p + "proj")
+            normed = self._layernorm(ops, x, p + "ln2")
+            hidden = ops.relu(self._apply_affine(ops, normed, p + "ffn1"))
+            x = x + self._apply_affine(ops, hidden, p + "ffn2")
+        x = self._layernorm(ops, x, "final_ln")
+        logits = self._apply_affine(ops, x, "head")
+        if present is not None:
+            present.extend((ops.array_of(k), ops.array_of(v)) for k, v in kept)
+        return logits
 
     def _tail_start(self, t: int) -> int:
         """First row of a T-token forward that decoding needs computed: the
@@ -239,12 +256,14 @@ class TransformerLm:
 
         ``step`` is ``decoding.deferred_step``: a call queues the prefix, and
         the first numpy conversion of any queued handle runs one ``forward``
-        over every queued window, stacked as (B, T). The queued windows must
-        share one length, as the prefixes of one decoding step do: greedy
-        converts each step at once, and a beam step queues all its live
-        prefixes before converting any, so the whole step is one forward.
-        Windows of mixed lengths do not stack: their conversion raises
-        ``ValueError``.
+        over every queued window, stacked as (B, T), a lone greedy window as
+        (1, T). With no tape recording, the forward runs on plain arrays (see
+        ``forward``), and the step's log-softmax is one call over the
+        stacked last rows. The queued windows must share one length, as the
+        prefixes of one decoding step do: greedy converts each step at once,
+        and a beam step queues all its live prefixes before converting any,
+        so the whole step is one forward. Windows of mixed lengths do not
+        stack: their conversion raises ``ValueError``.
 
         Only the last row of the logits is read, so each forward starts at
         ``_tail_start(T)``: the largest multiple of 8 at most T - 2, whose
@@ -271,49 +290,33 @@ class TransformerLm:
         def window(prefix) -> list[int]:
             return (seed_ids + list(prefix))[-block:]
 
-        def log_softmax(row: np.ndarray) -> np.ndarray:
-            shifted = row - row.max()
-            return shifted - np.log(np.exp(shifted).sum())
-
         # the last evaluated step's prefixes, each with its batch row, and each
         # layer's keys and values of their windows over whole 8-row tiles
         rows: dict[tuple[int, ...], int] = {}
         cache: list[tuple[np.ndarray, np.ndarray]] = []
 
-        def logits(prefixes, ids, batched: bool) -> np.ndarray:
-            """Logit rows ``_tail_start(T)..T-1`` of each window, from its
-            parent's cached keys and values when every parent has them;
-            keeps this step's in their place."""
+        def evaluate(prefixes) -> np.ndarray:
+            """Each window's next-token log-probabilities, one row per
+            prefix, from its parent's cached keys and values when every
+            parent has them; keeps this step's in their place."""
             t = len(seed_ids) + len(prefixes[0])
             start = self._tail_start(min(t, block))
             parents = [rows.get(p[:-1]) if p else None for p in prefixes]
             past = None
             if start and None not in parents:
-                at = parents if batched else parents[0]
-                past = [(k[at, ..., :start], v[at, ..., :start, :]) for k, v in cache]
+                past = [(k[parents, ..., :start], v[parents, ..., :start, :]) for k, v in cache]
             keep = KV_CACHE_MIN_TOKENS <= t < min(block, KV_CACHE_MAX_TOKENS)
             present = [] if keep else None
-            out = self.forward(ids, start, past, present).data
+            last = self.forward([window(p) for p in prefixes], start, past, present).data[:, -1]
             rows.clear()
             cache.clear()
             if keep:
                 tiles = t // 8 * 8
                 rows.update((p, i) for i, p in enumerate(prefixes))
-                cache.extend((k[..., :tiles], v[..., :tiles, :]) if batched
-                             else (k[None, ..., :tiles], v[None, ..., :tiles, :])
-                             for k, v in present)
-            return out
+                cache.extend((k[..., :tiles], v[..., :tiles, :]) for k, v in present)
+            return ad._log_softmax(last, axis=-1)
 
-        def evaluate_one(prefix) -> np.ndarray:
-            # a lone window (every greedy step) runs as (T,): fewer per-op
-            # costs than (1, T), and the same bytes
-            return log_softmax(logits([prefix], window(prefix), False)[-1])
-
-        def evaluate(prefixes) -> list[np.ndarray]:
-            last = logits(prefixes, [window(p) for p in prefixes], True)[:, -1]
-            return [log_softmax(row) for row in last]
-
-        return decoding.deferred_step(evaluate, evaluate_one)
+        return decoding.deferred_step(evaluate)
 
 
 # ---------------------------------------------------------------------------

@@ -57,21 +57,26 @@ def relu_kink_margin(fn):
 
     A finite-difference check is only meaningful when no relu input sits
     inside the perturbation window, so instances are screened with this
-    before the oracle runs.
+    before the oracle runs. ``fn`` runs under a recording tape, so the model
+    bodies run on the tape ops, whose ``relu`` the spy replaces.
     """
     orig = ad.relu
     closest = [np.inf]
+    calls = [0]
 
     def spy(x):
+        calls[0] += 1
         if x.data.size:
             closest[0] = min(closest[0], float(np.abs(x.data).min()))
         return orig(x)
 
     ad.relu = spy
     try:
-        fn()
+        with ad.Tape():
+            fn()
     finally:
         ad.relu = orig
+    assert calls[0], "no relu ran"
     return closest[0]
 
 
@@ -320,21 +325,24 @@ def replay_caption_attention(model, annotations, ids, start_id=1):
 
 def eager_caption_step(model, annotations, start_id=1, floor=1e-12):
     """The caption step function evaluated one prefix per call, on (1, n)
-    state: ``(step, record)`` as ``CaptionModel.step_function`` returns them,
-    with every step eager."""
-    proj_regions = model._project_regions(annotations)
+    state and on the tape ops (each step under a recording tape):
+    ``(step, record)`` as ``CaptionModel.step_function`` returns them, with
+    every step eager."""
+    with ad.Tape():
+        proj_regions = model._project_regions(annotations)
     record = {}
 
     def step(prefix):
         prefix = tuple(prefix)
-        if prefix:
-            h, c, _ = record[prefix[:-1]]
-            h, c, token = ad.as_constant(h), ad.as_constant(c), prefix[-1]
-        else:
-            (h, c), token = model.init_state(annotations), start_id
-        alpha, context = model.attend(annotations, h, proj_regions)
-        h2, c2 = model.lstm_step(np.array([token]), h, c, context)
-        probs = model.output_distribution(h2, context, np.array([token]))
+        with ad.Tape():
+            if prefix:
+                h, c, _ = record[prefix[:-1]]
+                h, c, token = ad.as_constant(h), ad.as_constant(c), prefix[-1]
+            else:
+                (h, c), token = model.init_state(annotations), start_id
+            alpha, context = model.attend(annotations, h, proj_regions)
+            h2, c2 = model.lstm_step(np.array([token]), h, c, context)
+            probs = model.output_distribution(h2, context, np.array([token]))
         record[prefix] = (h2.data, c2.data, alpha.data[0])
         return np.log(np.maximum(probs.data[0], floor))
 
@@ -396,3 +404,40 @@ def straightline_lm_logits(model, ids):
         x = x + hidden @ P[p + "ffn2.weight"] + P[p + "ffn2.bias"]
     x = layernorm(x, "final_ln")
     return x @ P["head.weight"] + P["head.bias"]
+
+
+def tape_lm_logits(model, ids):
+    """The LM forward over every row of a (T,) window, written directly
+    against the tape ops in the model's op order: the reference for the
+    tape executor's records and gradients."""
+    cfg = model.config
+    P = model.parameters()
+    t = len(ids)
+    dk = cfg.model_dim // cfg.heads
+    split = (t, cfg.heads, dk)
+
+    def layernorm(v, name):
+        mu = v.mean(axis=-1, keepdims=True)
+        centered = ad.sub(v, mu)
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+        inv = ad.powc(ad.add(var, 1e-5), -0.5)
+        return centered * inv * P[f"{name}.gain"] + P[f"{name}.bias"]
+
+    def affine(v, name):
+        return v @ P[f"{name}.weight"] + P[f"{name}.bias"]
+
+    with ad.FpTraps():
+        x = ad.embedding_lookup(P["embedding"], ids) + ad.as_constant(model._positions[:t])
+        mask = ad.as_constant(np.triu(np.full((t, t), -1e30), k=1))
+        for layer in range(cfg.layers):
+            p = f"layer{layer}."
+            normed = layernorm(x, p + "ln1")
+            q = affine(normed, p + "q").reshape(split).transpose((1, 0, 2))
+            k = affine(normed, p + "k").reshape(split).transpose((1, 2, 0))
+            v = affine(normed, p + "v").reshape(split).transpose((1, 0, 2))
+            weights = ad.softmax((q @ k) * (1.0 / np.sqrt(dk)) + mask, axis=-1)
+            heads = (weights @ v).transpose((1, 0, 2)).reshape(x.shape)
+            x = x + affine(heads, p + "proj")
+            normed = layernorm(x, p + "ln2")
+            x = x + affine(ad.relu(affine(normed, p + "ffn1")), p + "ffn2")
+        return affine(layernorm(x, "final_ln"), "head")

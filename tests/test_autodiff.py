@@ -628,7 +628,9 @@ class TestFiniteMark:
         self._check_scans(monkeypatch, 56, cached=True)
 
     @staticmethod
-    def _check_scans(monkeypatch, start, cached=False):
+    def _scan_setup(start, cached):
+        """A desk-dims LM whose parameters are marked, its ids, and the
+        ``past`` of its ``start`` row (None unless ``cached``)."""
         model = TransformerLm(LmConfig(layers=2, heads=2, model_dim=32, ffn_dim=64, block_size=64),
                               BpeVocabulary.train("ab", 0), seed=0)
         ids = np.arange(64) % model.vocab_size
@@ -636,11 +638,18 @@ class TestFiniteMark:
         model.forward(ids, 0, None, present)
         past = [(k[..., :start], v[..., :start, :]) for k, v in present] if cached else None
         model.forward(ids, start, past)
+        return model, ids, past, present
+
+    @classmethod
+    def _check_scans(cls, monkeypatch, start, cached=False):
+        # on the tape ops, which run while a tape records
+        model, ids, past, present = cls._scan_setup(start, cached)
         products, scanned = [], []
         matmul, isfinite = ad.matmul, np.isfinite
         monkeypatch.setattr(ad, "matmul", lambda a, b: products.append(matmul(a, b)) or products[-1])
         monkeypatch.setattr(np, "isfinite", lambda a: scanned.append(a) or isfinite(a))
-        model.forward(ids, start, past)
+        with ad.Tape():
+            model.forward(ids, start, past)
         monkeypatch.undo()
         assert len(products) == 17  # q, k, v, scores, mix, proj, ffn1, ffn2 per layer; head
         first = start if cached else 0
@@ -656,6 +665,162 @@ class TestFiniteMark:
         assert all(found_in(a, [p.data for p in products]) for a in scanned
                    if not found_in(a, tables + joined))
         assert len(scanned) == len(products) + len(tables) + len(joined)
+
+    @pytest.mark.parametrize("start, cached", [(0, False), (56, False), (56, True)])
+    def test_array_forward_scans_only_its_products(self, monkeypatch, start, cached):
+        # with no tape, the forward scans its 17 matmul products, each as it
+        # comes out of the product, and nothing else: not the tables, not the
+        # cached keys and values, not the marked parameters
+        model, ids, past, _ = self._scan_setup(start, cached)
+        products = []
+        matmul = ad.matmul
+        monkeypatch.setattr(ad, "matmul", lambda a, b: products.append(matmul(a, b)) or products[-1])
+        with ad.Tape():
+            want = model.forward(ids, start, past).data
+        monkeypatch.undo()
+        scanned = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: scanned.append(a) or isfinite(a))
+        got = model.forward(ids, start, past).data
+        monkeypatch.undo()
+        assert _same_bytes(got, want)
+        assert len(scanned) == 17
+        assert [(a.shape, a.tobytes()) for a in scanned] == \
+            [(p.shape, p.data.tobytes()) for p in products]
+
+
+def _op_cases(rng):
+    """(op name, tape arguments, array arguments) for every op a model body
+    calls, on random float64 inputs with leading axes. Tensor arguments of
+    the tape op are plain arrays for the array op."""
+    x = rng.normal(scale=3.0, size=(2, 3, 4, 5))
+    table = rng.normal(size=(7, 5))
+    ids = rng.integers(0, 7, size=(2, 3))
+    cases = [
+        ("matmul", (x, rng.normal(size=(5, 6)))),
+        ("matmul", (x, rng.normal(size=(2, 3, 5, 4)))),
+        ("matmul", (x[0, 0], rng.normal(size=(3, 5, 2)))),
+        ("softmax", (x, -1)),
+        ("relu", (x,)),
+        ("tanh", (x,)),
+        ("sigmoid", (x * 20.0,)),
+        ("powc", (np.abs(x) + 1e-5, -0.5)),
+        ("reduce_mean", (x, -1, True)),
+        ("reduce_mean", (x, 1)),
+        ("reduce_mean", (x,)),
+        ("narrow", (x, -1, 1, 3)),
+        ("narrow", (x, -2, 2, 2)),
+        ("narrow", (x, 0, 1, 1)),
+        ("concat", ([x, x[..., :2]], -1)),
+        ("concat", ([x[:, :1], x], 1)),
+        ("embedding_lookup", (table, ids)),
+        ("dropout", (x, 0.5, np.random.default_rng(0), False)),
+        ("dropout", (x, 0.0, np.random.default_rng(0), True)),
+    ]
+    tensor = lambda a: ad.Tensor(a) if isinstance(a, np.ndarray) and a.dtype == np.float64 else a
+    out = []
+    for name, args in cases:
+        taped = tuple([tensor(a) for a in arg] if isinstance(arg, list) else tensor(arg)
+                      for arg in args)
+        out.append((name, taped, args))
+    return out
+
+
+class TestExecutors:
+    """The array executor's ops give the tape ops' bytes, and ``executed``
+    bodies run on the executor the context calls for."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_op_gives_the_tape_ops_bytes(self, seed):
+        for name, taped, arrays in _op_cases(np.random.default_rng(seed)):
+            with ad.FpTraps():
+                want = getattr(ad, name)(*taped).data
+                got = getattr(ad.ArrayOps, name)(*arrays)
+            assert got.shape == want.shape and _same_bytes(got, want), name
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_operators_and_methods_give_the_tape_ops_bytes(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(3, 1))
+        ta, tb = ad.Tensor(a), ad.Tensor(b)
+        pairs = [(ta + tb, a + b), (ta - tb, a - b), (ta * tb, a * b),
+                 (ta + 1e-5, a + 1e-5), (ta * np.float64(0.25), a * np.float64(0.25)),
+                 (ta.reshape((6, 4)), a.reshape((6, 4))),
+                 (ta.transpose((1, 0, 2)), a.transpose((1, 0, 2))),
+                 (ta.sum(axis=-2), a.sum(axis=-2))]
+        for want, got in pairs:
+            assert _same_bytes(got, want.data)
+
+    def test_operand_scans_an_unmarked_tensor_once(self):
+        p = ad.Parameter(np.ones((2, 2)), "p")
+        assert ad.ArrayOps.operand(p) is p.data and p._finite
+        array = np.full(2, np.nan)
+        assert ad.ArrayOps.operand(array) is array  # an array is taken as it is
+        p.data = np.array([[1.0, np.inf], [0.0, 0.0]])
+        with pytest.raises(ad.NonFiniteInputError):
+            ad.ArrayOps.operand(p)
+
+    def test_array_lookup_checks_ids(self):
+        table = np.zeros((4, 2))
+        for ids in ([4], [-1], [[0, 1], [2, -4]]):
+            with pytest.raises(ValueError, match=r"^embedding_lookup: index out of range \[0, 4\)$"):
+                ad.ArrayOps.embedding_lookup(table, np.array(ids))
+
+    @staticmethod
+    @ad.executed
+    def _affine(x, w):
+        ops = ad.ops()
+        return ops.tanh(ops.matmul(ops.operand(x), ops.operand(w)) * 2.0), ops.operand(x)
+
+    def test_body_runs_on_arrays_with_no_tape(self):
+        seen = []
+
+        @ad.executed
+        def body(x, w):
+            seen.append(ad.ops())
+            inner = self._affine(x, w)  # nested: on the outer body's executor
+            seen.append(type(inner[0]))
+            return inner
+
+        x, w = ad.Tensor(np.ones((2, 3))), ad.Parameter(np.full((3, 2), 0.1), "w")
+        y, same = body(x, w)
+        assert seen == [ad.ArrayOps, np.ndarray]
+        assert isinstance(y, ad.Tensor) and y._finite and same.data is x.data
+        assert ad.ops() is ad  # nothing left behind
+        seen.clear()
+        with ad.Tape() as tape:
+            taped, _ = body(x, w)
+        assert seen == [ad, ad.Tensor] and len(tape) == 3
+        assert _same_bytes(y.data, taped.data)
+
+    def test_trap_reruns_on_the_tape_ops(self):
+        x, w = ad.Tensor(np.full((1, 2), 1e200)), ad.Tensor(np.full((2, 2), 1e200))
+        for run in (lambda: self._affine(x, w), lambda: ad.tanh(ad.matmul(x, w) * 2.0)):
+            with pytest.warns(RuntimeWarning, match="overflow encountered"):
+                with pytest.raises(ad.NonFiniteInputError, match=_non_finite_message("mul")):
+                    run()
+
+    def test_failed_scan_reruns_on_the_tape_ops(self):
+        # an array operand is trusted by the array executor; the product's
+        # scan catches its NaN, and the tape ops name the op that rejects it
+        x = np.array([[1.0, np.nan]])
+        with pytest.raises(ad.NonFiniteInputError, match=_non_finite_message("matmul")):
+            self._affine(x, np.ones((2, 2)))
+
+    def test_train_time_dropout_draws_one_mask_on_the_tape_ops(self):
+        @ad.executed
+        def body(x, rng, rate, training):
+            ops = ad.ops()
+            return ops.dropout(ops.tanh(ops.operand(x)), rate, rng, training)
+
+        x = np.random.default_rng(1).normal(size=(3, 4))
+        rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+        got = body(x, rng, 0.5, True)
+        want = ad.dropout(ad.tanh(ad.Tensor(x)), 0.5, reference, True)
+        assert _same_bytes(got.data, want.data)
+        assert rng.bit_generator.state == reference.bit_generator.state
+        with pytest.raises(ValueError, match=r"^dropout: rate must lie in \[0, 1\), got 1.0$"):
+            body(x, rng, 1.0, False)
 
 
 # ndarray methods and numpy functions that write into their first operand

@@ -3,6 +3,8 @@ semantics, deep output layer, loss composition, teacher forcing, freeze
 toggles, and heatmap export."""
 
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -442,3 +444,43 @@ class TestDeferredStep:
             assert len(batches) <= 6                 # one evaluation per step, max_len steps
             assert max(batches) > 1
 
+
+
+class TestDecodingSafety:
+    """Caption decoding runs on plain arrays, yet a non-finite value or a
+    bad token id gives the tape ops' warning and error."""
+
+    @staticmethod
+    def decode(model, strategy, start_id=1):
+        image = np.random.default_rng(8).random((8, 8))
+        return model.decode_caption(image, strategy=strategy, beam_width=3, max_len=6,
+                                    start_id=start_id)
+
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    def test_nan_parameter_raises_the_tape_error(self, strategy):
+        model = tiny_model(seed=1)
+        weight = model.parameters()["lstm.weight"]
+        weight.data = np.where(np.arange(weight.data.size).reshape(weight.shape) == 3, np.nan,
+                               weight.data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ad.NonFiniteInputError,
+                               match=r"^matmul: input contains non-finite values$"):
+                self.decode(model, strategy)
+
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    def test_overflowing_activation_warns_and_raises_the_tape_error(self, strategy):
+        model = tiny_model(seed=2)
+        params = model.parameters()
+        for name in ("attn.regions.bias", "attn.hidden.bias"):
+            params[name].data = np.full(params[name].shape, 1.7e308)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in add"):
+            with pytest.raises(ad.NonFiniteInputError,
+                               match=r"^relu: input contains non-finite values$"):
+                self.decode(model, strategy)
+
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    @pytest.mark.parametrize("start_id", [-1, -8, 8, 100])
+    def test_token_id_out_of_range_raises(self, strategy, start_id):
+        with pytest.raises(ValueError, match=re.escape("embedding_lookup: index out of range [0, 8)")):
+            self.decode(tiny_model(seed=3), strategy, start_id)

@@ -1,11 +1,14 @@
 """Language model contracts: strict causality, the straight-line forward
 oracle, loss analytics, training determinism, and generation rules."""
 
+import contextlib
 import functools
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,7 @@ from capseq.lm import (KV_CACHE_MIN_TOKENS, WIDE_HEAD_DIM, LmConfig, Transformer
 from capseq.optim import global_grad_norm
 from capseq.tokenizers import BpeVocabulary
 
-from oracles import straightline_lm_logits
+from oracles import straightline_lm_logits, tape_lm_logits
 
 
 def small_vocab():
@@ -65,27 +68,29 @@ class TestForward:
         with pytest.raises(ValueError, match="block size"):
             lm.forward([1, 2, 3, 4, 5])
 
-    def test_attention_rows_causal_and_normalized(self):
+    def test_attention_rows_causal_and_normalized(self, monkeypatch):
+        # on the tape ops under a recording tape, then on arrays with no tape
         lm = make_lm(seed=3)
-        captured = []
-        orig = ad.softmax
+        for owner, scope in ((ad, ad.Tape), (ad.ArrayOps, contextlib.nullcontext)):
+            captured = []
+            orig = owner.softmax
 
-        def spy(x, axis=-1):
-            out = orig(x, axis=axis)
-            if out.ndim >= 2 and out.shape[-2] == out.shape[-1]:
-                captured.append(out.data)
-            return out
+            def spy(x, axis=-1):
+                out = orig(x, axis)
+                weights = out.data if isinstance(out, ad.Tensor) else out
+                if weights.ndim >= 2 and weights.shape[-2] == weights.shape[-1]:
+                    captured.append(weights)
+                return out
 
-        ad.softmax = spy
-        try:
-            lm.forward([5, 6, 7, 8, 9])
-        finally:
-            ad.softmax = orig
-        # one (heads, T, T) weight stack per layer
-        assert [w.shape for w in captured] == [(2, 5, 5)] * 2
-        for rows in captured:
-            np.testing.assert_allclose(rows.sum(axis=-1), 1.0, atol=1e-12)
-            assert np.array_equal(np.triu(rows, k=1), np.zeros_like(rows))
+            monkeypatch.setattr(owner, "softmax", spy if owner is ad else staticmethod(spy))
+            with scope():
+                lm.forward([5, 6, 7, 8, 9])
+            monkeypatch.undo()
+            # one (heads, T, T) weight stack per layer
+            assert [w.shape for w in captured] == [(2, 5, 5)] * 2, owner
+            for rows in captured:
+                np.testing.assert_allclose(rows.sum(axis=-1), 1.0, atol=1e-12)
+                assert np.array_equal(np.triu(rows, k=1), np.zeros_like(rows))
 
     def test_matches_straightline_oracle(self):
         # 1 layer, 1 head, dim 2, 3-token input, computed two independent ways
@@ -125,11 +130,18 @@ def perturbed_lm(block_size, seed, heads=2):
     return lm
 
 
+def taped(lm, ids, start=0, past=None):
+    """``lm.forward`` on the tape ops, under a recording tape."""
+    with ad.Tape():
+        return lm.forward(ids, start, past).data
+
+
 def eager_step(lm, seed_ids):
-    """Next-token log-probabilities from one forward per prefix window."""
+    """Next-token log-probabilities from one forward per prefix window, on
+    the tape ops."""
     def step(prefix):
         window = (list(seed_ids) + list(prefix))[-lm.config.block_size:]
-        logits = lm.forward(window).data[-1]
+        logits = taped(lm, window)[-1]
         shifted = logits - logits.max()
         return shifted - np.log(np.exp(shifted).sum())
     return step
@@ -149,15 +161,19 @@ def desk_lm(block_size, seed):
 
 
 def tail_mismatches(lm, rng, batches=(1, 2, 3, 5, 15)):
-    """(B, T) cases where the narrowed forward's rows differ from the full
-    forward's tail rows, for every T up to the block and B in ``batches``."""
+    """(B, T) cases, for every T up to the block and B in ``batches``, where
+    the narrowed forward's rows differ from the full forward's tail rows, or
+    a forward with no tape (narrowed or full) differs from the same forward
+    on the tape ops."""
     bad = []
     for b in batches:
         for t in range(2, lm.config.block_size + 1):
             ids = rng.integers(0, lm.vocab_size, size=(b, t) if b > 1 else t)
             start = lm._tail_start(t)
-            got = lm.forward(ids, start).data
-            if got.tobytes() != lm.forward(ids).data[..., start:, :].tobytes():
+            got = lm.forward(ids, start).data.tobytes()
+            full = taped(lm, ids)
+            if not (got == taped(lm, ids, start).tobytes() == full[..., start:, :].tobytes()
+                    and lm.forward(ids).data.tobytes() == full.tobytes()):
                 bad.append((b, t))
     return bad
 
@@ -244,13 +260,13 @@ def path_steps(paths):
 def spied_steps(lm, seed_ids, steps):
     """Run each list of prefixes in ``steps`` as one decoding step of
     ``lm.step_function(seed_ids)``. Returns each forward the steps ran as
-    (ids, start, past given, logits)."""
+    (ids, start, past, logits)."""
     calls = []
     forward = lm.forward
 
     def spy(ids, start=0, past=None, present=None):
         out = forward(ids, start, past, present)
-        calls.append((np.asarray(ids), start, past is not None, out.data))
+        calls.append((np.asarray(ids), start, past, out.data))
         return out
 
     lm.forward = spy
@@ -266,19 +282,21 @@ def spied_steps(lm, seed_ids, steps):
 
 def cached_mismatches(lm, rng, batches=(1, 2, 3, 5, 15)):
     """Decode B random paths from a 1-token seed up to the block, for B in
-    ``batches``. Returns the (B, T) cases whose forward differs from the
-    full forward's rows, and the set of T whose forwards ran from the
-    cache."""
+    ``batches``. Returns the (B, T) cases whose forward, run with no tape,
+    differs from the full forward's rows or from the same forward (with the
+    same ``past``) on the tape ops, and the set of T whose forwards ran from
+    the cache."""
     bad, cached = [], set()
     block = lm.config.block_size
     for b in batches:
         paths = rng.integers(0, lm.vocab_size, size=(b, block - 1))
         seed_ids = [int(rng.integers(256))]
-        for ids, start, from_cache, got in spied_steps(lm, seed_ids, path_steps(paths)):
+        for ids, start, past, got in spied_steps(lm, seed_ids, path_steps(paths)):
             t = ids.shape[-1]
-            if got.tobytes() != lm.forward(ids).data[..., start:, :].tobytes():
+            if not (got.tobytes() == taped(lm, ids)[..., start:, :].tobytes()
+                    == taped(lm, ids, start, past).tobytes()):
                 bad.append((b, t))
-            if from_cache:
+            if past is not None:
                 cached.add(t)
     return bad, cached
 
@@ -309,8 +327,8 @@ class TestCachedDecoding:
         paths = np.random.default_rng(seed_len).integers(0, 256, size=(batch, steps))
         calls = spied_steps(lm, list(range(1, seed_len + 1)), path_steps(paths))
         for ids, start, _, got in calls:
-            assert got.tobytes() == lm.forward(ids).data[..., start:, :].tobytes()
-        return [(ids.shape[-1], from_cache) for ids, _, from_cache, _ in calls]
+            assert got.tobytes() == taped(lm, ids)[..., start:, :].tobytes()
+        return [(ids.shape[-1], past is not None) for ids, _, past, _ in calls]
 
     def test_not_used_once_the_window_slides(self):
         # windows of 62..64 tokens, then the 64-token window slides
@@ -337,7 +355,7 @@ class TestCachedDecoding:
         steps = [[()], [(7,), (8,)], [(9,)], [(7, 1)], [(9, 2), (9, 3)], [(9, 2, 4)]]
         calls = spied_steps(desk_lm(64, seed=6), list(range(1, 21)), steps)
         # (9,) and (7, 1) have parents from two steps back; (9, 2, 4)'s parent is in the last
-        assert [c for _, _, c, _ in calls] == [False, True, False, False, False, True]
+        assert [past is not None for _, _, past, _ in calls] == [False, True, False, False, False, True]
 
     def test_past_must_cover_the_rows_before_start(self):
         lm = desk_lm(64, seed=8)
@@ -568,3 +586,106 @@ class TestGeneration:
                               for i in range(len(batches))], cached
             assert decode(lm.step_function(seed_ids), 5, eot) == \
                 decode(eager_step(lm, seed_ids), 5, eot), seed
+
+
+def per_row_log_softmax(row):
+    """The step function's log-softmax of one logit row, one row at a time."""
+    shifted = row - row.max()
+    return shifted - np.log(np.exp(shifted).sum())
+
+
+def nonfinite(op):
+    return rf"^{op}: input contains non-finite values$"
+
+
+class TestExecutors:
+    """``forward`` runs on the tape ops while a tape records and on plain
+    arrays otherwise, with the same bytes, and decoding keeps the tape ops'
+    warnings and errors."""
+
+    def test_loss_records_the_reference_tape(self):
+        lm = perturbed_lm(64, seed=3)
+        params = list(lm.parameters().values())
+        ids = np.random.default_rng(3).integers(0, lm.vocab_size, size=40)
+
+        def reference_loss(ids):
+            logprobs = ad.log_softmax(tape_lm_logits(lm, ids), axis=1)
+            return -ad.pick(ad.narrow(logprobs, 0, 0, ids.size - 1), ids[1:]).mean()
+
+        runs = []
+        for loss_of in (lm.loss, reference_loss):
+            with ad.Tape() as tape:
+                loss = loss_of(ids)
+            tape.backward(loss)
+            runs.append((len(tape), loss.data.tobytes(), [p.grad.tobytes() for p in params]))
+        assert runs[0] == runs[1]
+        assert runs[0][0] > 100
+
+    def test_no_array_executor_while_a_tape_records(self, monkeypatch):
+        from capseq.captioner import CaptionModel
+        from capseq.config import RunConfig
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("array executor ran")
+
+        for name in ("operand", "array_of", "matmul", "softmax", "relu", "tanh", "sigmoid",
+                     "powc", "reduce_mean", "narrow", "concat", "embedding_lookup", "dropout"):
+            monkeypatch.setattr(ad.ArrayOps, name, staticmethod(refuse))
+        lm = make_lm(seed=1)
+        with pytest.raises(AssertionError, match="array executor ran"):
+            lm.forward([1, 2, 3])
+        with ad.Tape() as tape:
+            loss = lm.loss([1, 2, 3, 4, 5])
+        tape.backward(loss)
+        model = CaptionModel(RunConfig().caption_config(), 8, seed=0)
+        with ad.Tape() as tape:
+            annotations = model.encode(np.random.default_rng(0).random((2, 8, 8)))
+            loss = model.sequence_loss(annotations, np.array([[1, 4, 5, 2], [1, 6, 2, 0]]),
+                                       np.array([3, 2]))
+        tape.backward(loss)
+
+    @pytest.mark.parametrize("vocab", [257, 337, 2257])
+    def test_step_log_softmax_equals_per_row_bitwise(self, vocab):
+        rng = np.random.default_rng(vocab)
+        for _ in range(100):
+            b, t = int(rng.integers(1, 16)), int(rng.integers(1, 10))
+            v = vocab if rng.random() < 0.5 else int(rng.integers(2, vocab + 1))
+            logits = rng.normal(scale=rng.uniform(0.1, 30.0), size=(b, t, v))
+            last = logits[:, -1]  # the step function's stacked last rows, a strided view
+            got = ad._log_softmax(last, axis=-1)
+            assert [row.tobytes() for row in got] == \
+                [per_row_log_softmax(row).tobytes() for row in last]
+
+    @staticmethod
+    def first_steps(lm, seed_ids, strategy="beam"):
+        return decode(lm.step_function(seed_ids), 4, lm.vocab.end_of_text_id,
+                      strategy=strategy, beam_width=3)
+
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    def test_nan_parameter_raises_the_tape_error(self, strategy):
+        lm = desk_lm(64, seed=4)
+        weight = lm.parameters()["layer1.ffn1.weight"]
+        weight.data = np.where(np.arange(weight.data.size).reshape(weight.shape) == 7, np.nan,
+                               weight.data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ad.NonFiniteInputError, match=nonfinite("matmul")):
+                self.first_steps(lm, list(range(1, 21)), strategy)
+
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    def test_overflowing_activation_warns_and_raises_the_tape_error(self, strategy):
+        lm = desk_lm(64, seed=5)
+        lm.parameters()["layer0.ln2.gain"].data = np.full(32, 1e308)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+            with pytest.raises(ad.NonFiniteInputError, match=nonfinite("add")):
+                self.first_steps(lm, list(range(1, 21)), strategy)
+
+    @pytest.mark.parametrize("bad_id", [-1, -337, 337, 10**6])
+    def test_token_id_out_of_range_raises(self, bad_id):
+        lm = desk_lm(64, seed=6)
+        message = re.escape("embedding_lookup: index out of range [0, 337)")
+        for seed_ids in ([5, bad_id, 7], [bad_id] * 20):
+            with pytest.raises(ValueError, match=message):
+                self.first_steps(lm, seed_ids)
+        with pytest.raises(ValueError, match=message):
+            lm.forward([[1, 2], [3, bad_id]])
