@@ -46,6 +46,9 @@ operand is not marked finite. It range-checks lookup ids as
 ``embedding_lookup`` does, because plain indexing would wrap a negative id.
 On a trap, a failed scan or any ``ValueError``, the body runs again on the
 tape ops, so the warning and the error are the tape ops' own.
+Both models keep their parameters in a ``ParameterStore``, which draws them
+from one seeded generator in creation order and reads them in a body on the
+running executor.
 
 ``conv2d`` unrolls its input into im2col columns one band of output rows at
 a time (about ``CONV_BAND_COLUMNS`` columns, on whole 8-column GEMM tiles),
@@ -1026,3 +1029,40 @@ def executed(body):
             _STEP_OPS.reset(token)
 
     return run
+
+
+# ---------------------------------------------------------------------------
+# model scaffold
+
+
+class ParameterStore:
+    """Named parameters of a model, drawn from one generator seeded with
+    ``seed`` in creation order, so the order of the ``_matrix`` calls fixes
+    every initial value. A body reads a parameter on its executor through
+    ``_operand`` and ``_apply_affine``."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self._params: dict[str, Parameter] = {}
+
+    def _matrix(self, name, shape, scale=None, trainable=True) -> None:
+        """Drawn uniformly from [-scale, scale), by default 1/sqrt(shape[0])."""
+        s = scale if scale is not None else 1.0 / np.sqrt(shape[0])
+        self._store(name, self._rng.uniform(-s, s, size=shape), trainable)
+
+    def _store(self, name, values, trainable=True) -> None:
+        self._params[name] = Parameter(values, name, trainable)
+
+    def _affine(self, name, fan_in, fan_out, trainable=True) -> None:
+        self._matrix(f"{name}.weight", (fan_in, fan_out), trainable=trainable)
+        self._store(f"{name}.bias", np.zeros(fan_out), trainable)
+
+    def parameters(self) -> dict[str, Parameter]:
+        return dict(self._params)
+
+    def _operand(self, ops, name: str):
+        return ops.operand(self._params[name])
+
+    def _apply_affine(self, ops, x, name: str):
+        weight, bias = self._operand(ops, f"{name}.weight"), self._operand(ops, f"{name}.bias")
+        return ops.matmul(x, weight) + bias

@@ -27,7 +27,7 @@ logger = logging.getLogger(__name__)
 PROB_FLOOR = 1e-12
 
 
-class CaptionModel:
+class CaptionModel(ad.ParameterStore):
     """Encoder + soft attention + LSTM decoder + deep output layer."""
 
     def __init__(self, config: CaptionConfig, vocab_size: int, seed: int):
@@ -37,8 +37,7 @@ class CaptionModel:
         self.config = config
         self.vocab_size = vocab_size
         self.training = True
-        self._rng = np.random.default_rng(seed)
-        self._params: dict[str, ad.Parameter] = {}
+        super().__init__(seed)
 
         c = config
         k = c.kernel_size
@@ -62,27 +61,10 @@ class CaptionModel:
 
     # -- parameter plumbing --------------------------------------------------
 
-    def _matrix(self, name, shape, scale=None, trainable=True):
-        fan_in = shape[0]
-        s = scale if scale is not None else 1.0 / np.sqrt(fan_in)
-        p = ad.Parameter(self._rng.uniform(-s, s, size=shape), name, trainable)
-        self._params[name] = p
-        return p
-
-    def _affine(self, name, fan_in, fan_out, trainable=True):
-        self._matrix(f"{name}.weight", (fan_in, fan_out), trainable=trainable)
-        self._params[f"{name}.bias"] = ad.Parameter(
-            np.zeros(fan_out), f"{name}.bias", trainable)
-
     def _conv(self, name, out_ch, in_ch, k, trainable):
-        s = 1.0 / np.sqrt(in_ch * k * k)
-        self._params[f"{name}.weight"] = ad.Parameter(
-            self._rng.uniform(-s, s, size=(out_ch, in_ch, k, k)), f"{name}.weight", trainable)
-        self._params[f"{name}.bias"] = ad.Parameter(
-            np.zeros(out_ch), f"{name}.bias", trainable)
-
-    def parameters(self) -> dict[str, ad.Parameter]:
-        return dict(self._params)
+        self._matrix(f"{name}.weight", (out_ch, in_ch, k, k), 1.0 / np.sqrt(in_ch * k * k),
+                     trainable)
+        self._store(f"{name}.bias", np.zeros(out_ch), trainable)
 
     def encoder_parameters(self) -> list[ad.Parameter]:
         return [p for name, p in self._params.items() if name.startswith("encoder.")]
@@ -90,22 +72,12 @@ class CaptionModel:
     def decoder_parameters(self) -> list[ad.Parameter]:
         return [p for name, p in self._params.items() if not name.startswith("encoder.")]
 
-    def _p(self, name) -> ad.Parameter:
-        return self._params[name]
-
-    def _operand(self, ops, name: str):
-        return ops.operand(self._params[name])
-
-    def _apply_affine(self, ops, x, name: str):
-        weight, bias = self._operand(ops, f"{name}.weight"), self._operand(ops, f"{name}.bias")
-        return ops.matmul(x, weight) + bias
-
     def set_encoder_finetune(self, enabled: bool) -> None:
         """Toggle gradients for the last encoder layer; the lower layers stay
         frozen either way. Idempotent."""
         self.config.fine_tune_encoder = bool(enabled)
-        self._p("encoder.conv3.weight").trainable = bool(enabled)
-        self._p("encoder.conv3.bias").trainable = bool(enabled)
+        self._params["encoder.conv3.weight"].trainable = bool(enabled)
+        self._params["encoder.conv3.bias"].trainable = bool(enabled)
 
     def train_mode(self, training: bool = True) -> None:
         self.training = training
@@ -123,7 +95,8 @@ class CaptionModel:
             # edge padding keeps constant images constant, so uniform inputs
             # yield identical region vectors after pooling
             for layer in ("encoder.conv1", "encoder.conv2", "encoder.conv3"):
-                x = ad.relu(ad.conv2d(x, self._p(f"{layer}.weight"), self._p(f"{layer}.bias")))
+                x = ad.relu(ad.conv2d(x, self._params[f"{layer}.weight"],
+                                      self._params[f"{layer}.bias"]))
             pooled = ad.adaptive_avg_pool(x, r, r)               # (B, F, r, r)
         flat = pooled.reshape((images.shape[0], self.config.encoder_channels, r * r))
         return flat.transpose((0, 2, 1))                         # (B, R, F)
@@ -284,13 +257,10 @@ class CaptionModel:
 
         ``step`` is ``decoding.deferred_step``: the first numpy conversion of
         a queued handle runs one attention, LSTM and output step over every
-        queued prefix, their (1, n) states stacked on a leading beam axis.
-        A lone prefix (every greedy step) runs unstacked, as (1, n): the
-        stacked (1, 1, n) step is the same bytes but timed about 7% slower
-        (a greedy caption step: 242 against 225 us median, desk config, 1
-        BLAS thread). With no tape recording, the step runs on plain arrays
-        (see ``attend``), and the states pass from step to step as arrays,
-        not scanned again.
+        queued prefix, their (1, n) states stacked on a leading beam axis, a
+        lone prefix (every greedy step) as (1, 1, n). With no tape recording,
+        the step runs on plain arrays (see ``attend``), and the states pass
+        from step to step as arrays, not scanned again.
         """
         proj_regions = self._project_regions(annotations)
         initial = tuple(t.data for t in self.init_state(annotations))
@@ -301,13 +271,6 @@ class CaptionModel:
             alpha, context = self.attend(annotations, h, proj_regions)
             h2, c2 = self.lstm_step(tokens, h, c, context)
             return h2, c2, alpha, self.output_distribution(h2, context, tokens)
-
-        def evaluate_one(prefix) -> np.ndarray:
-            h, c = (record[prefix[:-1]] if prefix else initial)[:2]
-            token = np.array([prefix[-1] if prefix else start_id])
-            h2, c2, alpha, probs = (t.data for t in advance(token, h, c))
-            record[prefix] = (h2, c2, alpha.reshape(-1))
-            return np.log(np.maximum(probs.reshape(-1), PROB_FLOOR))
 
         def evaluate(prefixes) -> np.ndarray:
             k = len(prefixes)
@@ -321,7 +284,7 @@ class CaptionModel:
                 record[prefix] = (h2[i], c2[i], alphas[i])
             return np.log(np.maximum(probs.reshape(k, -1), PROB_FLOOR))
 
-        return decoding.deferred_step(evaluate, evaluate_one), record
+        return decoding.deferred_step(evaluate), record
 
     def decode_caption(self, image, strategy: str = "greedy", beam_width: int = 5,
                        max_len: int | None = None, length_normalize: bool = True,
@@ -330,14 +293,15 @@ class CaptionModel:
         its annotation grid from ``encode``, which a caller may keep while the
         encoder is frozen. Returns (token ids without specials, attention
         weights per emitted token)."""
+        if max_len is None:
+            max_len = self.config.max_caption_len
         was_training = self.training
         self.training = False
         try:
             annotations = image if isinstance(image, ad.Tensor) else self.encode(np.asarray(image))
             step, record = self.step_function(annotations, start_id)
-            ids = decoding.decode(step, max_len or self.config.max_caption_len, end_id,
-                                  strategy=strategy, beam_width=beam_width,
-                                  length_normalize=length_normalize)
+            ids = decoding.decode(step, max_len, end_id, strategy=strategy,
+                                  beam_width=beam_width, length_normalize=length_normalize)
             return ids, [record[tuple(ids[:i])][2] for i in range(len(ids))]
         finally:
             self.training = was_training
@@ -399,7 +363,6 @@ def train_teacher_forcing(model: CaptionModel, examples: list[CaptionExample],
     fine_tune = model.config.fine_tune_encoder
     cached = None
     if not fine_tune:
-        model.train_mode(False)
         # one image per call: a batched call would hold every image's
         # activation maps at once
         cached = [model.encode(ex.image).data[0] for ex in examples]

@@ -31,17 +31,13 @@ def write_atomic(path, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
-def save_tensors(path, named) -> None:
+def save_tensors(path, named: dict) -> None:
     """Write an ordered mapping of name -> float array."""
-    if hasattr(named, "items"):
-        items = list(named.items())
-    else:
-        items = list(named)
     w = ByteWriter()
     w.raw(MAGIC)
     w.u32(VERSION)
-    w.u32(len(items))
-    for name, arr in items:
+    w.u32(len(named))
+    for name, arr in named.items():
         arr = np.asarray(arr, dtype=np.float64)
         w.utf8(name)
         w.u32(arr.ndim)
@@ -80,7 +76,7 @@ def load_tensors(path) -> dict[str, np.ndarray]:
 
 def save_model(path, parameters: dict) -> None:
     """Persist a model's named Parameter mapping."""
-    save_tensors(path, [(name, p.data) for name, p in parameters.items()])
+    save_tensors(path, {name: p.data for name, p in parameters.items()})
 
 
 def load_into_model(path, parameters: dict) -> None:

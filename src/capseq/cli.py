@@ -293,14 +293,12 @@ def cmd_train_sat(args) -> int:
     annotations = {}
 
     def validate(model: CaptionModel) -> list[EvalPair]:
-        model.train_mode(False)
         pairs = []
         for i, rec in enumerate(val_records):
             if model.config.fine_tune_encoder or i not in annotations:
                 annotations[i] = model.encode(rec.image)
             ids, _ = model.decode_caption(annotations[i], strategy="greedy")
             pairs.append(EvalPair(vocab.decode(ids) or [""], [refs[rec.study_id]]))
-        model.train_mode(True)
         return pairs
 
     train = functools.partial(train_teacher_forcing, model, examples, cfg,
@@ -354,7 +352,6 @@ def _load_caption_model(cfg: RunConfig, ckpt_path, vocab: WordVocabulary) -> Cap
     model = CaptionModel(cfg.caption_config(), len(vocab), cfg.seed)
     checkpoint.load_into_model(_require_file(ckpt_path, "caption checkpoint"),
                                model.parameters())
-    model.train_mode(False)
     return model
 
 

@@ -84,24 +84,17 @@ class PendingLogprobs:
         return value.copy() if copy else value
 
 
-def deferred_step(evaluate, evaluate_one=None):
+def deferred_step(evaluate):
     """A deferring step function over ``evaluate(prefixes) -> rows``.
 
     ``step(prefix)`` queues the prefix and returns a ``PendingLogprobs``. The
     first conversion of any queued handle calls ``evaluate`` once with every
-    queued prefix, in queue order, and fills each handle with its row of
-    log-probabilities. A lone queued prefix (every greedy step) goes to
-    ``evaluate_one(prefix) -> row`` instead, when given, which skips the
-    batch's list and reshape bookkeeping; it must give the bytes
-    ``evaluate([prefix])[0]`` would.
+    queued prefix, in queue order, a lone prefix (every greedy step) too, and
+    fills each handle with its row of log-probabilities.
     """
     queue: list[tuple[tuple[int, ...], PendingLogprobs]] = []
 
     def flush() -> None:
-        if evaluate_one is not None and len(queue) == 1:
-            prefix, handle = queue.pop()
-            handle.value = evaluate_one(prefix)
-            return
         rows = evaluate([prefix for prefix, _ in queue])
         for row, (_, handle) in zip(rows, queue):
             handle.value = row

@@ -55,14 +55,13 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     return out
 
 
-class TransformerLm:
+class TransformerLm(ad.ParameterStore):
     def __init__(self, config: LmConfig, vocab: BpeVocabulary, seed: int):
         config.validate()
+        super().__init__(seed)
         self.config = config
         self.vocab = vocab
         self.vocab_size = len(vocab)
-        self._rng = np.random.default_rng(seed)
-        self._params: dict[str, ad.Parameter] = {}
         self._positions = sinusoidal_positions(config.block_size, config.model_dim)
 
         d, f = config.model_dim, config.ffn_dim
@@ -80,25 +79,9 @@ class TransformerLm:
         self._norm("final_ln")
         self._affine("head", d, self.vocab_size)
 
-    def _matrix(self, name, shape, scale=None):
-        s = scale if scale is not None else 1.0 / np.sqrt(shape[0])
-        p = ad.Parameter(self._rng.uniform(-s, s, size=shape), name)
-        self._params[name] = p
-        return p
-
-    def _affine(self, name, fan_in, fan_out):
-        self._matrix(f"{name}.weight", (fan_in, fan_out))
-        self._params[f"{name}.bias"] = ad.Parameter(np.zeros(fan_out), f"{name}.bias")
-
     def _norm(self, name):
-        self._params[f"{name}.gain"] = ad.Parameter(np.ones(self.config.model_dim), f"{name}.gain")
-        self._params[f"{name}.bias"] = ad.Parameter(np.zeros(self.config.model_dim), f"{name}.bias")
-
-    def parameters(self) -> dict[str, ad.Parameter]:
-        return dict(self._params)
-
-    def _operand(self, ops, name: str):
-        return ops.operand(self._params[name])
+        self._store(f"{name}.gain", np.ones(self.config.model_dim))
+        self._store(f"{name}.bias", np.zeros(self.config.model_dim))
 
     def _layernorm(self, ops, x, name: str):
         mu = ops.reduce_mean(x, -1, True)
@@ -107,10 +90,6 @@ class TransformerLm:
         inv = ops.powc(var + LN_EPS, -0.5)
         gain, bias = self._operand(ops, f"{name}.gain"), self._operand(ops, f"{name}.bias")
         return centered * inv * gain + bias
-
-    def _apply_affine(self, ops, x, name: str):
-        weight, bias = self._operand(ops, f"{name}.weight"), self._operand(ops, f"{name}.bias")
-        return ops.matmul(x, weight) + bias
 
     def forward(self, ids, start: int = 0, past=None, present=None) -> ad.Tensor:
         """Token ids (T,) -> logits (T, vocab), or a batch (B, T) -> logits

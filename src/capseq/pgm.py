@@ -12,6 +12,10 @@ from pathlib import Path
 import numpy as np
 
 
+# Netpbm requires maxval < 65536; P5 stores samples above 255 in two bytes
+MAX_MAXVAL = 65535
+
+
 class PgmError(ValueError):
     pass
 
@@ -53,6 +57,8 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
         raise PgmError(f"{path}: non-numeric PGM header fields")
     if width <= 0 or height <= 0 or maxval <= 0:
         raise PgmError(f"{path}: invalid PGM dimensions {width}x{height} maxval {maxval}")
+    if maxval > MAX_MAXVAL:
+        raise PgmError(f"{path}: maxval {maxval} exceeds the PGM limit {MAX_MAXVAL}")
     if magic == b"P2":
         raster = data[end:]
         # bytes.split() breaks on exactly the bytes isspace() accepts, so
@@ -105,8 +111,8 @@ def write_pgm(path, values01: np.ndarray, maxval: int = 255) -> None:
     arr = np.asarray(values01, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise PgmError(f"write_pgm: expected a non-empty 2-D grid, got shape {arr.shape}")
-    if maxval < 1:
-        raise PgmError(f"write_pgm: maxval must be positive, got {maxval}")
+    if not 1 <= maxval <= MAX_MAXVAL:
+        raise PgmError(f"write_pgm: maxval must be in [1, {MAX_MAXVAL}], got {maxval}")
     if np.isnan(arr).any():  # the clip below takes +-inf to maxval and 0
         raise PgmError("write_pgm: grid contains NaN")
     quantized = np.clip(np.rint(arr * maxval), 0, maxval).astype(np.int64)

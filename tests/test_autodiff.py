@@ -3,6 +3,7 @@ optimizer/checkpoint contracts."""
 
 import ast
 import contextlib
+import hashlib
 import os
 import subprocess
 import sys
@@ -19,8 +20,10 @@ from hypothesis.extra import numpy as hnp
 
 from capseq import autodiff as ad
 from capseq.binio import BinaryFormatError
+from capseq.captioner import CaptionModel
 from capseq.checkpoint import (CheckpointError, load_into_model, load_tensors, save_model,
                                save_tensors)
+from capseq.config import load_run_config
 from capseq.lm import MASK_VALUE, LmConfig, TransformerLm
 from capseq.optim import Adam, Sgd, clip_gradients, global_grad_norm, train_epochs
 from capseq.tokenizers import BpeVocabulary
@@ -1097,3 +1100,42 @@ class TestCheckpointFormat:
         path.write_bytes(data[:-16])
         with pytest.raises(BinaryFormatError, match="offset"):
             load_tensors(path)
+
+
+def _parameter_digest(model) -> str:
+    """SHA-256 of a model's parameters in creation order: name, shape,
+    trainable flag and raw float64 bytes of each."""
+    h = hashlib.sha256()
+    for name, p in model.parameters().items():
+        h.update(f"{name} {p.data.shape} {p.trainable}\n".encode())
+        h.update(p.data.tobytes())
+    return h.hexdigest()
+
+
+class TestParameterStore:
+    """Initial parameters keep their bytes: both models draw from one seeded
+    generator in a fixed order, and checkpoints and outputs depend on it."""
+
+    DESK = Path(__file__).parent.parent / "configs" / "desk.cfg"
+    CAPTIONER = {
+        0: "103ae6d796859f0bdffb05318eff61281bda0ead29b2834dffd5e442c2864235",
+        1: "73556de76be1936f9c4d4f1feff8c213f2c8863406071d310bcb045662dc5b74",
+    }
+    LM = {
+        0: "2cb7882979959ece4612db869f5a43d9bb3970ff61acbdfabb8870275aa56ce8",
+        1: "ee964dcbc176b5923f209a428152b3c9a4fa0de099a0dfe46933018411167b01",
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_captioner_initial_parameters_at_desk_shape(self, seed):
+        cfg = load_run_config(self.DESK)
+        model = CaptionModel(cfg.caption_config(), vocab_size=60, seed=seed)
+        assert _parameter_digest(model) == self.CAPTIONER[seed]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_lm_initial_parameters_at_desk_shape(self, seed):
+        cfg = load_run_config(self.DESK)
+        text = "".join(np.random.default_rng(0).choice(list("abcdefgh "), 3000))
+        vocab = BpeVocabulary.train(text, cfg.lm_merges)
+        model = TransformerLm(cfg.lm_config(), vocab, seed=seed)
+        assert _parameter_digest(model) == self.LM[seed]

@@ -372,6 +372,16 @@ class TestDecodeCaption:
             b_ids, _ = model.decode_caption(image, strategy="beam", beam_width=3, max_len=6)
             assert len(b_ids) <= 6 and len(g_ids) <= 6
 
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    def test_zero_max_len_is_refused_not_the_config_cap(self, strategy):
+        model = tiny_model(seed=1)
+        image = np.random.default_rng(1).random((8, 8))
+        with pytest.raises(ValueError, match="max_len must be at least 1, got 0"):
+            model.decode_caption(image, strategy=strategy, max_len=0)
+        assert model.training
+        ids, _ = model.decode_caption(image, strategy=strategy)
+        assert len(ids) <= model.config.max_caption_len
+
 
 class TestDeferredStep:
     """The deferred caption step against the eager one-prefix-per-call
@@ -432,7 +442,7 @@ class TestDeferredStep:
             attend = model.attend
 
             def counting_attend(annotations, h_prev, proj_regions=None):
-                batches.append(h_prev.shape[0] if h_prev.ndim == 3 else 1)
+                batches.append(h_prev.shape[0])  # (K, 1, n): K queued prefixes
                 return attend(annotations, h_prev, proj_regions)
 
             model.attend = counting_attend

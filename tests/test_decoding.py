@@ -64,7 +64,7 @@ def deferring(eager, batches):
     def evaluate(prefixes):
         batches.append(list(prefixes))
         return [eager(prefix) for prefix in prefixes]
-    return deferred_step(evaluate, lambda prefix: evaluate([prefix])[0])
+    return deferred_step(evaluate)
 
 
 class TestGreedy:

@@ -48,6 +48,13 @@ class TestWriteRead:
         assert maxval == 1000
         np.testing.assert_array_equal(pixels, [[300, 500]])
 
+    def test_p5_at_the_largest_maxval(self, tmp_path):
+        path = tmp_path / "top.pgm"
+        path.write_bytes(b"P5\n2 1\n65535\n\xff\xff\x00\x02")
+        pixels, maxval = read_pgm(path)
+        assert maxval == 65535
+        np.testing.assert_array_equal(pixels, [[65535, 2]])
+
     def test_comments_in_header(self, tmp_path):
         path = tmp_path / "img.pgm"
         path.write_text("P2\n# a comment\n2 2\n255\n0 1\n2 3\n")
@@ -107,6 +114,22 @@ class TestErrors:
         path.write_text("P2\n1 1\n10\n11\n")
         with pytest.raises(PgmError, match="maxval"):
             read_pgm(path)
+
+    @pytest.mark.parametrize("maxval", [65536, 70000])
+    @pytest.mark.parametrize("magic, raster", [("P2", b"0 1\n"), ("P5", b"\x00\x01\x00\x02")],
+                             ids=["P2", "P5"])
+    def test_maxval_past_the_pgm_limit(self, tmp_path, magic, raster, maxval):
+        # the P5 raster holds two-byte samples, as such a header would be read
+        path = tmp_path / "wide.pgm"
+        path.write_bytes(f"{magic}\n2 1\n{maxval}\n".encode() + raster)
+        with pytest.raises(PgmError, match=f"maxval {maxval} exceeds"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("maxval", [65536, 70000])
+    def test_write_rejects_maxval_past_the_pgm_limit(self, tmp_path, maxval):
+        with pytest.raises(PgmError, match=f"got {maxval}"):
+            write_pgm(tmp_path / "x.pgm", np.zeros((2, 2)), maxval)
+        assert not (tmp_path / "x.pgm").exists()
 
     @pytest.mark.parametrize("comment", ["", "# note\n"])
     @pytest.mark.parametrize("samples", ["-3 7", "+7 3", "1_0 2", "0x1 2", "4 x"])
