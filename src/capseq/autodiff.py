@@ -30,8 +30,8 @@ output unmarked for the next op to reject. Structural ops (reshape,
 transpose, narrow, concat, embedding_lookup, pick) pass their input's mark
 on, in a scope or not. Still scanned: matmul and conv2d outputs (BLAS
 worker threads keep their own FP flags, so a trap there can go unseen),
-``as_constant`` and other arrays from outside the ops, and ``data`` after
-assignment. The scope's state is per thread, as numpy's errstate is.
+arrays from outside the ops, and ``data`` after assignment. The scope's state
+is per thread, as numpy's errstate is.
 
 Each model writes its forward and its caption step once, against the op
 namespace ``ops()``, as bodies decorated ``executed``. Two executors run
@@ -45,13 +45,15 @@ product. It scans a tensor operand, such as a parameter, only while the
 operand is not marked finite. It range-checks lookup ids as
 ``embedding_lookup`` does, because plain indexing would wrap a negative id.
 On a trap, a failed scan or any ``ValueError``, the body runs again on the
-tape ops, so the warning and the error are the tape ops' own.
-Both models keep their parameters in a ``ParameterStore``, which draws them
-from one seeded generator in creation order and reads them in a body on the
-running executor.
+tape ops, so the warning and the error are the tape ops' own, and an output
+that run leaves non-finite is rejected.
+A recording tape is also the only switch between training and inference:
+``dropout`` draws a mask only then. Both models keep their parameters in a
+``ParameterStore``, which draws them from one seeded generator in creation
+order and reads them in a body on the running executor.
 
 ``conv2d`` unrolls its input into im2col columns one band of output rows at
-a time (about ``CONV_BAND_COLUMNS`` columns, on whole 8-column GEMM tiles),
+a time (about ``CONV_BAND_COLUMNS`` columns, on whole ``GEMM_TILE`` tiles),
 so the forward never holds the full column buffer. Each band's product is
 bitwise the full product's columns: a GEMM computes each output column from
 its own column of the second operand, in tiles that the bands keep intact
@@ -706,18 +708,18 @@ _SMALL_GEMM_SPLIT = 384
 # L2 cache; widths from 256 to 2048 ran a 128 px 32-channel layer about
 # equally fast.
 CONV_BAND_COLUMNS = 1024
-# OpenBLAS computes a product in tiles of 8 columns. Columns past the last
-# whole tile go through narrower kernels that can round differently, and a
-# 1-column product is a gemv. So a band holds a multiple of 8 columns, and an
-# image whose H*W is not one runs as one band.
-_BAND_ALIGN = 8
+# OpenBLAS computes a product in tiles of 8 rows and 8 columns; rows or
+# columns past the last whole tile go through narrower kernels that can round
+# differently, and a 1-wide product is a gemv. So conv2d bands hold whole
+# column tiles (one band if H*W is not a multiple), LM decoding whole row tiles.
+GEMM_TILE = 8
 
 
 def _band_rows(h: int, w: int, least: int = 1) -> int:
     """Output rows per im2col band of an (h, w) image, at least ``least``."""
-    if (h * w) % _BAND_ALIGN:
+    if (h * w) % GEMM_TILE:
         return h
-    step = _BAND_ALIGN // math.gcd(w, _BAND_ALIGN)
+    step = GEMM_TILE // math.gcd(w, GEMM_TILE)
     return min(h, max(step, -(-least // step) * step, CONV_BAND_COLUMNS // w // step * step))
 
 
@@ -868,13 +870,17 @@ def adaptive_avg_pool(x, out_h: int, out_w: int) -> Tensor:
     return out
 
 
-def dropout(x, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted dropout: scales survivors by 1/(1-rate) at train time,
-    identity at eval time or rate 0."""
+def _check_rate(rate: float) -> None:
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must lie in [0, 1), got {rate}")
+
+
+def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout while a ``Tape`` records: survivors are scaled by
+    1/(1-rate). The identity with no tape recording, or at rate 0."""
+    _check_rate(rate)
     x = _coerce(x)
-    if not training or rate == 0.0:
+    if not _TAPES or rate == 0.0:
         return x
     _require_finite("dropout", x)
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
@@ -885,11 +891,6 @@ def dropout(x, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
 
     _record(out, (x,), vjp)
     return out
-
-
-def as_constant(value) -> Tensor:
-    """Wrap an array as a non-parameter tensor (gradient sink, never updated)."""
-    return Tensor(value)
 
 
 # ---------------------------------------------------------------------------
@@ -905,10 +906,6 @@ def operand(value) -> Tensor:
 def array_of(t: Tensor) -> np.ndarray:
     """The values of a tape operand."""
     return t.data
-
-
-class _TapeOnly(Exception):
-    """Raised by the array executor for work it leaves to the tape ops."""
 
 
 class ArrayOps:
@@ -964,10 +961,8 @@ class ArrayOps:
         return table[ids]
 
     @staticmethod
-    def dropout(x: np.ndarray, rate: float, rng, training: bool) -> np.ndarray:
-        if training and rate != 0.0 or not 0.0 <= rate < 1.0:
-            # a train-time mask is drawn once, and a bad rate raises, on the tape
-            raise _TapeOnly("dropout")
+    def dropout(x: np.ndarray, rate: float, rng) -> np.ndarray:
+        _check_rate(rate)  # no tape records, so no mask
         return x
 
     softmax = staticmethod(_softmax)
@@ -1000,10 +995,12 @@ def executed(body):
     A body called inside another runs on that one's executor. Else, with no
     tape recording, the body runs once on arrays, inside ``FpTraps``, and
     each array it returns comes back as a tensor marked finite. A trap, a
-    failed scan, any ``ValueError`` or work left to the tape makes it run
-    again on the tape ops, which then warn and raise as they would have
-    alone. The body must not leave a change behind that a second run would
-    repeat. Tape ops run inside ``FpTraps`` too."""
+    failed scan or any ``ValueError`` makes it run again on the tape ops,
+    which then warn and raise as they would have alone; an output of that
+    run that is still not finite (a trap in the body's last op) raises
+    ``NonFiniteInputError`` naming the body. The body must not leave a
+    change behind that a second run would repeat. Tape ops run inside
+    ``FpTraps`` too."""
 
     @functools.wraps(body)
     def run(*args, **kwargs):
@@ -1017,16 +1014,22 @@ def executed(body):
                 if isinstance(out, tuple):
                     return tuple(_marked(a, True) for a in out)
                 return _marked(out, True)
-            except (FloatingPointError, ValueError, _TapeOnly):
+            except (FloatingPointError, ValueError):
                 pass
             finally:
                 _STEP_OPS.reset(token)
         token = _STEP_OPS.set(_TAPE_OPS)
         try:
             with FpTraps():
-                return body(*args, **kwargs)
+                out = body(*args, **kwargs)
         finally:
             _STEP_OPS.reset(token)
+        if not _TAPES:
+            for t in (out if isinstance(out, tuple) else (out,)):
+                if not (t._finite or np.isfinite(t._data).all()):
+                    raise NonFiniteInputError(
+                        f"{body.__qualname__}: output contains non-finite values")
+        return out
 
     return run
 

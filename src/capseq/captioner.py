@@ -36,7 +36,6 @@ class CaptionModel(ad.ParameterStore):
             raise ValueError(f"word vocabulary too small ({vocab_size})")
         self.config = config
         self.vocab_size = vocab_size
-        self.training = True
         super().__init__(seed)
 
         c = config
@@ -79,9 +78,6 @@ class CaptionModel(ad.ParameterStore):
         self._params["encoder.conv3.weight"].trainable = bool(enabled)
         self._params["encoder.conv3.bias"].trainable = bool(enabled)
 
-    def train_mode(self, training: bool = True) -> None:
-        self.training = training
-
     # -- forward pieces -------------------------------------------------------
 
     def encode(self, images) -> ad.Tensor:
@@ -89,7 +85,7 @@ class CaptionModel(ad.ParameterStore):
         images = np.asarray(images, dtype=np.float64)
         if images.ndim == 2:
             images = images[None]
-        x = ad.as_constant(images[:, None])                      # (B, 1, H, W)
+        x = ad.operand(images[:, None])                          # (B, 1, H, W)
         r = self.config.pooled_side
         with ad.FpTraps():
             # edge padding keeps constant images constant, so uniform inputs
@@ -179,10 +175,10 @@ class CaptionModel(ad.ParameterStore):
     def output_distribution(self, h: ad.Tensor, context: ad.Tensor, tokens) -> ad.Tensor:
         """Next-word probabilities conditioned on hidden state, context vector
         and the previous word's embedding, over the last axis. Dropout hits
-        the hidden state at train time only."""
+        the hidden state while a ``Tape`` records (training) only."""
         ops = ad.ops()
         h, context = ops.operand(h), ops.operand(context)
-        hd = ops.dropout(h, self.config.dropout, self._rng, self.training)
+        hd = ops.dropout(h, self.config.dropout, self._rng)
         emb = ops.embedding_lookup(self._operand(ops, "embedding"),
                                    np.asarray(tokens, dtype=np.int64))
         mixed = (ops.matmul(hd, self._operand(ops, "out.l_h"))
@@ -295,16 +291,11 @@ class CaptionModel(ad.ParameterStore):
         weights per emitted token)."""
         if max_len is None:
             max_len = self.config.max_caption_len
-        was_training = self.training
-        self.training = False
-        try:
-            annotations = image if isinstance(image, ad.Tensor) else self.encode(np.asarray(image))
-            step, record = self.step_function(annotations, start_id)
-            ids = decoding.decode(step, max_len, end_id, strategy=strategy,
-                                  beam_width=beam_width, length_normalize=length_normalize)
-            return ids, [record[tuple(ids[:i])][2] for i in range(len(ids))]
-        finally:
-            self.training = was_training
+        annotations = image if isinstance(image, ad.Tensor) else self.encode(np.asarray(image))
+        step, record = self.step_function(annotations, start_id)
+        ids = decoding.decode(step, max_len, end_id, strategy=strategy,
+                              beam_width=beam_width, length_normalize=length_normalize)
+        return ids, [record[tuple(ids[:i])][2] for i in range(len(ids))]
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +357,6 @@ def train_teacher_forcing(model: CaptionModel, examples: list[CaptionExample],
         # one image per call: a batched call would hold every image's
         # activation maps at once
         cached = [model.encode(ex.image).data[0] for ex in examples]
-    model.train_mode(True)
 
     def batch_loss(idx):
         captions = np.stack([examples[i].caption for i in idx])
@@ -376,7 +366,7 @@ def train_teacher_forcing(model: CaptionModel, examples: list[CaptionExample],
         if fine_tune:
             annotations = model.encode(np.stack([examples[i].image for i in sorted_idx]))
         else:
-            annotations = ad.as_constant(np.stack([cached[i] for i in sorted_idx]))
+            annotations = ad.operand(np.stack([cached[i] for i in sorted_idx]))
         return model.sequence_loss(annotations, captions, lengths)
 
     return train_epochs(model, len(examples), batch_loss,

@@ -63,11 +63,22 @@ def _config_from(args) -> RunConfig:
     return load_run_config(args.config, overrides)
 
 
+SPLITS = ("train", "validation", "test")
+
+
 def _load_manifest(path) -> dict:
     manifest = json.loads(_require_file(path, "split manifest").read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise CliValidationError(f"{path}: manifest is not a JSON object")
     for key in ("splits", "seed", "ratios"):
         if key not in manifest:
             raise CliValidationError(f"{path}: manifest missing {key!r}")
+    splits = manifest["splits"]
+    if not (isinstance(splits, dict) and all(
+            isinstance(splits.get(part), list) and all(isinstance(i, str) for i in splits[part])
+            for part in SPLITS)):
+        raise CliValidationError(
+            f"{path}: manifest 'splits' must map {', '.join(SPLITS)} to lists of study ids")
     return manifest
 
 
@@ -160,7 +171,7 @@ def _split_records(args) -> tuple[list[PackedRecord], list[PackedRecord]]:
     manifest = _load_manifest(args.manifest)
     by_id = _records_by_id(records)
     out = {}
-    for part in ("train", "validation", "test"):
+    for part in SPLITS:
         ids = manifest["splits"][part]
         missing = [i for i in ids if i not in by_id]
         if missing:
@@ -174,12 +185,11 @@ def _split_records(args) -> tuple[list[PackedRecord], list[PackedRecord]]:
 def _caption_examples(records, vocab: WordVocabulary, max_len: int) -> list[CaptionExample]:
     examples = []
     for rec in records:
-        seq = vocab.encode(rec.tokens, max_len)
         content = min(len(rec.tokens), max_len - 2)
         examples.append(CaptionExample(
             study_id=rec.study_id,
             image=rec.image,
-            caption=np.asarray(seq.ids, dtype=np.int64),
+            caption=np.asarray(vocab.encode(rec.tokens, max_len), dtype=np.int64),
             decode_len=content + 1,
         ))
     return examples
@@ -456,6 +466,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
+    for flag in ("pooled_side", "height", "width"):
+        if getattr(args, flag) < 1:
+            raise CliValidationError(
+                f"--{flag.replace('_', '-')} must be at least 1, got {getattr(args, flag)}")
     rows = _require_file(args.alphas, "attention CSV").read_text(
         encoding="utf-8").splitlines()
     out_dir = Path(args.out)
@@ -518,7 +532,7 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--dataset", help="packed dataset to caption")
     p.add_argument("--manifest", help="optional manifest to pick a split from")
-    p.add_argument("--split", choices=("train", "validation", "test"))
+    p.add_argument("--split", choices=SPLITS)
     p.add_argument("--image", help="caption a single PGM image instead")
     p.add_argument("--sat-checkpoint", required=True)
     p.add_argument("--lm-checkpoint")

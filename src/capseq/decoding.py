@@ -242,7 +242,7 @@ def lm_seed(text: str, bpe_vocab, block_size: int) -> list[int]:
     """The language model's seed for a text: the BPE encoding of the text
     plus the start marker, cut to its last ``block_size - 1`` ids so that a
     long text keeps the most recent context and one token still fits."""
-    ids = list(bpe_vocab.encode(text + " " + LM_START_MARKER).ids)
+    ids = list(bpe_vocab.encode(text + " " + LM_START_MARKER))
     return ids[-(block_size - 1):]
 
 

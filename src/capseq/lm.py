@@ -197,7 +197,7 @@ class TransformerLm(ad.ParameterStore):
         widest = t * max(cfg.model_dim * max(cfg.model_dim, cfg.ffn_dim, self.vocab_size), t * dk)
         if dk >= WIDE_HEAD_DIM or widest > ad.SMALL_GEMM_MULADDS:
             return 0
-        return max(0, (t - 2) // 8 * 8)
+        return max(0, (t - 2) // ad.GEMM_TILE * ad.GEMM_TILE)
 
     def _check_ids(self, ids) -> np.ndarray:
         ids = np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids, dtype=np.int64)
@@ -290,7 +290,7 @@ class TransformerLm(ad.ParameterStore):
             rows.clear()
             cache.clear()
             if keep:
-                tiles = t // 8 * 8
+                tiles = t // ad.GEMM_TILE * ad.GEMM_TILE
                 rows.update((p, i) for i, p in enumerate(prefixes))
                 cache.extend((k[..., :tiles], v[..., :tiles, :]) for k, v in present)
             return ad._log_softmax(last, axis=-1)
@@ -306,7 +306,7 @@ def build_token_stream(lines: list[str], vocab: BpeVocabulary) -> list[int]:
     """Encode one report per line, appending the end-of-text terminator."""
     stream: list[int] = []
     for line in lines:
-        stream.extend(vocab.encode(line).ids)
+        stream.extend(vocab.encode(line))
         stream.append(vocab.end_of_text_id)
     return stream
 

@@ -10,7 +10,6 @@ the lexicographically smaller pair, so training is deterministic).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
 PAD, START, END, UNK = "<pad>", "<start>", "<end>", "<unk>"
@@ -20,20 +19,6 @@ END_OF_TEXT = "<|endoftext|>"
 
 _WORD_HEADER = "capseq-wordvocab 1"
 _BPE_HEADER = "capseq-bpevocab 1"
-
-
-@dataclass(frozen=True)
-class TokenSequence:
-    """Token ids tagged with the vocabulary they belong to ('word' or 'bpe')."""
-
-    ids: tuple[int, ...]
-    kind: str
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __iter__(self):
-        return iter(self.ids)
 
 
 class WordVocabulary:
@@ -90,7 +75,7 @@ class WordVocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self._token_to_id
 
-    def encode(self, tokens: list[str], max_len: int) -> TokenSequence:
+    def encode(self, tokens: list[str], max_len: int) -> tuple[int, ...]:
         """<start>, mapped tokens (unknowns -> <unk>), <end>, padded to max_len.
 
         Overlong inputs are truncated so <end> stays the final content token.
@@ -100,11 +85,10 @@ class WordVocabulary:
         body = [self.token_to_id(t) for t in tokens[: max_len - 2]]
         ids = [self.start_id] + body + [self.end_id]
         ids += [self.pad_id] * (max_len - len(ids))
-        return TokenSequence(tuple(ids), "word")
+        return tuple(ids)
 
     def decode(self, ids, strip_specials: bool = True) -> list[str]:
-        raw = ids.ids if isinstance(ids, TokenSequence) else ids
-        toks = [self._id_to_token[i] for i in raw]
+        toks = [self._id_to_token[i] for i in ids]
         if strip_specials:
             toks = [t for t in toks if t not in SPECIALS]
         return toks
@@ -225,10 +209,10 @@ class BpeVocabulary:
             symbols = _merge_once(symbols, pair)
         return cls(merges)
 
-    def encode(self, text: str) -> TokenSequence:
+    def encode(self, text: str) -> tuple[int, ...]:
         return self.encode_bytes(text.encode("utf-8"))
 
-    def encode_bytes(self, raw: bytes) -> TokenSequence:
+    def encode_bytes(self, raw: bytes) -> tuple[int, ...]:
         """Greedy encoding: repeatedly apply the present pair with the lowest
         merge rank. Equivalent to replaying the merge list in learned order."""
         symbols = [bytes([b]) for b in raw]
@@ -243,7 +227,7 @@ class BpeVocabulary:
             if best_pair is None:
                 break
             symbols = _merge_once(symbols, best_pair)
-        return TokenSequence(tuple(self._symbol_to_id[s] for s in symbols), "bpe")
+        return tuple(self._symbol_to_id[s] for s in symbols)
 
     def decode(self, ids) -> str:
         """Text form; model-generated sequences need not be valid UTF-8, so
@@ -251,9 +235,8 @@ class BpeVocabulary:
         return self.decode_bytes(ids).decode("utf-8", errors="replace")
 
     def decode_bytes(self, ids) -> bytes:
-        raw = ids.ids if isinstance(ids, TokenSequence) else tuple(ids)
         chunks = []
-        for i in raw:
+        for i in ids:
             if i == self.end_of_text_id:
                 continue  # the terminator carries no text
             if not 0 <= i < len(self._id_to_symbol):
@@ -279,6 +262,13 @@ class BpeVocabulary:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
         if not lines or lines[0] != _BPE_HEADER:
             raise ValueError(f"{path}: missing vocabulary header {_BPE_HEADER!r}")
+        try:
+            return cls._parse(path, lines)
+        except IndexError:
+            raise ValueError(f"{path}: vocabulary is cut short") from None
+
+    @classmethod
+    def _parse(cls, path, lines: list[str]) -> "BpeVocabulary":
         idx = 1
         kind, _, count = lines[idx].partition(" ")
         if kind != "merges":

@@ -337,7 +337,7 @@ def eager_caption_step(model, annotations, start_id=1, floor=1e-12):
         with ad.Tape():
             if prefix:
                 h, c, _ = record[prefix[:-1]]
-                h, c, token = ad.as_constant(h), ad.as_constant(c), prefix[-1]
+                h, c, token = ad.operand(h), ad.operand(c), prefix[-1]
             else:
                 (h, c), token = model.init_state(annotations), start_id
             alpha, context = model.attend(annotations, h, proj_regions)
@@ -427,8 +427,8 @@ def tape_lm_logits(model, ids):
         return v @ P[f"{name}.weight"] + P[f"{name}.bias"]
 
     with ad.FpTraps():
-        x = ad.embedding_lookup(P["embedding"], ids) + ad.as_constant(model._positions[:t])
-        mask = ad.as_constant(np.triu(np.full((t, t), -1e30), k=1))
+        x = ad.embedding_lookup(P["embedding"], ids) + ad.operand(model._positions[:t])
+        mask = ad.operand(np.triu(np.full((t, t), -1e30), k=1))
         for layer in range(cfg.layers):
             p = f"layer{layer}."
             normed = layernorm(x, p + "ln1")

@@ -261,7 +261,7 @@ class TestCriterion5Bpe:
             vocab = BpeVocabulary.train(corpus, int(rng.integers(0, 15)))
             text = "".join(rng.choice(letters, size=int(rng.integers(0, 60))))
             expect = replay_merges(text, vocab.merges)
-            got = [vocab.symbol(i) for i in vocab.encode(text).ids]
+            got = [vocab.symbol(i) for i in vocab.encode(text)]
             assert got == expect, trial
 
 
@@ -307,7 +307,7 @@ class TestCriterion7Trainability:
         pairs = overfit_pairs(side=32)
         vocab = WordVocabulary.build([toks for _, _, toks in pairs])
         max_len = max(len(t) for _, _, t in pairs) + 2
-        examples = [CaptionExample(sid, img, np.asarray(vocab.encode(toks, max_len).ids),
+        examples = [CaptionExample(sid, img, np.asarray(vocab.encode(toks, max_len)),
                                    len(toks) + 1)
                     for sid, img, toks in pairs]
         cfg = dataclasses.replace(RunConfig().caption_config(),
@@ -357,7 +357,7 @@ class TestCriterion8Pipeline:
         captions = [toks for _, _, toks in pairs]
         word_vocab = WordVocabulary.build(captions)
         max_len = max(len(t) for t in captions) + 2
-        examples = [CaptionExample(sid, img, np.asarray(word_vocab.encode(t, max_len).ids),
+        examples = [CaptionExample(sid, img, np.asarray(word_vocab.encode(t, max_len)),
                                    len(t) + 1)
                     for (sid, img, t) in pairs]
         model = CaptionModel(dataclasses.replace(RunConfig().caption_config(),
@@ -389,11 +389,11 @@ class TestCriterion8Pipeline:
             # termination: continuation token count respects the cap after
             # terminator stripping
             cont_ids = bpe.encode(out.continuation_text)
-            assert len(cont_ids.ids) <= cfg.lm_max_new
+            assert len(cont_ids) <= cfg.lm_max_new
 
     def test_rank2_picks_second_highest_scoring_beam(self):
         _, model, word_vocab, lm, bpe = self._stack()
-        seed_ids = list(bpe.encode("no acute findings <start>").ids)[:16]
+        seed_ids = list(bpe.encode("no acute findings <start>"))[:16]
         beams = beam_search(lm.step_function(seed_ids), 4, 6, end_token=bpe.end_of_text_id)
         scores = [b.score(True) for b in beams]
         assert scores == sorted(scores, reverse=True)

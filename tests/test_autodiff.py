@@ -61,17 +61,23 @@ class TestForwardAnalytics:
 
     def test_dropout_rate_zero_is_identity(self):
         x = ad.Tensor(np.arange(6.0).reshape(2, 3))
-        out = ad.dropout(x, 0.0, np.random.default_rng(0), training=True)
+        with ad.Tape():
+            out = ad.dropout(x, 0.0, np.random.default_rng(0))
         assert out is x
 
     def test_dropout_eval_is_identity(self):
+        # no tape records: the identity, and no draw
         x = ad.Tensor(np.arange(6.0))
-        assert ad.dropout(x, 0.5, np.random.default_rng(0), training=False) is x
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert ad.dropout(x, 0.5, rng) is x
+        assert rng.bit_generator.state == state
 
     def test_dropout_inverted_scaling(self):
         rng = np.random.default_rng(3)
         x = ad.Tensor(np.ones(10000))
-        out = ad.dropout(x, 0.25, rng, training=True).data
+        with ad.Tape():
+            out = ad.dropout(x, 0.25, rng).data
         kept = out[out != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.75)
         assert abs(out.mean() - 1.0) < 0.05
@@ -98,7 +104,8 @@ class TestProperties:
     @given(_small_arrays)
     def test_dropout_rate_zero_identity_everywhere(self, data):
         x = ad.Tensor(data)
-        assert ad.dropout(x, 0.0, np.random.default_rng(0), training=True) is x
+        with ad.Tape():
+            assert ad.dropout(x, 0.0, np.random.default_rng(0)) is x
 
     @given(_small_arrays)
     def test_log_softmax_exponentiates_to_softmax(self, data):
@@ -397,8 +404,10 @@ class TestErrors:
             tape.backward(y)
 
     def test_dropout_rate_domain(self):
-        with pytest.raises(ValueError):
-            ad.dropout(ad.Tensor([1.0]), 1.0, np.random.default_rng(0), True)
+        for rate in (1.0, -0.1):
+            for scope in (contextlib.nullcontext, ad.Tape):
+                with pytest.raises(ValueError), scope():
+                    ad.dropout(ad.Tensor([1.0]), rate, np.random.default_rng(0))
 
     def test_embedding_id_out_of_range(self):
         table = ad.Tensor(np.zeros((4, 2)))
@@ -591,8 +600,8 @@ class TestFiniteMark:
         outputs, states = [], []
         for scope in (contextlib.nullcontext, ad.FpTraps):
             rng = np.random.default_rng(7)
-            with np.errstate(over="ignore"), scope():
-                y = ad.dropout(x, 0.5, rng, True)
+            with np.errstate(over="ignore"), scope(), ad.Tape():
+                y = ad.dropout(x, 0.5, rng)
                 with pytest.raises(ad.NonFiniteInputError, match=_non_finite_message("sum")):
                     y.sum()
             outputs.append(y.data)
@@ -717,8 +726,8 @@ def _op_cases(rng):
         ("concat", ([x, x[..., :2]], -1)),
         ("concat", ([x[:, :1], x], 1)),
         ("embedding_lookup", (table, ids)),
-        ("dropout", (x, 0.5, np.random.default_rng(0), False)),
-        ("dropout", (x, 0.0, np.random.default_rng(0), True)),
+        ("dropout", (x, 0.5, np.random.default_rng(0))),
+        ("dropout", (x, 0.0, np.random.default_rng(0))),
     ]
     tensor = lambda a: ad.Tensor(a) if isinstance(a, np.ndarray) and a.dtype == np.float64 else a
     out = []
@@ -811,19 +820,24 @@ class TestExecutors:
             self._affine(x, np.ones((2, 2)))
 
     def test_train_time_dropout_draws_one_mask_on_the_tape_ops(self):
+        # and no mask with no tape recording
         @ad.executed
-        def body(x, rng, rate, training):
+        def body(x, rng, rate):
             ops = ad.ops()
-            return ops.dropout(ops.tanh(ops.operand(x)), rate, rng, training)
+            return ops.dropout(ops.tanh(ops.operand(x)), rate, rng)
 
         x = np.random.default_rng(1).normal(size=(3, 4))
         rng, reference = np.random.default_rng(7), np.random.default_rng(7)
-        got = body(x, rng, 0.5, True)
-        want = ad.dropout(ad.tanh(ad.Tensor(x)), 0.5, reference, True)
-        assert _same_bytes(got.data, want.data)
-        assert rng.bit_generator.state == reference.bit_generator.state
+        untouched = rng.bit_generator.state
+        assert _same_bytes(body(x, rng, 0.5).data, np.tanh(x))
+        assert rng.bit_generator.state == untouched
+        with ad.Tape():
+            got = body(x, rng, 0.5)
+            want = ad.dropout(ad.tanh(ad.Tensor(x)), 0.5, reference)
+        assert _same_bytes(got.data, want.data) and not _same_bytes(got.data, np.tanh(x))
+        assert rng.bit_generator.state == reference.bit_generator.state != untouched
         with pytest.raises(ValueError, match=r"^dropout: rate must lie in \[0, 1\), got 1.0$"):
-            body(x, rng, 1.0, False)
+            body(x, rng, 1.0)
 
 
 # ndarray methods and numpy functions that write into their first operand

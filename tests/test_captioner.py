@@ -256,7 +256,7 @@ class TestTeacherForcing:
         pairs = overfit_pairs(side=32)
         vocab = WordVocabulary.build([toks for _, _, toks in pairs])
         max_len = max(len(t) for _, _, t in pairs) + 2
-        examples = [CaptionExample(sid, img, np.array(vocab.encode(toks, max_len).ids),
+        examples = [CaptionExample(sid, img, np.array(vocab.encode(toks, max_len)),
                                    len(toks) + 1)
                     for sid, img, toks in pairs]
         cfg = dataclasses.replace(RunConfig().caption_config(),
@@ -275,7 +275,7 @@ class TestFinetuneToggle:
         pairs = overfit_pairs(side=16)[:4]
         vocab = WordVocabulary.build([toks for _, _, toks in pairs])
         max_len = max(len(t) for _, _, t in pairs) + 2
-        examples = [CaptionExample(sid, img, np.array(vocab.encode(toks, max_len).ids),
+        examples = [CaptionExample(sid, img, np.array(vocab.encode(toks, max_len)),
                                    len(toks) + 1)
                     for sid, img, toks in pairs]
         model = CaptionModel(dataclasses.replace(RunConfig().caption_config(),
@@ -378,9 +378,22 @@ class TestDecodeCaption:
         image = np.random.default_rng(1).random((8, 8))
         with pytest.raises(ValueError, match="max_len must be at least 1, got 0"):
             model.decode_caption(image, strategy=strategy, max_len=0)
-        assert model.training
         ids, _ = model.decode_caption(image, strategy=strategy)
         assert len(ids) <= model.config.max_caption_len
+
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    def test_dropout_draws_only_while_a_tape_records(self, strategy):
+        model, plain = tiny_model(seed=4, dropout=0.5), tiny_model(seed=4)
+        image = np.random.default_rng(4).random((8, 8))
+        untouched = model._rng.bit_generator.state
+        ids, alphas = model.decode_caption(image, strategy=strategy, beam_width=3)
+        assert model._rng.bit_generator.state == untouched
+        want_ids, want_alphas = plain.decode_caption(image, strategy=strategy, beam_width=3)
+        assert ids == want_ids
+        assert [a.tobytes() for a in alphas] == [a.tobytes() for a in want_alphas]
+        with ad.Tape():
+            model.sequence_loss(model.encode(image), np.array([[1, 4, 5, 2]]), np.array([3]))
+        assert model._rng.bit_generator.state != untouched
 
 
 class TestDeferredStep:
@@ -409,7 +422,6 @@ class TestDeferredStep:
         early = 0
         for seed, sizes in enumerate(self.MODELS):
             model = tiny_model(seed=seed, **sizes)
-            model.train_mode(False)
             for draw in range(3):
                 annotations = model.encode(np.random.default_rng((seed, draw)).random((8, 8)))
                 step, record = model.step_function(annotations, 1)
@@ -435,7 +447,6 @@ class TestDeferredStep:
     def test_one_evaluation_per_beam_step(self):
         for seed in range(4):
             model = tiny_model(seed=seed)
-            model.train_mode(False)
             annotations = model.encode(np.random.default_rng(seed).random((8, 8)))
             step, _ = model.step_function(annotations, 1)
             queued, batches = [], []

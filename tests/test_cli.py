@@ -104,7 +104,7 @@ class TestPrep:
                    "--lexicon", str(tmp_path / "missing.tsv"),
                    "--out", str(tmp_path / "out"), *FAST])
         assert rc == 0
-        assert "skipped" in caplog.text.lower() or True
+        assert "abbreviation expansion skipped" in caplog.text
 
     def test_rerun_byte_identical(self, corpus_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -433,8 +433,55 @@ class TestHeatmapCommand:
         assert "row 2 is not 16 finite weights" in capsys.readouterr().err
         assert list((tmp_path / "maps").iterdir()) == []
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag", ["--pooled-side", "--height", "--width"])
+    def test_size_below_one_names_the_flag(self, tmp_path, capsys, flag, value):
+        csv = tmp_path / "alphas.csv"
+        csv.write_text(",".join(["0.0625"] * 16) + "\n")
+        sizes = {"--pooled-side": "4", "--height": "16", "--width": "16", flag: value}
+        rc = main(["heatmap", "--alphas", str(csv), *(a for item in sizes.items() for a in item),
+                   "--out", str(tmp_path / "maps")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {flag} must be at least 1, got {value}\n"
+
 
 class TestExitCodes:
+    @pytest.mark.parametrize("splits", [
+        {"train": [], "validation": []},
+        ["train", "validation", "test"],
+        {"train": "abc", "validation": [], "test": []},
+        {"train": [["a"]], "validation": [], "test": []},
+    ])
+    def test_malformed_manifest_is_validation_failure(self, prepped, trained, tmp_path, capsys,
+                                                      splits):
+        manifest = json.loads((prepped / "manifest.json").read_text())
+        manifest["splits"] = splits
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(manifest))
+        dataset = ["--dataset", str(prepped / "dataset.csds"), "--manifest", str(bad)]
+        assert main(["train-sat", *dataset, "--out", str(tmp_path / "sat"), *FAST]) == 1
+        assert main(["generate", *dataset, "--split", "test", "--no-lm",
+                     "--sat-checkpoint", str(trained / "sat-best.ckpt"),
+                     "--word-vocab", str(trained / "words.vocab"),
+                     "--out", str(tmp_path / "reports.jsonl"), *FAST]) == 1
+        message = (f"error: {bad}: manifest 'splits' must map train, validation, test "
+                   "to lists of study ids\n")
+        assert capsys.readouterr().err == message * 2
+
+    @pytest.mark.parametrize("kept", [1, 2, 9, 100, -1])
+    def test_truncated_bpe_vocabulary_is_validation_failure(self, prepped, trained, tmp_path,
+                                                            capsys, kept):
+        lines = (trained / "bpe.vocab").read_text().splitlines()
+        cut = tmp_path / "bpe.vocab"
+        cut.write_text("\n".join(lines[:kept]) + "\n")
+        rc = main(["generate", "--dataset", str(prepped / "dataset.csds"),
+                   "--sat-checkpoint", str(trained / "sat-best.ckpt"),
+                   "--lm-checkpoint", str(trained / "lm-best.ckpt"),
+                   "--word-vocab", str(trained / "words.vocab"), "--bpe-vocab", str(cut),
+                   "--out", str(tmp_path / "reports.jsonl"), *FAST])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {cut}: vocabulary is cut short\n"
+
     def test_missing_input_is_validation_failure(self, tmp_path):
         assert main(["prep", "--corpus", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "o")]) == 1

@@ -282,12 +282,12 @@ class TestLmSeed:
 
     def test_text_one_below_block_size_kept_whole(self):
         bpe = self._vocab()
-        full = list(bpe.encode("alpha beta gamma <start>").ids)
+        full = list(bpe.encode("alpha beta gamma <start>"))
         assert lm_seed("alpha beta gamma", bpe, len(full) + 1) == full
 
     def test_longer_text_keeps_last_block_size_minus_one_ids(self):
         bpe = self._vocab()
-        full = list(bpe.encode("alpha beta gamma <start>").ids)
+        full = list(bpe.encode("alpha beta gamma <start>"))
         assert len(full) > 3
         for block_size in (2, 3, len(full)):
             assert lm_seed("alpha beta gamma", bpe, block_size) == full[-(block_size - 1):]
@@ -346,7 +346,7 @@ class TestTwoStage:
             def step_function(self, seed_ids):
                 def step(prefix):
                     lp = np.full(len(bpe), -50.0)
-                    lp[bpe.encode(" ").ids[0]] = -1.0
+                    lp[bpe.encode(" ")[0]] = -1.0
                     lp[bpe.end_of_text_id] = -0.001
                     return lp
                 return step

@@ -680,6 +680,23 @@ class TestExecutors:
             with pytest.raises(ad.NonFiniteInputError, match=nonfinite("add")):
                 self.first_steps(lm, list(range(1, 21)), strategy)
 
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    def test_trap_in_the_last_op_raises_naming_the_body(self, strategy):
+        # the head's bias add, the body's last op, overflows: no later op
+        # rejects the rerun's infinite logits, so the output scan must
+        lm = desk_lm(64, seed=7)
+        params = lm.parameters()
+        params["final_ln.gain"].data = np.zeros(32)
+        params["final_ln.bias"].data = np.ones(32)
+        params["head.weight"].data = np.full(params["head.weight"].shape, 1e306)
+        params["head.bias"].data = np.full(lm.vocab_size, 1.7e308)
+        message = r"^TransformerLm._forward: output contains non-finite values$"
+        with pytest.warns(RuntimeWarning, match="overflow encountered in add"):
+            with pytest.raises(ad.NonFiniteInputError, match=message):
+                np.asarray(lm.step_function([1, 2, 3])(()))
+            with pytest.raises(ad.NonFiniteInputError, match=message):
+                self.first_steps(lm, [1, 2, 3], strategy)
+
     @pytest.mark.parametrize("bad_id", [-1, -337, 337, 10**6])
     def test_token_id_out_of_range_raises(self, bad_id):
         lm = desk_lm(64, seed=6)

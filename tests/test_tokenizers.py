@@ -41,18 +41,18 @@ class TestWordVocabulary:
     def test_encode_layout(self):
         v = WordVocabulary.build([["no", "edema"]])
         seq = v.encode(["no", "edema"], max_len=6)
-        toks = [v.id_to_token(i) for i in seq.ids]
+        toks = [v.id_to_token(i) for i in seq]
         assert toks == [START, "no", "edema", END, PAD, PAD]
 
     def test_unknown_token_maps_to_unk(self):
         v = WordVocabulary.build([["no"]])
         seq = v.encode(["zzz"], max_len=4)
-        assert v.id_to_token(seq.ids[1]) == UNK
+        assert v.id_to_token(seq[1]) == UNK
 
     def test_truncation_keeps_end_final(self):
         v = WordVocabulary.build([["a", "b", "c", "d"]])
         seq = v.encode(["a", "b", "c", "d"], max_len=4)
-        toks = [v.id_to_token(i) for i in seq.ids]
+        toks = [v.id_to_token(i) for i in seq]
         assert toks == [START, "a", "b", END]
 
     def test_round_trip_known_tokens(self):
@@ -63,7 +63,7 @@ class TestWordVocabulary:
     def test_never_emits_id_out_of_range(self):
         v = WordVocabulary.build([["x"]])
         seq = v.encode(["x", "unknown", "?"], max_len=8)
-        assert all(0 <= i < len(v) for i in seq.ids)
+        assert all(0 <= i < len(v) for i in seq)
 
     def test_max_len_too_small_rejected(self):
         v = WordVocabulary.build([["x"]])
@@ -114,7 +114,7 @@ class TestBpeTraining:
         corpus = "small left pleural effusion with atelectasis"
         v = BpeVocabulary.train(corpus, num_merges=30)
         seq = v.encode(corpus)
-        assert all(0 <= i < len(v) for i in seq.ids)
+        assert all(0 <= i < len(v) for i in seq)
 
 
 class TestBpeEncoding:
@@ -127,7 +127,7 @@ class TestBpeEncoding:
         v = BpeVocabulary.train("ababab", num_merges=1)
         left, right = v.merges[0]
         seq = v.encode((left + right).decode())
-        assert len(seq.ids) == 1
+        assert len(seq) == 1
 
     def test_greedy_matches_merge_replay_oracle(self):
         rng = np.random.default_rng(7)
@@ -137,7 +137,7 @@ class TestBpeEncoding:
             v = BpeVocabulary.train(corpus, num_merges=12)
             text = "".join(rng.choice(list(alphabet), size=40))
             expect = replay_merges(text, v.merges)
-            got = [v.symbol(i) for i in v.encode(text).ids]
+            got = [v.symbol(i) for i in v.encode(text)]
             assert got == expect
 
     def test_decode_out_of_range_rejected(self):
@@ -164,7 +164,7 @@ class TestBpeEncoding:
         assert back.merges == v.merges
         assert back.end_of_text_id == v.end_of_text_id
         text = "the mat sat"
-        assert back.encode(text).ids == v.encode(text).ids
+        assert back.encode(text) == v.encode(text)
 
     def test_file_round_trip_with_unprintable_symbols(self, tmp_path):
         v = BpeVocabulary.train("a b\na b\n\t\t  ", 8)  # merges spanning whitespace
