@@ -22,25 +22,25 @@ written that way goes unseen.
 
 Inside an ``FpTraps`` scope, op outputs are finite by construction: numpy
 raises on overflow, invalid operations and division by zero, so a value op
-(add, sub, mul, sigmoid, tanh, relu, log, powc, clamp_min, softmax,
-log_softmax, sum, mean, adaptive_avg_pool, dropout) that ran on finite inputs
-with no trap firing marks its output finite. On a trap the op computes again
-under the caller's errstate, so numpy's warning still shows, and leaves its
-output unmarked for the next op to reject. Structural ops (reshape,
-transpose, narrow, concat, embedding_lookup, pick) pass their input's mark
-on, in a scope or not. Still scanned: matmul and conv2d outputs (BLAS
-worker threads keep their own FP flags, so a trap there can go unseen),
-arrays from outside the ops, and ``data`` after assignment. The scope's state
-is per thread, as numpy's errstate is.
+(add, sub and mul through ``_broadcasting``, each one-input op through
+``_value_op``) that ran on finite inputs with no trap firing marks its output
+finite. On a trap the op computes again under the caller's errstate, so
+numpy's warning still shows, and leaves its output unmarked for the next op
+to reject. Structural ops (concat, and the one-input ops run through
+``_structural_op``) pass their input's mark on, in a scope or not. Still
+scanned: matmul and conv2d outputs (BLAS worker threads keep their own FP
+flags, so a trap there can go unseen), arrays from outside the ops, and
+``data`` after assignment. The scope's state is per thread, as numpy's
+errstate is.
 
 Each model writes its forward and its caption step once, against the op
 namespace ``ops()``, as bodies decorated ``executed``. Two executors run
 them. While a ``Tape`` records (the losses and training), a body runs on this
 module's ops, the tape executor. Otherwise (decoding) it runs on
-``ArrayOps``, the array executor: the same numpy calls in the same order, on
-plain float64 arrays, with no tensors and no tape records, so its outputs
-have the tape executor's bytes. The array executor keeps the finiteness
-contract above. It enters ``FpTraps`` once per body and scans each matmul
+``ArrayOps``, the array executor: the tape ops' own kernels in the same
+order, on plain float64 arrays, with no tensors and no tape records, so its
+outputs have the tape executor's bytes. The array executor keeps the
+finiteness contract above. It enters ``FpTraps`` once per body and scans each matmul
 product. It scans a tensor operand, such as a parameter, only while the
 operand is not marked finite. It range-checks lookup ids as
 ``embedding_lookup`` does, because plain indexing would wrap a negative id.
@@ -416,6 +416,18 @@ def matmul(a, b) -> Tensor:
     return out
 
 
+def _value_op(op: str, x, kernel, vjp, *args) -> Tensor:
+    """A one-input value op: ``kernel(x_array, *args)`` on a finite ``x``,
+    its output marked as ``_fresh`` marks it, recorded with the backward
+    ``vjp(g, x_array, y_array, *args)`` on the arrays of the forward."""
+    x = _coerce(x)
+    _require_finite(op, x)
+    out = _fresh(kernel, x._data, *args)
+    d, y = x._data, out._data
+    _record(out, (x,), lambda g: (vjp(g, d, y, *args),))
+    return out
+
+
 def _sigmoid(d: np.ndarray) -> np.ndarray:
     y = np.empty_like(d)
     pos = d >= 0
@@ -426,42 +438,19 @@ def _sigmoid(d: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x) -> Tensor:
-    x = _coerce(x)
-    _require_finite("sigmoid", x)
-    out = _fresh(_sigmoid, x._data)
-    y = out._data
-
-    def vjp(g):
-        return (g * y * (1.0 - y),)
-
-    _record(out, (x,), vjp)
-    return out
+    return _value_op("sigmoid", x, _sigmoid, lambda g, d, y: g * y * (1.0 - y))
 
 
 def tanh(x) -> Tensor:
-    x = _coerce(x)
-    _require_finite("tanh", x)
-    out = _fresh(np.tanh, x._data)
-    y = out._data
+    return _value_op("tanh", x, np.tanh, lambda g, d, y: g * (1.0 - y * y))
 
-    def vjp(g):
-        return (g * (1.0 - y * y),)
 
-    _record(out, (x,), vjp)
-    return out
+def _relu(d: np.ndarray) -> np.ndarray:
+    return np.maximum(d, 0.0)
 
 
 def relu(x) -> Tensor:
-    x = _coerce(x)
-    _require_finite("relu", x)
-    d = x._data
-    out = _fresh(np.maximum, d, 0.0)
-
-    def vjp(g):
-        return (g * (d > 0),)
-
-    _record(out, (x,), vjp)
-    return out
+    return _value_op("relu", x, _relu, lambda g, d, y: g * (d > 0))
 
 
 def log(x) -> Tensor:
@@ -469,45 +458,28 @@ def log(x) -> Tensor:
     _require_finite("log", x)
     if np.any(x._data <= 0):
         raise ValueError("log: input must be strictly positive (clamp first)")
-    out = _fresh(np.log, x._data)
-
-    def vjp(g):
-        return (g / x._data,)
-
-    _record(out, (x,), vjp)
-    return out
+    return _value_op("log", x, np.log, lambda g, d, y: g / d)
 
 
 def powc(x, exponent: float) -> Tensor:
     """Elementwise power with a constant exponent."""
-    x = _coerce(x)
-    _require_finite("powc", x)
-    out = _fresh(operator.pow, x._data, exponent)
-
-    def vjp(g):
-        return (g * exponent * x._data ** (exponent - 1.0),)
-
-    _record(out, (x,), vjp)
-    return out
+    return _value_op("powc", x, operator.pow,
+                     lambda g, d, y, exponent: g * exponent * d ** (exponent - 1.0), exponent)
 
 
 def clamp_min(x, floor: float) -> Tensor:
     """max(x, floor); gradient passes only where the input was not clamped."""
-    x = _coerce(x)
-    _require_finite("clamp_min", x)
-    d = x._data
-    out = _fresh(np.maximum, d, floor)
-
-    def vjp(g):
-        return (g * (d > floor),)
-
-    _record(out, (x,), vjp)
-    return out
+    return _value_op("clamp_min", x, np.maximum, lambda g, d, y, floor: g * (d > floor), floor)
 
 
 def _softmax(d: np.ndarray, axis: int) -> np.ndarray:
     e = np.exp(d - d.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_vjp(g, d, y, axis):
+    inner = (g * y).sum(axis=axis, keepdims=True)
+    return (g - inner) * y
 
 
 def _log_softmax(d: np.ndarray, axis: int) -> np.ndarray:
@@ -517,93 +489,68 @@ def _log_softmax(d: np.ndarray, axis: int) -> np.ndarray:
 
 def softmax(x, axis: int = -1) -> Tensor:
     """Stable softmax; output is strictly positive and sums to 1 along axis."""
-    x = _coerce(x)
-    _require_finite("softmax", x)
-    out = _fresh(_softmax, x._data, axis)
-    y = out._data
-
-    def vjp(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        return ((g - inner) * y,)
-
-    _record(out, (x,), vjp)
-    return out
+    return _value_op("softmax", x, _softmax, _softmax_vjp, axis)
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:
-    x = _coerce(x)
-    _require_finite("log_softmax", x)
-    out = _fresh(_log_softmax, x._data, axis)
-    y = out._data
+    return _value_op("log_softmax", x, _log_softmax,
+                     lambda g, d, y, axis: g - np.exp(y) * g.sum(axis=axis, keepdims=True), axis)
 
-    def vjp(g):
-        return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
 
-    _record(out, (x,), vjp)
-    return out
+def _sum(d: np.ndarray, axis, keepdims: bool) -> np.ndarray:
+    return d.sum(axis=axis, keepdims=keepdims)
+
+
+def _sum_vjp(g, d, y, axis, keepdims):
+    """A sum's gradient broadcast back over the cells it summed."""
+    if not (axis is None or keepdims):
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, d.shape).copy()
 
 
 def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = _coerce(x)
-    _require_finite("sum", x)
-    out = _fresh(x._data.sum, axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp, x.shape).copy(),)
-
-    _record(out, (x,), vjp)
-    return out
+    return _value_op("sum", x, _sum, _sum_vjp, axis, keepdims)
 
 
-def _mean(d: np.ndarray, axis, keepdims: bool, count: int) -> np.ndarray:
+def _mean(d: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
+    count = d.size if axis is None else d.shape[axis]
+    # ndarray.mean's own sum and division, without its Python wrapper
     return np.add.reduce(d, axis=axis, keepdims=keepdims) / count
 
 
+def _mean_vjp(g, d, y, axis, keepdims):
+    return _sum_vjp(g / (d.size if axis is None else d.shape[axis]), d, y, axis, keepdims)
+
+
 def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = _coerce(x)
-    _require_finite("mean", x)
-    count = x.size if axis is None else x.shape[axis]
-    # ndarray.mean's own sum and division, without its Python wrapper
-    out = _fresh(_mean, x._data, axis, keepdims, count)
-
-    def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, x.shape).copy(),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp / count, x.shape).copy(),)
-
-    _record(out, (x,), vjp)
-    return out
+    return _value_op("mean", x, _mean, _mean_vjp, axis, keepdims)
 
 
 # ---------------------------------------------------------------------------
 # structural ops
 
 
-def reshape(x, shape) -> Tensor:
+def _structural_op(x, select, vjp, *args) -> Tensor:
+    """``select(x_array, *args)``, passing on the finite mark of ``x``,
+    recorded with the backward ``vjp(g, x_array, *args)``."""
     x = _coerce(x)
-    out = _marked(x._data.reshape(shape), x._finite)
-
-    def vjp(g):
-        return (g.reshape(x.shape),)
-
-    _record(out, (x,), vjp)
+    d = x._data
+    out = _marked(select(d, *args), x._finite)
+    _record(out, (x,), lambda g: (vjp(g, d, *args),))
     return out
+
+
+def reshape(x, shape) -> Tensor:
+    return _structural_op(x, np.ndarray.reshape, lambda g, d, shape: g.reshape(d.shape), shape)
+
+
+def _transpose_vjp(g, d, axes):
+    inverse = None if axes is None else [list(axes).index(i) for i in range(len(axes))]
+    return g.transpose(inverse)
 
 
 def transpose(x, axes=None) -> Tensor:
-    x = _coerce(x)
-    out = _marked(x._data.transpose(axes), x._finite)
-
-    def vjp(g):
-        inverse = None if axes is None else [list(axes).index(i) for i in range(len(axes))]
-        return (g.transpose(inverse),)
-
-    _record(out, (x,), vjp)
-    return out
+    return _structural_op(x, np.ndarray.transpose, _transpose_vjp, axes)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -621,6 +568,18 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return out
 
 
+def _narrow(d: np.ndarray, axis: int, start: int, length: int) -> np.ndarray:
+    index = [slice(None)] * d.ndim
+    index[axis] = slice(start, start + length)
+    return d[tuple(index)]
+
+
+def _narrow_vjp(g, d, axis, start, length):
+    full = np.zeros_like(d)
+    _narrow(full, axis, start, length)[...] = g  # a view of full
+    return full
+
+
 def narrow(x, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along one axis."""
     x = _coerce(x)
@@ -628,18 +587,7 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
         raise ShapeMismatchError(
             f"narrow: [{start}, {start + length}) out of range for extent {x.shape[axis]}"
         )
-    index = [slice(None)] * x.ndim
-    index[axis] = slice(start, start + length)
-    index = tuple(index)
-    out = _marked(x._data[index], x._finite)
-
-    def vjp(g):
-        full = np.zeros_like(x._data)
-        full[index] = g
-        return (full,)
-
-    _record(out, (x,), vjp)
-    return out
+    return _structural_op(x, _narrow, _narrow_vjp, axis, start, length)
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +599,13 @@ def _check_ids(op: str, ids: np.ndarray, extent: int) -> None:
         raise ValueError(f"{op}: index out of range [0, {extent})")
 
 
+def _scatter_add(g, d, index):
+    """The gradient of ``d[index]``: ``g`` added back at ``index``."""
+    gd = np.zeros_like(d)
+    np.add.at(gd, index, g)
+    return gd
+
+
 def embedding_lookup(table, ids) -> Tensor:
     """Rows of a (V, m) table selected by integer ids of any shape, giving
     ``ids.shape + (m,)``; gradient scatter-adds."""
@@ -660,15 +615,7 @@ def embedding_lookup(table, ids) -> Tensor:
         raise ShapeMismatchError(f"embedding_lookup: table {table.shape} must be 2-D")
     _check_ids("embedding_lookup", ids, table.shape[0])
     _require_finite("embedding_lookup", table)
-    out = _marked(table._data[ids], True)
-
-    def vjp(g):
-        gt = np.zeros_like(table._data)
-        np.add.at(gt, ids, g)
-        return (gt,)
-
-    _record(out, (table,), vjp)
-    return out
+    return _structural_op(table, operator.getitem, _scatter_add, ids)
 
 
 def pick(x, ids) -> Tensor:
@@ -678,16 +625,7 @@ def pick(x, ids) -> Tensor:
     if x.ndim != 2 or ids.shape != (x.shape[0],):
         raise ShapeMismatchError(f"pick: input {x.shape} needs ids of shape ({x.shape[0]},)")
     _check_ids("pick", ids, x.shape[1])
-    rows = np.arange(x.shape[0])
-    out = _marked(x._data[rows, ids], x._finite)
-
-    def vjp(g):
-        gx = np.zeros_like(x._data)
-        np.add.at(gx, (rows, ids), g)
-        return (gx,)
-
-    _record(out, (x,), vjp)
-    return out
+    return _structural_op(x, operator.getitem, _scatter_add, (np.arange(x.shape[0]), ids))
 
 
 # ---------------------------------------------------------------------------
@@ -847,27 +785,23 @@ def adaptive_avg_pool(x, out_h: int, out_w: int) -> Tensor:
         raise ShapeMismatchError(
             f"adaptive_avg_pool: input extents {(h, w)} smaller than output {(out_h, out_w)}"
         )
-    _require_finite("adaptive_avg_pool", x)
     windows = [(i, j, *_pool_bounds(h, out_h, i), *_pool_bounds(w, out_w, j))
                for i in range(out_h) for j in range(out_w)]
 
-    def pooled():
-        y = np.empty(x.shape[:-2] + (out_h, out_w))
+    def pooled(d):
+        y = np.empty(d.shape[:-2] + (out_h, out_w))
         for i, j, y0, y1, x0, x1 in windows:
-            y[..., i, j] = x._data[..., y0:y1, x0:x1].mean(axis=(-2, -1))
+            y[..., i, j] = d[..., y0:y1, x0:x1].mean(axis=(-2, -1))
         return y
 
-    out = _fresh(pooled)
-
-    def vjp(g):
-        gx = np.zeros_like(x._data)
+    def vjp(g, d, y):
+        gx = np.zeros_like(d)
         for i, j, y0, y1, x0, x1 in windows:
             area = (y1 - y0) * (x1 - x0)
             gx[..., y0:y1, x0:x1] += g[..., i, j, None, None] / area
-        return (gx,)
+        return gx
 
-    _record(out, (x,), vjp)
-    return out
+    return _value_op("adaptive_avg_pool", x, pooled, vjp)
 
 
 def _check_rate(rate: float) -> None:
@@ -882,15 +816,9 @@ def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
     x = _coerce(x)
     if not _TAPES or rate == 0.0:
         return x
-    _require_finite("dropout", x)
+    _require_finite("dropout", x)  # before the mask is drawn
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    out = _fresh(np.multiply, x._data, mask)
-
-    def vjp(g):
-        return (g * mask,)
-
-    _record(out, (x,), vjp)
-    return out
+    return _value_op("dropout", x, np.multiply, lambda g, d, y, mask: g * mask, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -910,12 +838,13 @@ def array_of(t: Tensor) -> np.ndarray:
 
 class ArrayOps:
     """The array executor: the ops of ``ops`` on plain float64 arrays. Each
-    makes the numpy calls of the tape op of its name, in the same order, so
-    its output has that op's bytes. ``executed`` runs it inside ``FpTraps``,
-    where a value op's output is finite by construction; each matmul product
-    is scanned, as ``matmul`` has its product scanned, and a tensor operand
-    unless it is marked. An array operand is taken as it is: it is a
-    constant of the model, or an output of an earlier executed body."""
+    runs the kernel of the tape op of its name, so its output has that op's
+    bytes; only what a kernel does not do is written here. ``executed`` runs
+    it inside ``FpTraps``, where a value op's output is finite by
+    construction; each matmul product is scanned, as ``matmul`` has its
+    product scanned, and a tensor operand unless it is marked. An array
+    operand is taken as it is: it is a constant of the model, or an output
+    of an earlier executed body."""
 
     @staticmethod
     def operand(value) -> np.ndarray:
@@ -936,24 +865,6 @@ class ArrayOps:
         return out
 
     @staticmethod
-    def relu(x: np.ndarray) -> np.ndarray:
-        return np.maximum(x, 0.0)
-
-    @staticmethod
-    def reduce_mean(x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-        return _mean(x, axis, keepdims, x.size if axis is None else x.shape[axis])
-
-    @staticmethod
-    def narrow(x: np.ndarray, axis: int, start: int, length: int) -> np.ndarray:
-        index = [slice(None)] * x.ndim
-        index[axis] = slice(start, start + length)
-        return x[tuple(index)]
-
-    @staticmethod
-    def concat(arrays, axis: int = 0) -> np.ndarray:
-        return np.concatenate(arrays, axis=axis)
-
-    @staticmethod
     def embedding_lookup(table: np.ndarray, ids) -> np.ndarray:
         # plain indexing would wrap a negative id
         ids = np.asarray(ids, dtype=np.int64)
@@ -967,6 +878,10 @@ class ArrayOps:
 
     softmax = staticmethod(_softmax)
     sigmoid = staticmethod(_sigmoid)
+    relu = staticmethod(_relu)
+    reduce_mean = staticmethod(_mean)
+    narrow = staticmethod(_narrow)
+    concat = staticmethod(np.concatenate)
     tanh = np.tanh
     powc = operator.pow
 

@@ -67,7 +67,10 @@ SPLITS = ("train", "validation", "test")
 
 
 def _load_manifest(path) -> dict:
-    manifest = json.loads(_require_file(path, "split manifest").read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(_require_file(path, "split manifest").read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CliValidationError(f"{path}:{exc.lineno}: manifest is not JSON ({exc.msg})") from None
     if not isinstance(manifest, dict):
         raise CliValidationError(f"{path}: manifest is not a JSON object")
     for key in ("splits", "seed", "ratios"):
@@ -474,12 +477,21 @@ def cmd_heatmap(args) -> int:
         encoding="utf-8").splitlines()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    steps = [(t, np.array([float(v) for v in row.split(",")]))
-             for t, row in enumerate(rows) if row.strip()]  # blank rows still count as steps
     weights = args.pooled_side * args.pooled_side
-    for t, alpha in steps:  # every row is checked before any PGM is written
-        if alpha.shape != (weights,) or not np.isfinite(alpha).all():
+    steps = []
+    for t, row in enumerate(rows):  # every row is checked before any PGM is written
+        if not row.strip():
+            continue  # blank rows still count as steps
+        try:
+            alpha = np.array([float(v) for v in row.split(",")])
+            valid = alpha.shape == (weights,) and np.isfinite(alpha).all()
+        except ValueError:
+            valid = False
+        if not valid:
             raise CliValidationError(f"{args.alphas}: row {t + 1} is not {weights} finite weights")
+        steps.append((t, alpha))
+    if not steps:
+        raise CliValidationError(f"{args.alphas}: attention CSV has no rows")
     names = _write_heatmaps(out_dir, Path(args.alphas).stem, steps,
                             args.pooled_side, args.height, args.width)
     print(f"wrote {len(names)} heatmaps -> {out_dir}")

@@ -9,6 +9,7 @@ the lexicographically smaller pair, so training is deterministic).
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -109,8 +110,8 @@ class WordVocabulary:
             if not line:
                 continue
             tok, _, idx = line.partition("\t")
-            if int(idx) != len(tokens):
-                raise ValueError(f"{path}:{n}: ids are not dense")
+            if idx != str(len(tokens)):  # ids are dense, in order
+                raise ValueError(f"{path}:{n}: expected a token, a tab and id {len(tokens)}")
             tokens.append(tok)
         if tokens[: len(SPECIALS)] != list(SPECIALS):
             raise ValueError(f"{path}: special tokens missing or misplaced")
@@ -136,7 +137,7 @@ def _unescape(text: str) -> bytes:
     i = 0
     while i < len(text):
         if text[i] == "\\":
-            if text[i + 1] != "x":
+            if not re.fullmatch(r"\\x[0-9a-fA-F]{2}", text[i:i + 4]):
                 raise ValueError(f"bad escape in {text!r}")
             out.append(int(text[i + 2:i + 4], 16))
             i += 4
@@ -269,28 +270,36 @@ class BpeVocabulary:
 
     @classmethod
     def _parse(cls, path, lines: list[str]) -> "BpeVocabulary":
+        def parsed(parse, text: str, idx: int):
+            """``parse(text)`` of ``lines[idx]``; its error names the file and line."""
+            try:
+                return parse(text)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{idx + 1}: {exc}") from None
+
         idx = 1
         kind, _, count = lines[idx].partition(" ")
         if kind != "merges":
             raise ValueError(f"{path}: expected merge count line")
-        n_merges = int(count)
+        n_merges = parsed(int, count, idx)
         idx += 1
         merges = []
-        for line in lines[idx:idx + n_merges]:
+        for row, line in enumerate(lines[idx:idx + n_merges], start=idx):
             left, _, right = line.partition(" ")
-            merges.append((_unescape(left), _unescape(right)))
+            merges.append((parsed(_unescape, left, row), parsed(_unescape, right, row)))
         idx += n_merges
         vocab = cls(merges)
         kind, _, count = lines[idx].partition(" ")
-        if kind != "subwords" or int(count) != len(vocab._id_to_symbol):
+        if kind != "subwords" or parsed(int, count, idx) != len(vocab._id_to_symbol):
             raise ValueError(f"{path}: subword table inconsistent with merge list")
         idx += 1
         for i, line in enumerate(lines[idx:idx + int(count)]):
             sym, _, sid = line.partition("\t")
-            if _unescape(sym) != vocab._id_to_symbol[i] or int(sid) != i:
+            symbol, number = parsed(_unescape, sym, idx + i), parsed(int, sid, idx + i)
+            if symbol != vocab._id_to_symbol[i] or number != i:
                 raise ValueError(f"{path}: subword table row {i} does not match merges")
         idx += int(count)
         kind, _, eot = lines[idx].partition(" ")
-        if kind != "endoftext" or int(eot) != vocab.end_of_text_id:
+        if kind != "endoftext" or parsed(int, eot, idx) != vocab.end_of_text_id:
             raise ValueError(f"{path}: end-of-text id mismatch")
         return vocab

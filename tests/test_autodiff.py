@@ -4,6 +4,7 @@ optimizer/checkpoint contracts."""
 import ast
 import contextlib
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -551,6 +552,40 @@ class TestFiniteMark:
             assert ad.tanh(x)._finite
         assert not ad.tanh(x)._finite
 
+    # every op run through ``_value_op``: (name in its errors, call on x and a generator)
+    VALUE_OPS = [
+        ("sigmoid", lambda x, rng: ad.sigmoid(x)),
+        ("tanh", lambda x, rng: ad.tanh(x)),
+        ("relu", lambda x, rng: ad.relu(x)),
+        ("log", lambda x, rng: ad.log(x)),
+        ("powc", lambda x, rng: ad.powc(x, -0.5)),
+        ("clamp_min", lambda x, rng: ad.clamp_min(x, 1.0)),
+        ("softmax", lambda x, rng: ad.softmax(x, -1)),
+        ("log_softmax", lambda x, rng: ad.log_softmax(x, 1)),
+        ("sum", lambda x, rng: ad.reduce_sum(x, 2, True)),
+        ("mean", lambda x, rng: ad.reduce_mean(x)),
+        ("adaptive_avg_pool", lambda x, rng: ad.adaptive_avg_pool(x, 2, 3)),
+        ("dropout", lambda x, rng: ad.dropout(x, 0.5, rng)),
+    ]
+
+    @pytest.mark.parametrize("op, apply", VALUE_OPS, ids=[op for op, _ in VALUE_OPS])
+    def test_value_op_contract(self, op, apply):
+        # a recording tape, so dropout draws its mask; the output is marked
+        # inside the scope only, and one record is taken either way
+        x = ad.Tensor(np.random.default_rng(0).uniform(0.5, 2.0, size=(2, 3, 4, 5)))
+        for scope, marked in ((contextlib.nullcontext, False), (ad.FpTraps, True)):
+            with ad.Tape() as tape, scope():
+                y = apply(x, np.random.default_rng(1))
+            assert y._finite is marked and len(tape) == 1
+        rng = np.random.default_rng(1)
+        untouched = rng.bit_generator.state
+        bad = x.data.copy()
+        bad[1, 2, 3, 4] = np.nan
+        with ad.Tape() as tape, ad.FpTraps():
+            with pytest.raises(ad.NonFiniteInputError, match=_non_finite_message(op)):
+                apply(ad.Tensor(bad), rng)
+        assert len(tape) == 0 and rng.bit_generator.state == untouched
+
     @pytest.mark.parametrize("op", [
         lambda t, _: ad.reshape(t, (2, 1)), lambda t, _: ad.transpose(t),
         lambda t, _: ad.narrow(t, 1, 1, 1), lambda t, _: ad.pick(t, [1]),
@@ -762,6 +797,14 @@ class TestExecutors:
                  (ta.sum(axis=-2), a.sum(axis=-2))]
         for want, got in pairs:
             assert _same_bytes(got, want.data)
+
+    def test_array_ops_are_tape_ops_by_name(self):
+        # so the two executors cannot drift apart by name
+        names = [name for name in vars(ad.ArrayOps) if not name.startswith("_")]
+        assert len(names) == 13
+        for name in names:
+            tape_op = getattr(ad, name)
+            assert inspect.isfunction(tape_op) and tape_op.__module__ == ad.__name__, name
 
     def test_operand_scans_an_unmarked_tensor_once(self):
         p = ad.Parameter(np.ones((2, 2)), "p")

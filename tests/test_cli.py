@@ -423,6 +423,7 @@ class TestHeatmapCommand:
 
     @pytest.mark.parametrize("bad_row", [
         ",".join(["nan"] + ["0.0625"] * 15), ",".join(["inf"] + ["0"] * 15), "0.5,0.5",
+        ",".join(["x"] + ["0.0625"] * 15),
     ])
     def test_bad_row_leaves_no_pgm(self, tmp_path, capsys, bad_row):
         csv = tmp_path / "alphas.csv"
@@ -432,6 +433,15 @@ class TestHeatmapCommand:
         assert rc == 1
         assert "row 2 is not 16 finite weights" in capsys.readouterr().err
         assert list((tmp_path / "maps").iterdir()) == []
+
+    @pytest.mark.parametrize("text", ["", "\n", "  \n\n\t\n"])
+    def test_no_rows_is_validation_failure(self, tmp_path, capsys, text):
+        csv = tmp_path / "alphas.csv"
+        csv.write_text(text)
+        rc = main(["heatmap", "--alphas", str(csv), "--pooled-side", "4",
+                   "--height", "16", "--width", "16", "--out", str(tmp_path / "maps")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {csv}: attention CSV has no rows\n"
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize("flag", ["--pooled-side", "--height", "--width"])
@@ -467,6 +477,19 @@ class TestExitCodes:
         message = (f"error: {bad}: manifest 'splits' must map train, validation, test "
                    "to lists of study ids\n")
         assert capsys.readouterr().err == message * 2
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ("", 1, "Expecting value"),
+        ("not json", 1, "Expecting value"),
+        ('{\n  "splits": {,\n}', 2, "Expecting property name enclosed in double quotes"),
+    ])
+    def test_manifest_that_is_not_json_names_the_file(self, prepped, tmp_path, capsys,
+                                                      text, line, reason):
+        bad = tmp_path / "manifest.json"
+        bad.write_text(text)
+        assert main(["train-sat", "--dataset", str(prepped / "dataset.csds"),
+                     "--manifest", str(bad), "--out", str(tmp_path / "sat"), *FAST]) == 1
+        assert capsys.readouterr().err == f"error: {bad}:{line}: manifest is not JSON ({reason})\n"
 
     @pytest.mark.parametrize("kept", [1, 2, 9, 100, -1])
     def test_truncated_bpe_vocabulary_is_validation_failure(self, prepped, trained, tmp_path,

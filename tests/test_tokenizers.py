@@ -1,6 +1,8 @@
 """Word-vocabulary and byte-pair-encoding contracts, including the
 merge-replay oracle and lossless round trips on arbitrary bytes."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,17 @@ class TestWordVocabulary:
         back = WordVocabulary.load(path)
         assert [back.id_to_token(i) for i in range(len(back))] == \
                [v.id_to_token(i) for i in range(len(v))]
+
+    @pytest.mark.parametrize("row", ["edema", "edema 9", "edema\tx", "edema\t99", "\t9"])
+    def test_load_names_the_line_of_a_bad_row(self, tmp_path, row):
+        v = WordVocabulary.build([["no", "acute"]])
+        path = tmp_path / "words.vocab"
+        v.save(path)
+        lines = path.read_text().splitlines() + [row]
+        path.write_text("\n".join(lines) + "\n")
+        message = f"{path}:{len(lines)}: expected a token, a tab and id {len(v)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            WordVocabulary.load(path)
 
 
 class TestBpeTraining:
@@ -180,6 +193,24 @@ class TestBpeEncoding:
             BpeVocabulary.load(path)
         with pytest.raises(ValueError, match="header"):
             WordVocabulary.load(path)
+
+    @pytest.mark.parametrize("row, text, reason", [
+        (1, "merges x", "invalid literal for int() with base 10: 'x'"),
+        (2, "\\xZZ b", r"bad escape in '\\xZZ'"),
+        (2, "a \\", r"bad escape in '\\'"),
+        (2, "a \\q", r"bad escape in '\\q'"),
+        (-2, "a\tseven", "invalid literal for int() with base 10: 'seven'"),
+        (-1, "endoftext -", "invalid literal for int() with base 10: '-'"),
+    ])
+    def test_load_names_the_line_of_a_bad_field(self, tmp_path, row, text, reason):
+        path = tmp_path / "bpe.vocab"
+        BpeVocabulary.train("abcabc", 3).save(path)
+        lines = path.read_text().splitlines()
+        lines[row] = text
+        path.write_text("\n".join(lines) + "\n")
+        message = f"{path}:{row % len(lines) + 1}: {reason}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BpeVocabulary.load(path)
 
     def test_load_rejects_tampered_subword_table(self, tmp_path):
         v = BpeVocabulary.train("abcabc", 3)
