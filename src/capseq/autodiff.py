@@ -22,7 +22,7 @@ written that way goes unseen.
 
 Inside an ``FpTraps`` scope, op outputs are finite by construction: numpy
 raises on overflow, invalid operations and division by zero, so a value op
-(add, sub and mul through ``_broadcasting``, each one-input op through
+(add, sub and mul through ``_binary_op``, each one-input op through
 ``_value_op``) that ran on finite inputs with no trap firing marks its output
 finite. On a trap the op computes again under the caller's errstate, so
 numpy's warning still shows, and leaves its output unmarked for the next op
@@ -42,8 +42,9 @@ order, on plain float64 arrays, with no tensors and no tape records, so its
 outputs have the tape executor's bytes. The array executor keeps the
 finiteness contract above. It enters ``FpTraps`` once per body and scans each matmul
 product. It scans a tensor operand, such as a parameter, only while the
-operand is not marked finite. It range-checks lookup ids as
-``embedding_lookup`` does, because plain indexing would wrap a negative id.
+operand is not marked finite. The checks of a lookup's ids (plain
+indexing would wrap a negative id) and of a narrow's range live in the
+kernels, ``_lookup`` and ``_narrow``, so both executors make them.
 On a trap, a failed scan or any ``ValueError``, the body runs again on the
 tape ops, so the warning and the error are the tape ops' own, and an output
 that run leaves non-finite is rejected.
@@ -340,13 +341,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _broadcasting(op: str, ufunc, a: Tensor, b: Tensor) -> Tensor:
-    """``ufunc`` of two finite operands under numpy broadcasting. A pair that
-    does not broadcast raises ShapeMismatchError, also when it is not finite;
-    the shapes are checked only once numpy or the scan has failed."""
+def _binary_op(op: str, ufunc, a, b, vjp) -> Tensor:
+    """``ufunc`` of two finite operands under numpy broadcasting, recorded
+    with the backward ``vjp(g, a_array, b_array)``, whose two gradients are
+    each summed back to their operand's shape. A pair that does not
+    broadcast raises ShapeMismatchError, also when it is not finite; the
+    shapes are checked only once numpy or the scan has failed."""
+    a, b = _coerce(a), _coerce(b)
     try:
         _require_finite(op, a, b)
-        return _fresh(ufunc, a._data, b._data)
+        out = _fresh(ufunc, a._data, b._data)
     except ValueError:
         try:
             np.broadcast_shapes(a.shape, b.shape)
@@ -354,43 +358,29 @@ def _broadcasting(op: str, ufunc, a: Tensor, b: Tensor) -> Tensor:
             raise ShapeMismatchError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
         raise
 
+    def backward(g):
+        ga, gb = vjp(g, a._data, b._data)
+        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+
+    _record(out, (a, b), backward)
+    return out
+
 
 # ---------------------------------------------------------------------------
 # elementwise and linear-algebra ops
 
 
 def add(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    out = _broadcasting("add", np.add, a, b)
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    _record(out, (a, b), vjp)
-    return out
+    return _binary_op("add", np.add, a, b, lambda g, a, b: (g, g))
 
 
 def sub(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    out = _broadcasting("sub", np.subtract, a, b)
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    _record(out, (a, b), vjp)
-    return out
+    return _binary_op("sub", np.subtract, a, b, lambda g, a, b: (g, -g))
 
 
 def mul(a, b) -> Tensor:
     """Elementwise product with numpy broadcasting."""
-    a, b = _coerce(a), _coerce(b)
-    out = _broadcasting("mul", np.multiply, a, b)
-
-    def vjp(g):
-        return _unbroadcast(g * b._data, a.shape), _unbroadcast(g * a._data, b.shape)
-
-    _record(out, (a, b), vjp)
-    return out
+    return _binary_op("mul", np.multiply, a, b, lambda g, a, b: (g * b, g * a))
 
 
 def matmul(a, b) -> Tensor:
@@ -569,6 +559,10 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 
 def _narrow(d: np.ndarray, axis: int, start: int, length: int) -> np.ndarray:
+    if start < 0 or start + length > d.shape[axis]:
+        raise ShapeMismatchError(
+            f"narrow: [{start}, {start + length}) out of range for extent {d.shape[axis]}"
+        )
     index = [slice(None)] * d.ndim
     index[axis] = slice(start, start + length)
     return d[tuple(index)]
@@ -582,11 +576,6 @@ def _narrow_vjp(g, d, axis, start, length):
 
 def narrow(x, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along one axis."""
-    x = _coerce(x)
-    if start < 0 or start + length > x.shape[axis]:
-        raise ShapeMismatchError(
-            f"narrow: [{start}, {start + length}) out of range for extent {x.shape[axis]}"
-        )
     return _structural_op(x, _narrow, _narrow_vjp, axis, start, length)
 
 
@@ -597,6 +586,14 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
 def _check_ids(op: str, ids: np.ndarray, extent: int) -> None:
     if ids.size and (ids.min() < 0 or ids.max() >= extent):
         raise ValueError(f"{op}: index out of range [0, {extent})")
+
+
+def _lookup(table: np.ndarray, ids) -> np.ndarray:
+    """Rows ``table[ids]`` for in-range ids; plain indexing would wrap a
+    negative id."""
+    ids = np.asarray(ids, dtype=np.int64)
+    _check_ids("embedding_lookup", ids, table.shape[0])
+    return table[ids]
 
 
 def _scatter_add(g, d, index):
@@ -613,9 +610,11 @@ def embedding_lookup(table, ids) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     if table.ndim != 2:
         raise ShapeMismatchError(f"embedding_lookup: table {table.shape} must be 2-D")
-    _check_ids("embedding_lookup", ids, table.shape[0])
+    rows = _lookup(table._data, ids)  # the ids are checked before the table's scan
     _require_finite("embedding_lookup", table)
-    return _structural_op(table, operator.getitem, _scatter_add, ids)
+    out, d = _marked(rows, True), table._data
+    _record(out, (table,), lambda g: (_scatter_add(g, d, ids),))
+    return out
 
 
 def pick(x, ids) -> Tensor:
@@ -838,13 +837,14 @@ def array_of(t: Tensor) -> np.ndarray:
 
 class ArrayOps:
     """The array executor: the ops of ``ops`` on plain float64 arrays. Each
-    runs the kernel of the tape op of its name, so its output has that op's
-    bytes; only what a kernel does not do is written here. ``executed`` runs
-    it inside ``FpTraps``, where a value op's output is finite by
-    construction; each matmul product is scanned, as ``matmul`` has its
-    product scanned, and a tensor operand unless it is marked. An array
-    operand is taken as it is: it is a constant of the model, or an output
-    of an earlier executed body."""
+    is the kernel of the tape op of its name, so its output has that op's
+    bytes and it makes that op's checks; only what a kernel does not do is
+    written here: ``operand``, ``array_of``, the product scan of ``matmul``
+    and the identity ``dropout``. ``executed`` runs it inside ``FpTraps``,
+    where a value op's output is finite by construction; each matmul
+    product is scanned, as ``matmul`` has its product scanned, and a tensor
+    operand unless it is marked. An array operand is taken as it is: it is
+    a constant of the model, or an output of an earlier executed body."""
 
     @staticmethod
     def operand(value) -> np.ndarray:
@@ -865,13 +865,6 @@ class ArrayOps:
         return out
 
     @staticmethod
-    def embedding_lookup(table: np.ndarray, ids) -> np.ndarray:
-        # plain indexing would wrap a negative id
-        ids = np.asarray(ids, dtype=np.int64)
-        _check_ids("embedding_lookup", ids, table.shape[0])
-        return table[ids]
-
-    @staticmethod
     def dropout(x: np.ndarray, rate: float, rng) -> np.ndarray:
         _check_rate(rate)  # no tape records, so no mask
         return x
@@ -881,6 +874,7 @@ class ArrayOps:
     relu = staticmethod(_relu)
     reduce_mean = staticmethod(_mean)
     narrow = staticmethod(_narrow)
+    embedding_lookup = staticmethod(_lookup)
     concat = staticmethod(np.concatenate)
     tanh = np.tanh
     powc = operator.pow

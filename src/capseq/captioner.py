@@ -117,6 +117,19 @@ class CaptionModel(ad.ParameterStore):
         return projected.reshape((b, r, self.config.attention_dim))
 
     @ad.executed
+    def step(self, annotations: ad.Tensor, tokens, h_prev: ad.Tensor, c_prev: ad.Tensor,
+             proj_regions: ad.Tensor | None = None):
+        """One decoder step, ``attend``, ``lstm_step`` and then
+        ``output_distribution``; returns (h, c, alpha, probs).
+
+        ``step`` is an ``ad.executed`` body: on the tape ops while a ``Tape``
+        records (``sequence_loss``), on plain arrays otherwise (decoding),
+        with the same bytes; its three parts run on its executor.
+        """
+        alpha, context = self.attend(annotations, h_prev, proj_regions)
+        h, c = self.lstm_step(tokens, h_prev, c_prev, context)
+        return h, c, alpha, self.output_distribution(h, context, tokens)
+
     def attend(self, annotations: ad.Tensor, h_prev: ad.Tensor,
                proj_regions: ad.Tensor | None = None):
         """Additive attention: score each region against the previous hidden
@@ -128,11 +141,6 @@ class CaptionModel(ad.ParameterStore):
         beam axis over the same (B, R, F) annotations; every reduction runs
         on a trailing axis. Returns (alpha h_prev.shape[:-1] + (R,), context
         h_prev.shape[:-1] + (F,)).
-
-        ``attend``, ``lstm_step`` and ``output_distribution`` are
-        ``ad.executed`` bodies: on the tape ops while a ``Tape`` records
-        (``sequence_loss``), on plain arrays otherwise (decoding), with the
-        same bytes.
         """
         ops = ad.ops()
         annotations, h_prev = ops.operand(annotations), ops.operand(h_prev)
@@ -151,7 +159,6 @@ class CaptionModel(ad.ParameterStore):
         context = (alpha.reshape(rows + (r, 1)) * annotations).sum(axis=-2)
         return alpha, context
 
-    @ad.executed
     def lstm_step(self, tokens, h_prev: ad.Tensor, c_prev: ad.Tensor,
                   context: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
         """One decoder step: gates from the affine of [embedding, hidden,
@@ -171,7 +178,6 @@ class CaptionModel(ad.ParameterStore):
         h = o * ops.tanh(c)
         return h, c
 
-    @ad.executed
     def output_distribution(self, h: ad.Tensor, context: ad.Tensor, tokens) -> ad.Tensor:
         """Next-word probabilities conditioned on hidden state, context vector
         and the previous word's embedding, over the last axis. Dropout hits
@@ -215,10 +221,7 @@ class CaptionModel(ad.ParameterStore):
                     a_t = ad.narrow(a_t, 0, 0, bt)
                     h = ad.narrow(h, 0, 0, bt)
                     c = ad.narrow(c, 0, 0, bt)
-                alpha, context = self.attend(a_t, h)
-                inputs = captions[:bt, t]
-                h, c = self.lstm_step(inputs, h, c, context)
-                probs = self.output_distribution(h, context, inputs)
+                h, c, alpha, probs = self.step(a_t, captions[:bt, t], h, c)
                 target_p = ad.pick(probs, captions[:bt, t + 1])
                 if np.any(target_p.data <= PROB_FLOOR):
                     logger.warning("target probability underflow at step %d; clamping to %g",
@@ -255,18 +258,12 @@ class CaptionModel(ad.ParameterStore):
         a queued handle runs one attention, LSTM and output step over every
         queued prefix, their (1, n) states stacked on a leading beam axis, a
         lone prefix (every greedy step) as (1, 1, n). With no tape recording,
-        the step runs on plain arrays (see ``attend``), and the states pass
+        the step runs on plain arrays (see ``step``), and the states pass
         from step to step as arrays, not scanned again.
         """
         proj_regions = self._project_regions(annotations)
         initial = tuple(t.data for t in self.init_state(annotations))
         record: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-        @ad.executed
-        def advance(tokens, h, c):
-            alpha, context = self.attend(annotations, h, proj_regions)
-            h2, c2 = self.lstm_step(tokens, h, c, context)
-            return h2, c2, alpha, self.output_distribution(h2, context, tokens)
 
         def evaluate(prefixes) -> np.ndarray:
             k = len(prefixes)
@@ -274,7 +271,8 @@ class CaptionModel(ad.ParameterStore):
             tokens = np.array([[p[-1] if p else start_id] for p in prefixes])
             # (K, 1, n): each beam's products stay the (1, n) ones
             h, c = (np.array([s[i] for s in states]) for i in (0, 1))
-            h2, c2, alpha, probs = (t.data for t in advance(tokens, h, c))
+            out = self.step(annotations, tokens, h, c, proj_regions)
+            h2, c2, alpha, probs = (t.data for t in out)
             alphas = alpha.reshape(k, -1)
             for i, prefix in enumerate(prefixes):
                 record[prefix] = (h2[i], c2[i], alphas[i])

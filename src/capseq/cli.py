@@ -475,11 +475,9 @@ def cmd_heatmap(args) -> int:
                 f"--{flag.replace('_', '-')} must be at least 1, got {getattr(args, flag)}")
     rows = _require_file(args.alphas, "attention CSV").read_text(
         encoding="utf-8").splitlines()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     weights = args.pooled_side * args.pooled_side
     steps = []
-    for t, row in enumerate(rows):  # every row is checked before any PGM is written
+    for t, row in enumerate(rows):  # every row is checked before --out is made
         if not row.strip():
             continue  # blank rows still count as steps
         try:
@@ -492,6 +490,8 @@ def cmd_heatmap(args) -> int:
         steps.append((t, alpha))
     if not steps:
         raise CliValidationError(f"{args.alphas}: attention CSV has no rows")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     names = _write_heatmaps(out_dir, Path(args.alphas).stem, steps,
                             args.pooled_side, args.height, args.width)
     print(f"wrote {len(names)} heatmaps -> {out_dir}")

@@ -153,6 +153,8 @@ class RunConfig:
             raise ConfigError("split ratios must sum to 1")
         if self.lm_merges < 0:
             raise ConfigError("lm_merges must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.sat_optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown sat_optimizer {self.sat_optimizer!r}")
         if self.decode_strategy not in ("greedy", "beam"):
@@ -226,6 +228,9 @@ def load_run_config(config_path=None, overrides: dict[str, str] | None = None) -
         setattr(cfg, key, _parse_value(key, raw))
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
-        cfg.seed = int(env_seed)
+        try:
+            cfg.seed = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"{ENV_SEED}: expected an integer, got {env_seed!r}") from None
     cfg.validate()
     return cfg

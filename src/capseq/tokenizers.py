@@ -110,7 +110,7 @@ class WordVocabulary:
             if not line:
                 continue
             tok, _, idx = line.partition("\t")
-            if idx != str(len(tokens)):  # ids are dense, in order
+            if not tok or idx != str(len(tokens)):  # ids are dense, in order
                 raise ValueError(f"{path}:{n}: expected a token, a tab and id {len(tokens)}")
             tokens.append(tok)
         if tokens[: len(SPECIALS)] != list(SPECIALS):

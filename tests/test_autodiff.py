@@ -5,6 +5,7 @@ import ast
 import contextlib
 import hashlib
 import inspect
+import operator
 import os
 import subprocess
 import sys
@@ -798,13 +799,38 @@ class TestExecutors:
         for want, got in pairs:
             assert _same_bytes(got, want.data)
 
-    def test_array_ops_are_tape_ops_by_name(self):
+    # where each shared kernel lives: the array op is that very object, and
+    # the tape op of its name looks it up there on every call
+    KERNELS = {"softmax": (ad, "_softmax"), "sigmoid": (ad, "_sigmoid"), "relu": (ad, "_relu"),
+               "reduce_mean": (ad, "_mean"), "narrow": (ad, "_narrow"),
+               "embedding_lookup": (ad, "_lookup"), "concat": (np, "concatenate"),
+               "tanh": (np, "tanh"), "powc": (operator, "pow")}
+
+    def test_array_ops_are_tape_ops_by_name(self, monkeypatch):
         # so the two executors cannot drift apart by name
         names = [name for name in vars(ad.ArrayOps) if not name.startswith("_")]
         assert len(names) == 13
         for name in names:
             tape_op = getattr(ad, name)
             assert inspect.isfunction(tape_op) and tape_op.__module__ == ad.__name__, name
+        # and every array op but these four is the kernel its tape op calls
+        assert set(names) - set(self.KERNELS) == {"operand", "array_of", "matmul", "dropout"}
+        cases = {name: taped for name, taped, _ in _op_cases(np.random.default_rng(0))}
+        for name, (owner, attr) in self.KERNELS.items():
+            kernel, calls = getattr(owner, attr), []
+            assert getattr(ad.ArrayOps, name) is kernel, name
+            monkeypatch.setattr(owner, attr, lambda *a, kernel=kernel, **k: calls.append(1)
+                                or kernel(*a, **k))
+            getattr(ad, name)(*cases[name])
+            monkeypatch.undo()
+            assert calls, name
+
+    def test_out_of_range_narrow_raises_on_both_executors(self):
+        message = r"^narrow: \[2, 5\) out of range for extent 3$"
+        for narrow, x in ((ad.ArrayOps.narrow, np.zeros((2, 3))),
+                          (ad.narrow, ad.Tensor(np.zeros((2, 3))))):
+            with pytest.raises(ad.ShapeMismatchError, match=message):
+                narrow(x, -1, 2, 3)
 
     def test_operand_scans_an_unmarked_tensor_once(self):
         p = ad.Parameter(np.ones((2, 2)), "p")

@@ -13,7 +13,7 @@ from capseq import autodiff as ad
 from capseq.captioner import (CaptionExample, CaptionModel, attention_heatmap,
                               effective_batch_sizes, sort_batch_by_length,
                               train_teacher_forcing)
-from capseq.config import RunConfig
+from capseq.config import RunConfig, load_run_config
 from capseq.decoding import beam_search, greedy_decode
 from capseq.synthetic import overfit_pairs
 from capseq.tokenizers import WordVocabulary
@@ -224,7 +224,7 @@ class TestSequenceLoss:
         def perfect(h, ctx, tokens, _targets=iter([4, 2])):
             probs = np.full((1, 8), 1e-300)
             probs[0, next(_targets)] = 1.0
-            return ad.Tensor(probs)
+            return ad.ops().operand(probs)  # on the executor of the step body
 
         model.output_distribution = perfect
         try:
@@ -465,6 +465,33 @@ class TestDeferredStep:
             assert len(batches) <= 6                 # one evaluation per step, max_len steps
             assert max(batches) > 1
 
+
+
+class TestStep:
+    """``CaptionModel.step``, the one caption step body, gives the same
+    bytes on the tape ops and on plain arrays."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tape_and_array_steps_are_byte_identical(self, seed):
+        cfg = load_run_config("configs/desk.cfg")
+        model = CaptionModel(cfg.caption_config(), vocab_size=60, seed=seed)
+        rng = np.random.default_rng(seed)
+        annotations = model.encode(rng.random((3, cfg.image_side, cfg.image_side)))
+        h, c = model.init_state(annotations)
+        single = model.encode(rng.random((cfg.image_side, cfg.image_side)))
+        h1, c1 = model.init_state(single)
+        beams = 4  # a (K, 1, n) beam state over one image, as decoding stacks it
+        cases = [(annotations, rng.integers(0, 60, size=3), h, c, None),
+                 (single, rng.integers(0, 60, size=(beams, 1)),
+                  ad.operand(np.repeat(h1.data[None], beams, 0)),
+                  ad.operand(np.repeat(c1.data[None], beams, 0)), model._project_regions(single))]
+        for args in cases:
+            on_arrays = model.step(*args)
+            with ad.Tape() as tape:
+                taped = model.step(*args)
+            assert len(tape) > 0
+            for got, want in zip(on_arrays, taped, strict=True):
+                assert got.shape == want.shape and got.data.tobytes() == want.data.tobytes()
 
 
 class TestDecodingSafety:

@@ -432,7 +432,7 @@ class TestHeatmapCommand:
                    "--height", "16", "--width", "16", "--out", str(tmp_path / "maps")])
         assert rc == 1
         assert "row 2 is not 16 finite weights" in capsys.readouterr().err
-        assert list((tmp_path / "maps").iterdir()) == []
+        assert not (tmp_path / "maps").exists()
 
     @pytest.mark.parametrize("text", ["", "\n", "  \n\n\t\n"])
     def test_no_rows_is_validation_failure(self, tmp_path, capsys, text):
@@ -442,6 +442,7 @@ class TestHeatmapCommand:
                    "--height", "16", "--width", "16", "--out", str(tmp_path / "maps")])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {csv}: attention CSV has no rows\n"
+        assert not (tmp_path / "maps").exists()
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize("flag", ["--pooled-side", "--height", "--width"])
@@ -516,6 +517,14 @@ class TestExitCodes:
     def test_bad_config_value(self, corpus_dir, tmp_path):
         assert main(["prep", "--corpus", str(corpus_dir / "corpus.jsonl"),
                      "--out", str(tmp_path / "o"), "--set", "lm_rank=9"]) == 1
+
+    def test_negative_seed_writes_nothing(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(["prep", "--corpus", str(corpus_dir / "corpus.jsonl"),
+                   "--out", str(out), "--seed", "-1", *FAST])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
 
     def test_env_seed_overrides(self, corpus_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("CAPSEQ_SEED", "77")

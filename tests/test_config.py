@@ -69,6 +69,18 @@ class TestPrecedence:
         cfg = load_run_config(path, {"seed": "5"})
         assert cfg.seed == 99
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_env_seed_not_an_integer_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("CAPSEQ_SEED", value)
+        with pytest.raises(ConfigError,
+                           match=f"^CAPSEQ_SEED: expected an integer, got {value!r}$"):
+            load_run_config()
+
+    def test_negative_env_seed_names_the_seed(self, monkeypatch):
+        monkeypatch.setenv("CAPSEQ_SEED", "-3")
+        with pytest.raises(ConfigError, match="^seed must be non-negative, got -3$"):
+            load_run_config()
+
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_run_config(tmp_path / "nope.cfg")
@@ -90,6 +102,11 @@ class TestValidation:
         cfg = RunConfig(train_ratio=0.5, val_ratio=0.5, test_ratio=0.5)
         with pytest.raises(ConfigError, match="ratios"):
             cfg.validate()
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
+            RunConfig(seed=-1).validate()
+        RunConfig(seed=0).validate()
 
     def test_image_side_vs_pooled_side(self):
         cfg = RunConfig(image_side=2, sat_pooled_side=4)

@@ -80,7 +80,8 @@ class TestWordVocabulary:
         assert [back.id_to_token(i) for i in range(len(back))] == \
                [v.id_to_token(i) for i in range(len(v))]
 
-    @pytest.mark.parametrize("row", ["edema", "edema 9", "edema\tx", "edema\t99", "\t9"])
+    # "\t6" has the next id, 6, and an empty token
+    @pytest.mark.parametrize("row", ["edema", "edema 9", "edema\tx", "edema\t99", "\t9", "\t6"])
     def test_load_names_the_line_of_a_bad_row(self, tmp_path, row):
         v = WordVocabulary.build([["no", "acute"]])
         path = tmp_path / "words.vocab"
