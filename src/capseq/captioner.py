@@ -71,13 +71,6 @@ class CaptionModel(ad.ParameterStore):
     def decoder_parameters(self) -> list[ad.Parameter]:
         return [p for name, p in self._params.items() if not name.startswith("encoder.")]
 
-    def set_encoder_finetune(self, enabled: bool) -> None:
-        """Toggle gradients for the last encoder layer; the lower layers stay
-        frozen either way. Idempotent."""
-        self.config.fine_tune_encoder = bool(enabled)
-        self._params["encoder.conv3.weight"].trainable = bool(enabled)
-        self._params["encoder.conv3.bias"].trainable = bool(enabled)
-
     # -- forward pieces -------------------------------------------------------
 
     def encode(self, images) -> ad.Tensor:

@@ -13,7 +13,10 @@ import functools
 import hashlib
 import json
 import logging
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -408,22 +411,27 @@ def cmd_generate(args) -> int:
         raise CliValidationError("no inputs to generate from")
 
     heatmap_dir = Path(args.heatmap_dir) if args.heatmap_dir else None
+    stage = None
     if heatmap_dir:
         heatmap_dir.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=".generate-", dir=heatmap_dir))
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
+    # the heatmaps and reports go into place after the last study, so a
+    # failing study leaves the previous ones whole and matching each other
+    lines = []
+    try:
         for study_id, image in inputs:
             result = two_stage_generate(image, model, word_vocab, lm, bpe_vocab,
                                         cfg, study_id=study_id)
             heatmap_files = []
-            if heatmap_dir and result.attention_weights:
+            if stage and result.attention_weights:
                 heatmap_files = _write_heatmaps(
-                    heatmap_dir, study_id, enumerate(result.attention_weights),
+                    stage, study_id, enumerate(result.attention_weights),
                     cfg.sat_pooled_side, cfg.image_side, cfg.image_side)
                 csv_rows = [",".join(f"{v:.12g}" for v in alpha)
                             for alpha in result.attention_weights]
-                (heatmap_dir / f"{study_id}_alphas.csv").write_text(
+                (stage / f"{study_id}_alphas.csv").write_text(
                     "\n".join(csv_rows) + "\n", encoding="utf-8")
             record = {
                 "id": study_id,
@@ -432,7 +440,14 @@ def cmd_generate(args) -> int:
                 "combined": result.combined_text,
                 "heatmaps": heatmap_files,
             }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
+        if stage:
+            for path in sorted(stage.iterdir()):
+                os.replace(path, heatmap_dir / path.name)
+    finally:
+        if stage:
+            shutil.rmtree(stage)
+    checkpoint.write_atomic(out_path, "".join(lines).encode("utf-8"))
     print(f"wrote {len(inputs)} report records -> {out_path}")
     return 0
 

@@ -304,15 +304,6 @@ class TestFinetuneToggle:
         assert np.all(params["encoder.conv1.weight"].grad == 0)
         assert np.all(params["encoder.conv2.weight"].grad == 0)
 
-    def test_toggle_idempotent(self):
-        model = tiny_model()
-        model.set_encoder_finetune(True)
-        model.set_encoder_finetune(True)
-        assert model.parameters()["encoder.conv3.weight"].trainable
-        model.set_encoder_finetune(False)
-        model.set_encoder_finetune(False)
-        assert not model.parameters()["encoder.conv3.weight"].trainable
-
 
 class TestHeatmap:
     def test_uniform_alpha_normalizes_to_zeros(self):

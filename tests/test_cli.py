@@ -364,6 +364,33 @@ class TestGenerate:
         assert rc == 0
         assert len(out.read_text().splitlines()) == 1
 
+    def test_failing_study_leaves_previous_reports_and_heatmaps(
+            self, prepped, trained, tmp_path, monkeypatch):
+        out, heatmaps = tmp_path / "reports.jsonl", tmp_path / "heatmaps"
+        argv = ["generate", "--dataset", str(prepped / "dataset.csds"),
+                "--sat-checkpoint", str(trained / "sat-best.ckpt"),
+                "--word-vocab", str(trained / "words.vocab"),
+                "--no-lm", "--out", str(out), "--heatmap-dir", str(heatmaps), *FAST]
+        assert main(argv) == 0
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert len(before) > 2
+        generate = cli.two_stage_generate
+        studies = []
+
+        def failing_third(*args, **kwargs):
+            studies.append(kwargs["study_id"])
+            if len(studies) == 3:
+                raise ValueError("forced failure")
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "two_stage_generate", failing_third)
+        assert main(argv + ["--set", "sat_max_caption_len=3"]) == 1
+        assert len(studies) == 3
+        # same bytes, and no reports.jsonl.tmp or staged heatmaps left behind
+        assert sorted(tmp_path.rglob("*")) == sorted([heatmaps, *before])
+        for path, data in before.items():
+            assert path.read_bytes() == data, path
+
 
 class TestEvaluate:
     def test_perfect_match_scores_one(self, tmp_path, capsys):
