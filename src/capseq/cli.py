@@ -209,6 +209,28 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _read_state(path: Path, rngs: dict) -> dict:
+    """The epoch commit in ``{stage}-state.json``, checked field by field
+    before --resume trusts it; a damaged one names the file."""
+    try:
+        state = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(state, dict):
+            raise ValueError("not a JSON object")
+        if not (type(state["next_epoch"]) is int and state["next_epoch"] >= 0):
+            raise ValueError("next_epoch is not an integer >= 0")
+        best = state["best"]
+        if not (type(best["epoch"]) is int and type(best["gm_bleu"]) in (int, float)):
+            raise ValueError("best needs an integer epoch and a number gm_bleu")
+        if not isinstance(state["sha256"], dict):
+            raise ValueError("sha256 is not an object")
+        for name, rng in rngs.items():  # numpy refuses a state it cannot restore
+            type(rng.bit_generator)().state = state["rng"][name]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CliValidationError(f"{path}: damaged training state ({type(exc).__name__}: "
+                                 f"{exc}); pass --overwrite to start over") from None
+    return state
+
+
 def _train_stage(args, out_dir: Path, stage: str, model, optimizers: dict, cfg: RunConfig,
                  train, validate) -> int:
     """Epoch driver shared by train-sat and train-lm.
@@ -234,7 +256,7 @@ def _train_stage(args, out_dir: Path, stage: str, model, optimizers: dict, cfg: 
     start_epoch = 0
     best = {"epoch": -1, "gm_bleu": -1.0}
     if args.resume and path["state.json"].exists():
-        state = json.loads(path["state.json"].read_text(encoding="utf-8"))
+        state = _read_state(path["state.json"], rngs)
         for name in committed:
             if not path[name].exists():
                 raise CliValidationError(

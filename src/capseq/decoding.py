@@ -279,7 +279,7 @@ def two_stage_generate(image: np.ndarray, captioner, word_vocab, lm, bpe_vocab,
         max_len=cfg.sat_max_caption_len,
         length_normalize=cfg.length_normalize,
     )
-    seed_tokens = word_vocab.decode(seed_ids, strip_specials=True)
+    seed_tokens = word_vocab.decode(seed_ids)
     if not seed_tokens:
         logger.warning("caption model produced an empty seed for %r; skipping LM stage", study_id)
         return PipelineOutput(study_id, [], "", "", [])

@@ -20,6 +20,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+ROUGE_BETA = 1.2  # recall weight of the ROUGE-L F-measure
+CIDER_MAX_ORDER = 4
+
 
 @dataclass
 class EvalPair:
@@ -119,9 +122,10 @@ def lcs_length(a: list[str], b: list[str]) -> int:
     return prev[-1]
 
 
-def rouge_l(pairs: list[EvalPair], beta: float = 1.2) -> float:
+def rouge_l(pairs: list[EvalPair]) -> float:
     if not pairs:
         raise ValueError("cannot score an empty corpus")
+    beta_sq = ROUGE_BETA * ROUGE_BETA
     total = 0.0
     for pair in pairs:
         best = 0.0
@@ -133,18 +137,18 @@ def rouge_l(pairs: list[EvalPair], beta: float = 1.2) -> float:
                 continue
             precision = lcs / len(pair.candidate)
             recall = lcs / len(ref)
-            f = ((1 + beta * beta) * precision * recall) / (recall + beta * beta * precision)
+            f = ((1 + beta_sq) * precision * recall) / (recall + beta_sq * precision)
             best = max(best, f)
         total += best
     return total / len(pairs)
 
 
-def cider(pairs: list[EvalPair], max_order: int = 4) -> float:
-    scores = cider_scores(pairs, max_order)
+def cider(pairs: list[EvalPair]) -> float:
+    scores = cider_scores(pairs)
     return sum(scores) / len(scores)
 
 
-def cider_scores(pairs: list[EvalPair], max_order: int = 4) -> list[float]:
+def cider_scores(pairs: list[EvalPair]) -> list[float]:
     """Per-pair CIDEr (already on the x10 scale)."""
     if len(pairs) < 2:
         raise ValueError(
@@ -153,9 +157,9 @@ def cider_scores(pairs: list[EvalPair], max_order: int = 4) -> list[float]:
         )
     n_docs = len(pairs)
     # document frequency: in how many pairs' reference sets each n-gram occurs
-    df: list[Counter] = [Counter() for _ in range(max_order)]
+    df: list[Counter] = [Counter() for _ in range(CIDER_MAX_ORDER)]
     for pair in pairs:
-        for k in range(1, max_order + 1):
+        for k in range(1, CIDER_MAX_ORDER + 1):
             seen = set()
             for ref in pair.references:
                 seen.update(ngram_counts(ref, k))
@@ -179,11 +183,11 @@ def cider_scores(pairs: list[EvalPair], max_order: int = 4) -> list[float]:
     scores = []
     for pair in pairs:
         per_order = 0.0
-        for k in range(1, max_order + 1):
+        for k in range(1, CIDER_MAX_ORDER + 1):
             cand_vec = tfidf(pair.candidate, k)
             sim = sum(cosine(cand_vec, tfidf(ref, k)) for ref in pair.references)
             per_order += sim / len(pair.references)
-        scores.append(10.0 * per_order / max_order)
+        scores.append(10.0 * per_order / CIDER_MAX_ORDER)
     return scores
 
 

@@ -16,6 +16,9 @@ from .autodiff import Parameter, Tape
 
 logger = logging.getLogger(__name__)
 
+# Adam's moment decay rates, Kingma & Ba's defaults
+BETA1, BETA2 = 0.9, 0.999
+
 
 def global_grad_norm(params) -> float:
     total = 0.0
@@ -83,28 +86,25 @@ class Adam(_Optimizer):
     parameter, kept by parameter identity so freeze toggles do not shift it."""
 
     def __init__(self, params, lr: float, eps: float = 1e-8,
-                 beta1: float = 0.9, beta2: float = 0.999,
                  clip_norm: float | None = None):
         super().__init__(params, lr, clip_norm)
         self.eps = eps
-        self.beta1 = beta1
-        self.beta2 = beta2
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
     def _apply(self, params) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - BETA1 ** self.t
+        b2c = 1.0 - BETA2 ** self.t
         for i, p in enumerate(self.params):
             if not p.trainable:
                 continue
             m, v = self._m[i], self._v[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad * p.grad
+            m *= BETA1
+            m += (1.0 - BETA1) * p.grad
+            v *= BETA2
+            v += (1.0 - BETA2) * p.grad * p.grad
             p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
     def state_arrays(self) -> dict[str, np.ndarray]:

@@ -88,11 +88,10 @@ class WordVocabulary:
         ids += [self.pad_id] * (max_len - len(ids))
         return tuple(ids)
 
-    def decode(self, ids, strip_specials: bool = True) -> list[str]:
+    def decode(self, ids) -> list[str]:
+        """The tokens of ``ids`` without the special tokens."""
         toks = [self._id_to_token[i] for i in ids]
-        if strip_specials:
-            toks = [t for t in toks if t not in SPECIALS]
-        return toks
+        return [t for t in toks if t not in SPECIALS]
 
     def save(self, path) -> None:
         lines = [_WORD_HEADER]

@@ -350,7 +350,52 @@ def eager_caption_step(model, annotations, start_id=1, floor=1e-12):
 
 
 # ---------------------------------------------------------------------------
+# image resampling
+
+
+def gather_bilinear(image, out_h, out_w):
+    """Half-pixel-centered bilinear resampling, four 2-D gathers over the
+    full output: each output pixel blends its top and bottom source rows,
+    each of those blended between its left and right source columns."""
+    img = np.asarray(image, dtype=np.float64)
+    h, w = img.shape
+    ys = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0, h - 1)
+    xs = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0, w - 1)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = (ys - y0)[:, None]
+    wx = (xs - x0)[None, :]
+    top = img[np.ix_(y0, x0)] * (1 - wx) + img[np.ix_(y0, x1)] * wx
+    bottom = img[np.ix_(y1, x0)] * (1 - wx) + img[np.ix_(y1, x1)] * wx
+    return top * (1 - wy) + bottom * wy
+
+
+# ---------------------------------------------------------------------------
 # PGM rasters
+
+
+def scan_pgm_tokens(data: bytes):
+    """(token, end offset) pairs of a PGM byte string, scanned byte by byte:
+    whitespace is what ``bytes.isspace`` accepts, and a "#" that starts a
+    token starts a comment running to the end of its line."""
+    out = []
+    i = 0
+    while i < len(data):
+        c = data[i:i + 1]
+        if c.isspace():
+            i += 1
+        elif c == b"#":
+            while i < len(data) and data[i:i + 1] != b"\n":
+                i += 1
+        else:
+            j = i
+            while j < len(data) and not data[j:j + 1].isspace():
+                j += 1
+            out.append((data[i:j], j))
+            i = j
+    return out
 
 
 def per_pixel_p2(values01, maxval=255):

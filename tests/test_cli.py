@@ -277,6 +277,26 @@ class TestTraining:
             err = capsys.readouterr().err
             assert f"{stage}-last.opt is missing" in err and "--overwrite" in err
 
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[: len(text) // 2],
+        lambda text: "[]",
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "rng"}),
+        lambda text: json.dumps(dict(json.loads(text), next_epoch="x")),
+    ], ids=["cut-short", "not-an-object", "no-rng", "epoch-not-int"])
+    def test_damaged_state_stops_resume(self, prepped, tmp_path, capsys, damage):
+        # a state file that is not the epoch commit exits 1, names the file
+        # and leaves the run directory as it was
+        run = tmp_path / "run"
+        assert self._train(prepped, "sat", run, "--set", "sat_epochs=1") == 0
+        state = run / "sat-state.json"
+        state.write_text(damage(state.read_text()))
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        capsys.readouterr()
+        assert self._train(prepped, "sat", run, "--resume") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {state}: ") and err.endswith("pass --overwrite to start over\n")
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
 
 class TestGenerate:
     def test_record_per_input(self, prepped, trained, tmp_path):

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from capseq.pgm import PgmError, read_pgm, write_pgm
+from capseq.pgm import PgmError, _tokens, read_pgm, write_pgm
 
-from oracles import per_pixel_p2
+from oracles import per_pixel_p2, scan_pgm_tokens
 
 
 @st.composite
@@ -54,6 +54,13 @@ class TestWriteRead:
         pixels, maxval = read_pgm(path)
         assert maxval == 65535
         np.testing.assert_array_equal(pixels, [[65535, 2]])
+
+    @given(st.lists(st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\x1c",
+                                     b"\x85", b"\xa0", b"#", b"7", b"P"]), max_size=40))
+    def test_tokens_equal_a_byte_scan(self, pieces):
+        # includes bytes that str.isspace() accepts but bytes.isspace() does not
+        data = b"".join(pieces)
+        assert list(_tokens(data)) == scan_pgm_tokens(data)
 
     def test_comments_in_header(self, tmp_path):
         path = tmp_path / "img.pgm"

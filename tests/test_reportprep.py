@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import gather_bilinear
 
 from capseq.binio import BinaryFormatError
 from capseq.reportprep import (PackedRecord, RawStudy, bilinear_resize,
@@ -144,6 +145,24 @@ class TestImagePreprocessing:
         img = np.array([[0.0, 1.0]])
         out = bilinear_resize(img, 1, 4)
         assert out[0, 0] <= out[0, 1] <= out[0, 2] <= out[0, 3]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 64), st.integers(1, 256), st.integers(1, 256),
+           st.sampled_from(["uniform", "16-bit", "large"]), st.integers(0, 2**32 - 1))
+    def test_bytes_equal_the_four_gather_form(self, h, w, out_h, out_w, kind, seed):
+        rng = np.random.default_rng(seed)
+        img = {"uniform": lambda: rng.random((h, w)),
+               "16-bit": lambda: rng.integers(0, 65536, (h, w)).astype(np.float64),
+               "large": lambda: rng.normal(0.0, 1e6, (h, w))}[kind]()
+        out = bilinear_resize(img, out_h, out_w)
+        assert out.shape == (out_h, out_w)
+        assert out.tobytes() == gather_bilinear(img, out_h, out_w).tobytes()
+
+    def test_heatmap_upsampling_bytes(self):
+        # a pooled 4x4 attention map upsampled as the 128-px heatmaps are
+        alpha = np.random.default_rng(7).dirichlet(np.ones(16)).reshape(4, 4)
+        out = bilinear_resize(alpha, 128, 128)
+        assert out.tobytes() == gather_bilinear(alpha, 128, 128).tobytes()
 
 
 def _records():
