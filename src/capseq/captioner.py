@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import decoding
 from .config import CaptionConfig, RunConfig
-from .optim import Adam, Sgd, train_epochs
+from .optim import Adam, train_epochs
 from .reportprep import bilinear_resize
 from .tokenizers import END_ID, START_ID
 
@@ -315,13 +315,8 @@ def effective_batch_sizes(sorted_lengths) -> list[int]:
 
 def make_optimizers(model: CaptionModel, cfg: RunConfig):
     """Decoder and encoder optimizers from the ``sat_*`` keys."""
-    cls = Adam if cfg.sat_optimizer == "adam" else Sgd
-    kwargs = {"clip_norm": cfg.sat_clip_norm}
-    if cfg.sat_optimizer == "adam":
-        kwargs["eps"] = cfg.sat_adam_eps
-    dec = cls(model.decoder_parameters(), lr=cfg.sat_decoder_lr, **kwargs)
-    enc = cls(model.encoder_parameters(), lr=cfg.sat_encoder_lr, **kwargs)
-    return dec, enc
+    return (Adam(model.decoder_parameters(), cfg.sat_decoder_lr, cfg.sat_clip_norm),
+            Adam(model.encoder_parameters(), cfg.sat_encoder_lr, cfg.sat_clip_norm))
 
 
 def train_teacher_forcing(model: CaptionModel, examples: list[CaptionExample],

@@ -28,7 +28,6 @@ from .config import RunConfig, load_run_config
 from .decoding import decode, lm_seed, two_stage_generate
 from .lm import TransformerLm, build_token_stream, make_optimizer, train_lm
 from .metrics import EvalPair, evaluate_corpus, geometric_mean_bleu, bleu_n
-from .optim import Adam
 from .pgm import read_pgm, write_pgm
 from .reportprep import (PackedRecord, load_dataset, load_lexicon,
                          normalize_text, pack_dataset, preprocess_image,
@@ -88,8 +87,15 @@ def _load_manifest(path) -> dict:
     return manifest
 
 
-def _records_by_id(records: list[PackedRecord]) -> dict[str, PackedRecord]:
-    return {r.study_id: r for r in records}
+def _split_ids(path, dataset_ids, parts=SPLITS) -> dict[str, list[str]]:
+    """The study ids of each split in ``parts`` of the manifest at ``path``;
+    an id not in ``dataset_ids`` stops the command and names the manifest."""
+    splits = _load_manifest(path)["splits"]
+    for part in parts:
+        missing = [i for i in splits[part] if i not in dataset_ids]
+        if missing:
+            raise CliValidationError(f"{path}: manifest ids missing from dataset: {missing[:5]}")
+    return {part: splits[part] for part in parts}
 
 
 def _detok(tokens: list[str]) -> str:
@@ -174,15 +180,9 @@ def _split_records(args) -> tuple[list[PackedRecord], list[PackedRecord]]:
     """Training and validation records; an empty validation split falls back
     to the training split."""
     records = load_dataset(_require_file(args.dataset, "packed dataset"))
-    manifest = _load_manifest(args.manifest)
-    by_id = _records_by_id(records)
-    out = {}
-    for part in SPLITS:
-        ids = manifest["splits"][part]
-        missing = [i for i in ids if i not in by_id]
-        if missing:
-            raise CliValidationError(f"manifest ids missing from dataset: {missing[:5]}")
-        out[part] = [by_id[i] for i in ids]
+    by_id = {r.study_id: r for r in records}
+    out = {part: [by_id[i] for i in ids]
+           for part, ids in _split_ids(args.manifest, by_id).items()}
     if not out["train"]:
         raise CliValidationError("training split is empty")
     return out["train"], out["validation"] or out["train"]
@@ -231,6 +231,20 @@ def _read_state(path: Path, rngs: dict) -> dict:
     return state
 
 
+def _rows_before(path: Path, epoch: int) -> list[str]:
+    """The rows of the TSV at ``path`` whose first field, the epoch, is below
+    ``epoch``; a row without an epoch number names its line."""
+    kept = []
+    for n, row in enumerate(path.read_text(encoding="utf-8").splitlines(True), start=1):
+        field = (row.split(None, 1) or [""])[0]
+        if not (field.isascii() and field.isdigit()):
+            raise CliValidationError(f"{path}:{n}: row does not start with an epoch number; "
+                                     "pass --overwrite to start over")
+        if int(field) < epoch:
+            kept.append(row)
+    return kept
+
+
 def _train_stage(args, out_dir: Path, stage: str, model, optimizers: dict, cfg: RunConfig,
                  train, validate) -> int:
     """Epoch driver shared by train-sat and train-lm.
@@ -251,8 +265,7 @@ def _train_stage(args, out_dir: Path, stage: str, model, optimizers: dict, cfg: 
         "last.ckpt", "best.ckpt", "last.opt", "state.json", "loss.tsv", "val-metrics.tsv")}
     epochs = getattr(cfg, f"{stage}_epochs")
     rngs = {"shuffle": np.random.default_rng(cfg.seed), "model": model._rng}
-    save_opt = all(isinstance(opt, Adam) for opt in optimizers.values())
-    committed = ("last.ckpt", "last.opt") if save_opt else ("last.ckpt",)
+    committed = ("last.ckpt", "last.opt")
     start_epoch = 0
     best = {"epoch": -1, "gm_bleu": -1.0}
     if args.resume and path["state.json"].exists():
@@ -267,21 +280,21 @@ def _train_stage(args, out_dir: Path, stage: str, model, optimizers: dict, cfg: 
                     f"{path['state.json'].name}; pass --overwrite to start over")
         start_epoch, best = state["next_epoch"], state["best"]
         checkpoint.load_into_model(path["last.ckpt"], model.parameters())
-        if save_opt:
-            arrays = checkpoint.load_tensors(path["last.opt"])
-            for prefix, opt in optimizers.items():
-                opt.load_state_arrays(
-                    {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)})
+        arrays = checkpoint.load_tensors(path["last.opt"])
+        for prefix, opt in optimizers.items():
+            opt.load_state_arrays(
+                {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)})
         for name, rng in rngs.items():
             rng.bit_generator.state = state["rng"][name]
         logger.info("resuming from epoch %d", start_epoch)
     if start_epoch >= epochs:
         print(f"nothing to do: {start_epoch} epochs already trained")
         return 0
-    for name in ("loss.tsv", "val-metrics.tsv"):  # keep the rows of finished epochs only
-        rows = path[name].read_text(encoding="utf-8").splitlines(True) if start_epoch else []
-        kept = [r for r in rows if int(r.split(None, 1)[0]) < start_epoch]
-        path[name].write_text("".join(kept), encoding="utf-8")
+    # keep the rows of finished epochs only, once both files have been read whole
+    kept = {name: _rows_before(path[name], start_epoch) if start_epoch else []
+            for name in ("loss.tsv", "val-metrics.tsv")}
+    for name, rows in kept.items():
+        path[name].write_text("".join(rows), encoding="utf-8")
     trace: list[float] = []
 
     def on_epoch(epoch: int, model) -> None:
@@ -293,10 +306,9 @@ def _train_stage(args, out_dir: Path, stage: str, model, optimizers: dict, cfg: 
             fh.write(f"{epoch} {gm:.6f}\n")
         trace.clear()
         checkpoint.save_model(path["last.ckpt"], model.parameters())
-        if save_opt:
-            checkpoint.save_tensors(path["last.opt"], {
-                prefix + k: v for prefix, opt in optimizers.items()
-                for k, v in opt.state_arrays().items()})
+        checkpoint.save_tensors(path["last.opt"], {
+            prefix + k: v for prefix, opt in optimizers.items()
+            for k, v in opt.state_arrays().items()})
         if gm > best["gm_bleu"]:
             best.update(epoch=epoch, gm_bleu=gm)
             checkpoint.write_atomic(path["best.ckpt"], path["last.ckpt"].read_bytes())
@@ -426,7 +438,8 @@ def cmd_generate(args) -> int:
     else:
         records = load_dataset(_require_file(args.dataset, "packed dataset"))
         if args.split:
-            wanted = set(_load_manifest(args.manifest)["splits"][args.split])
+            dataset_ids = {r.study_id for r in records}
+            wanted = set(_split_ids(args.manifest, dataset_ids, [args.split])[args.split])
             records = [r for r in records if r.study_id in wanted]
         inputs.extend((r.study_id, r.image) for r in records)
     if not inputs:

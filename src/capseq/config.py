@@ -99,9 +99,7 @@ class RunConfig:
     sat_batch_size: int = 8
     sat_decoder_lr: float = 5e-3
     sat_encoder_lr: float = 1e-3
-    sat_clip_norm: float | None = 5.0
-    sat_optimizer: str = "adam"
-    sat_adam_eps: float = 1e-8
+    sat_clip_norm: float = 5.0
 
     # language model
     lm_layers: int = 2
@@ -113,8 +111,7 @@ class RunConfig:
     lm_epochs: int = 40
     lm_batch_size: int = 1
     lm_lr: float = 3e-3
-    lm_adam_eps: float = 1e-8
-    lm_clip_norm: float | None = 1.0
+    lm_clip_norm: float = 1.0
 
     # decoding
     decode_strategy: str = "beam"
@@ -142,21 +139,15 @@ class RunConfig:
                      "lm_epochs", "lm_batch_size", "lm_max_new", "beam_width", "lm_rank"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("sat_decoder_lr", "sat_encoder_lr", "lm_lr", "sat_adam_eps", "lm_adam_eps"):
-            if getattr(self, name) <= 0:
+        for name in ("sat_decoder_lr", "sat_encoder_lr", "lm_lr", "sat_clip_norm", "lm_clip_norm"):
+            if not getattr(self, name) > 0:  # NaN fails this too
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("sat_clip_norm", "lm_clip_norm"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigError(f"{name} must be positive or none, got {value}")
         if abs(self.train_ratio + self.val_ratio + self.test_ratio - 1.0) > 1e-9:
             raise ConfigError("split ratios must sum to 1")
         if self.lm_merges < 0:
             raise ConfigError("lm_merges must be non-negative")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.sat_optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown sat_optimizer {self.sat_optimizer!r}")
         if self.decode_strategy not in ("greedy", "beam"):
             raise ConfigError(f"unknown decode_strategy {self.decode_strategy!r}")
         if self.lm_rank > self.beam_width:
@@ -193,13 +184,6 @@ def _parse_value(name: str, raw: str):
             return float(raw)
         except ValueError:
             raise ConfigError(f"{name}: expected a number, got {raw!r}")
-    if tp == "float | None":
-        if raw.lower() in ("none", "off"):
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{name}: expected a number or 'none', got {raw!r}")
     return raw
 
 

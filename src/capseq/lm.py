@@ -324,8 +324,7 @@ def chunk_stream(stream: list[int], block_size: int) -> list[np.ndarray]:
 
 def make_optimizer(model: TransformerLm, cfg: RunConfig) -> Adam:
     """Adam over every LM parameter from the ``lm_*`` keys."""
-    return Adam(list(model.parameters().values()), lr=cfg.lm_lr, eps=cfg.lm_adam_eps,
-                clip_norm=cfg.lm_clip_norm)
+    return Adam(list(model.parameters().values()), cfg.lm_lr, cfg.lm_clip_norm)
 
 
 def train_lm(model: TransformerLm, stream: list[int], cfg: RunConfig,

@@ -1,5 +1,5 @@
-"""Gradient-descent steps (SGD, Adam) with global-norm clipping, and the
-shuffled minibatch epoch loop both training stages share.
+"""Adam with global-norm clipping, and the shuffled minibatch epoch loop
+both training stages share.
 
 A step refuses to update when any gradient is non-finite: it emits a
 diagnostic and returns False, leaving parameter values untouched. After a
@@ -16,8 +16,8 @@ from .autodiff import Parameter, Tape
 
 logger = logging.getLogger(__name__)
 
-# Adam's moment decay rates, Kingma & Ba's defaults
-BETA1, BETA2 = 0.9, 0.999
+# Adam's moment decay rates and denominator offset, Kingma & Ba's defaults
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def global_grad_norm(params) -> float:
@@ -40,7 +40,7 @@ def clip_gradients(params, max_norm: float) -> float:
 
 
 class _Optimizer:
-    def __init__(self, params, lr: float, clip_norm: float | None):
+    def __init__(self, params, lr: float, clip_norm: float):
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.params: list[Parameter] = list(params)
@@ -61,8 +61,7 @@ class _Optimizer:
         active = self._trainable()
         if not self._grads_finite(active):
             return False
-        if self.clip_norm is not None:
-            clip_gradients(active, self.clip_norm)
+        clip_gradients(active, self.clip_norm)
         self._apply(active)
         for p in active:
             p.grad[...] = 0.0
@@ -72,23 +71,12 @@ class _Optimizer:
         raise NotImplementedError
 
 
-class Sgd(_Optimizer):
-    def __init__(self, params, lr: float, clip_norm: float | None = None):
-        super().__init__(params, lr, clip_norm)
-
-    def _apply(self, params) -> None:
-        for p in params:
-            p.data -= self.lr * p.grad
-
-
 class Adam(_Optimizer):
     """Adam with bias correction; first-moment/second-moment state per
     parameter, kept by parameter identity so freeze toggles do not shift it."""
 
-    def __init__(self, params, lr: float, eps: float = 1e-8,
-                 clip_norm: float | None = None):
+    def __init__(self, params, lr: float, clip_norm: float):
         super().__init__(params, lr, clip_norm)
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -105,7 +93,7 @@ class Adam(_Optimizer):
             m += (1.0 - BETA1) * p.grad
             v *= BETA2
             v += (1.0 - BETA2) * p.grad * p.grad
-            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Flat name->array view of the moment state, for checkpointing."""

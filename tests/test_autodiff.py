@@ -27,7 +27,7 @@ from capseq.checkpoint import (CheckpointError, load_into_model, load_tensors, s
                                save_tensors)
 from capseq.config import load_run_config
 from capseq.lm import MASK_VALUE, LmConfig, TransformerLm
-from capseq.optim import Adam, Sgd, clip_gradients, global_grad_norm, train_epochs
+from capseq.optim import Adam, clip_gradients, global_grad_norm, train_epochs
 from capseq.tokenizers import BpeVocabulary
 
 from oracles import finite_difference_gradients, full_im2col_conv2d, worst_relative_error
@@ -453,8 +453,8 @@ class TestFiniteMark:
     def test_optimizer_step_that_overflows_rescans(self):
         p = ad.Parameter(np.array([1e308, 1.0]), "p")
         ad.add(p, 1.0)
-        opt = Sgd([p], lr=1.0)
-        p.grad = np.array([-1e308, 0.0])  # finite, so the step is taken
+        opt = Adam([p], lr=1e308, clip_norm=1.0)
+        p.grad = np.array([-1.0, 0.0])  # finite, so the step is taken
         with np.errstate(over="ignore"):
             assert opt.step()
         assert np.isinf(p.data[0])
@@ -519,7 +519,7 @@ class TestFiniteMark:
         assert parameter_scans(lambda: model.forward(ids)) == every
         assert parameter_scans(lambda: model.forward(ids)) == []
         assert parameter_scans(lambda: model.forward([ids, ids])) == []
-        opt = Adam(params, lr=1e-3)
+        opt = Adam(params, lr=1e-3, clip_norm=1.0)
         with ad.Tape() as tape:
             loss = model.loss(ids)
         tape.backward(loss)
@@ -1106,28 +1106,21 @@ class TestOptimizers:
 
     def test_adam_first_step_magnitude(self):
         p = ad.Parameter(np.array([1.0]), "p")
-        opt = Adam([p], lr=0.05)
+        opt = Adam([p], lr=0.05, clip_norm=5.0)
         p.grad = np.array([-2.3])
         assert opt.step()
         assert abs(abs(p.data[0] - 1.0) - 0.05) < 1e-6
 
-    def test_sgd_step(self):
-        p = ad.Parameter(np.array([1.0]), "p")
-        opt = Sgd([p], lr=0.1)
-        p.grad = np.array([2.0])
-        assert opt.step()
-        np.testing.assert_allclose(p.data, [0.8])
-
     def test_non_finite_grad_refuses_step(self, caplog):
         p = ad.Parameter(np.array([1.0]), "p")
-        opt = Adam([p], lr=0.1)
+        opt = Adam([p], lr=0.1, clip_norm=1.0)
         p.grad = np.array([np.inf])
         assert opt.step() is False
         assert p.data[0] == 1.0
 
     def test_frozen_params_not_updated(self):
         p = ad.Parameter(np.array([1.0]), "p", trainable=False)
-        opt = Sgd([p], lr=0.1)
+        opt = Adam([p], lr=0.1, clip_norm=1.0)
         p.grad = np.array([1.0])
         opt.step()
         assert p.data[0] == 1.0

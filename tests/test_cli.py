@@ -142,15 +142,6 @@ class TestTraining:
                    "--out", str(trained), *FAST])
         assert rc == 1
 
-    def test_sgd_optimizer_path(self, prepped, tmp_path):
-        out = tmp_path / "sgd"
-        rc = main(["train-sat", "--dataset", str(prepped / "dataset.csds"),
-                   "--manifest", str(prepped / "manifest.json"),
-                   "--out", str(out), *FAST, "--set", "sat_optimizer=sgd",
-                   "--set", "sat_decoder_lr=0.1"])
-        assert rc == 0
-        assert (out / "sat-best.ckpt").exists()
-
     def test_train_lm_from_plain_text(self, tmp_path):
         corpus = tmp_path / "reports.txt"
         corpus.write_text("no acute disease\nheart size normal\nlungs are clear\n")
@@ -295,6 +286,28 @@ class TestTraining:
         assert self._train(prepped, "sat", run, "--resume") == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {state}: ") and err.endswith("pass --overwrite to start over\n")
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    @pytest.mark.parametrize("tsv", ["sat-loss.tsv", "sat-val-metrics.tsv"])
+    @pytest.mark.parametrize("damage, bad_line", [
+        (lambda text: text + "\n", lambda rows: rows + 1),
+        (lambda text: "x" + text[1:], lambda rows: 1),
+    ], ids=["blank-row", "epoch-not-int"])
+    def test_damaged_tsv_stops_resume(self, prepped, tmp_path, capsys, tsv, damage, bad_line):
+        # both TSVs are checked before either is rewritten: a row without an
+        # epoch number exits 1, names its line and leaves the run directory as it was
+        run = tmp_path / "run"
+        assert self._train(prepped, "sat", run, "--set", "sat_epochs=1") == 0
+        path = run / tsv
+        text = path.read_text()
+        path.write_text(damage(text))
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        capsys.readouterr()
+        assert self._train(prepped, "sat", run, "--resume") == 1
+        err = capsys.readouterr().err
+        line = bad_line(len(text.splitlines()))
+        assert err.startswith(f"error: {path}:{line}: ")
+        assert err.endswith("pass --overwrite to start over\n")
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
@@ -525,6 +538,22 @@ class TestExitCodes:
         message = (f"error: {bad}: manifest 'splits' must map train, validation, test "
                    "to lists of study ids\n")
         assert capsys.readouterr().err == message * 2
+
+    def test_manifest_id_missing_from_dataset(self, prepped, trained, tmp_path, capsys):
+        manifest = json.loads((prepped / "manifest.json").read_text())
+        manifest["splits"]["train"].insert(1, "nosuchstudy")
+        manifest["splits"]["test"].insert(1, "nosuchstudy")
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(manifest))
+        dataset = ["--dataset", str(prepped / "dataset.csds"), "--manifest", str(bad)]
+        assert main(["train-sat", *dataset, "--out", str(tmp_path / "sat"), *FAST]) == 1
+        assert main(["generate", *dataset, "--split", "test", "--no-lm",
+                     "--sat-checkpoint", str(trained / "sat-best.ckpt"),
+                     "--word-vocab", str(trained / "words.vocab"),
+                     "--out", str(tmp_path / "reports.jsonl"), *FAST]) == 1
+        message = f"error: {bad}: manifest ids missing from dataset: ['nosuchstudy']\n"
+        assert capsys.readouterr().err == message * 2
+        assert not (tmp_path / "reports.jsonl").exists()
 
     @pytest.mark.parametrize("text, line, reason", [
         ("", 1, "Expecting value"),

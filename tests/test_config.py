@@ -28,7 +28,6 @@ class TestParsing:
         assert cfg.sat_dropout == 0.1
         assert cfg.lm_block_size == 1024
         assert cfg.lm_lr == 5e-5
-        assert cfg.lm_adam_eps == 1e-8
         assert cfg.sat_encoder_lr == 4e-7
         assert cfg.sat_decoder_lr == 3e-7
 
@@ -50,8 +49,22 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config_text("sat_fine_tune_encoder = maybe")
 
-    def test_optional_float_none(self):
-        assert parse_config_text("sat_clip_norm = none") == {"sat_clip_norm": None}
+    @pytest.mark.parametrize("line, message", [
+        ("sat_optimizer = sgd", "unknown configuration key 'sat_optimizer'"),
+        ("sat_adam_eps = 1e-8", "unknown configuration key 'sat_adam_eps'"),
+        ("lm_adam_eps = 1e-8", "unknown configuration key 'lm_adam_eps'"),
+        ("sat_clip_norm = none", "sat_clip_norm: expected a number, got 'none'"),
+    ])
+    def test_removed_optimizer_options_fail_loudly(self, line, message):
+        # Adam with a numeric clip norm is the one optimizer
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_config_text(line)
+
+    @pytest.mark.parametrize("profile", ["configs/desk.cfg", "configs/full.cfg"])
+    def test_shipped_profile_names_every_key(self, profile):
+        with open(profile, encoding="utf-8") as fh:
+            keys = set(parse_config_text(fh.read(), profile))
+        assert keys == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 class TestPrecedence:
@@ -107,6 +120,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
             RunConfig(seed=-1).validate()
         RunConfig(seed=0).validate()
+
+    @pytest.mark.parametrize("name", ["sat_decoder_lr", "sat_encoder_lr", "lm_lr",
+                                      "sat_clip_norm", "lm_clip_norm"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    def test_step_sizes_must_be_positive(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be positive, got "):
+            load_run_config(None, {name: value})
 
     def test_image_side_vs_pooled_side(self):
         cfg = RunConfig(image_side=2, sat_pooled_side=4)
