@@ -6,23 +6,56 @@ Precedence, lowest to highest: built-in desk defaults, the --config file,
 (which overrides the seed only). Validation runs before any work starts and
 rejects values that would violate a downstream precondition.
 
-Each model field has one run key, its stage prefix plus the field name
-(``sat_embed_dim``, ``lm_layers``), and one check, in the model config's
-``validate``; ``RunConfig.validate`` runs both and names the run key.
+``RunConfig``'s fields are the one table of run keys: each field's type,
+default and allowed values (a closed range, or a list of choices) sit on the
+field. A model field's run key is its stage prefix plus the field name
+(``sat_embed_dim``, ``lm_layers``), and the model configs check their fields
+against that table under the run key.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 ENV_SEED = "CAPSEQ_SEED"
 
+_POSITIVE = math.ulp(0.0)              # "> 0" for a float, as a closed bound
+_BELOW_ONE = math.nextafter(1.0, 0.0)  # "< 1" for a float, as a closed bound
+_CEILING = {int: sys.maxsize, float: sys.float_info.max}  # keys with no natural ceiling
+_NOUNS = {bool: "a boolean", int: "an integer", float: "a number"}
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
 
 class ConfigError(ValueError):
     pass
+
+
+def _key(default, lo=None, hi=None, choices=None):
+    """A run key's field: its default and its allowed values, either
+    ``choices`` or the closed range ``lo <= x <= hi``. ``hi`` defaults to the
+    ceiling of the default's type; with finite bounds NaN and infinities fail."""
+    if choices is None and hi is None:
+        hi = _CEILING[type(default)]
+    return dataclasses.field(default=default, metadata={"lo": lo, "hi": hi, "choices": choices})
+
+
+def _check_fields(config, prefix: str) -> None:
+    """Check each field of ``config`` against run key ``prefix + name``."""
+    for f in dataclasses.fields(config):
+        key, value = prefix + f.name, getattr(config, f.name)
+        allowed = _FIELDS[key].metadata
+        if allowed["choices"] is not None:
+            if value not in allowed["choices"]:
+                raise ConfigError(f"{key} must be one of {allowed['choices']}, got {value!r}")
+        elif not allowed["lo"] <= value:
+            raise ConfigError(f"{key} must be at least {allowed['lo']}, got {value}")
+        elif not value <= allowed["hi"]:
+            raise ConfigError(f"{key} must be at most {allowed['hi']}, got {value}")
 
 
 @dataclass
@@ -41,16 +74,7 @@ class CaptionConfig:
     max_caption_len: int             # includes <start> and <end>
 
     def validate(self) -> None:
-        for name in ("embed_dim", "decoder_dim", "attention_dim", "pooled_side",
-                     "encoder_channels", "kernel_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.doubly_stochastic_weight < 0:
-            raise ConfigError("doubly_stochastic_weight must be non-negative")
-        if self.max_caption_len < 2:
-            raise ConfigError("max_caption_len must be at least 2")
+        _check_fields(self, "sat_")
 
 
 @dataclass
@@ -64,61 +88,57 @@ class LmConfig:
     block_size: int
 
     def validate(self) -> None:
-        for name in ("layers", "heads", "model_dim", "ffn_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.block_size < 2:
-            raise ConfigError(f"block_size must be at least 2, got {self.block_size}")
+        _check_fields(self, "lm_")
         if self.model_dim % self.heads:
             raise ConfigError(
-                f"model_dim {self.model_dim} must divide evenly into {self.heads} heads"
+                f"lm_model_dim {self.model_dim} must divide evenly into {self.heads} heads"
             )
 
 
 @dataclass
 class RunConfig:
-    seed: int = 0
-    image_side: int = 32
-    min_word_freq: int = 1
-    train_ratio: float = 0.75
-    val_ratio: float = 0.125
-    test_ratio: float = 0.125
+    seed: int = _key(0, 0)
+    image_side: int = _key(32, 1)
+    min_word_freq: int = _key(1, 1)
+    train_ratio: float = _key(0.75, 0.0, 1.0)
+    val_ratio: float = _key(0.125, 0.0, 1.0)
+    test_ratio: float = _key(0.125, 0.0, 1.0)
 
     # caption model
-    sat_embed_dim: int = 24
-    sat_decoder_dim: int = 64
-    sat_attention_dim: int = 32
-    sat_dropout: float = 0.0
-    sat_doubly_stochastic_weight: float = 0.0
-    sat_pooled_side: int = 4
-    sat_encoder_channels: int = 32
-    sat_kernel_size: int = 3
-    sat_fine_tune_encoder: bool = False
-    sat_max_caption_len: int = 24
-    sat_epochs: int = 40
-    sat_batch_size: int = 8
-    sat_decoder_lr: float = 5e-3
-    sat_encoder_lr: float = 1e-3
-    sat_clip_norm: float = 5.0
+    sat_embed_dim: int = _key(24, 1)
+    sat_decoder_dim: int = _key(64, 1)
+    sat_attention_dim: int = _key(32, 1)
+    sat_dropout: float = _key(0.0, 0.0, _BELOW_ONE)
+    sat_doubly_stochastic_weight: float = _key(0.0, 0.0)
+    sat_pooled_side: int = _key(4, 1)
+    sat_encoder_channels: int = _key(32, 1)
+    sat_kernel_size: int = _key(3, 1)
+    sat_fine_tune_encoder: bool = _key(False, choices=(False, True))
+    sat_max_caption_len: int = _key(24, 2)
+    sat_epochs: int = _key(40, 1)
+    sat_batch_size: int = _key(8, 1)
+    sat_decoder_lr: float = _key(5e-3, _POSITIVE)
+    sat_encoder_lr: float = _key(1e-3, _POSITIVE)
+    sat_clip_norm: float = _key(5.0, _POSITIVE)
 
     # language model
-    lm_layers: int = 2
-    lm_heads: int = 2
-    lm_model_dim: int = 32
-    lm_ffn_dim: int = 64
-    lm_block_size: int = 64
-    lm_merges: int = 80
-    lm_epochs: int = 40
-    lm_batch_size: int = 1
-    lm_lr: float = 3e-3
-    lm_clip_norm: float = 1.0
+    lm_layers: int = _key(2, 1)
+    lm_heads: int = _key(2, 1)
+    lm_model_dim: int = _key(32, 1)
+    lm_ffn_dim: int = _key(64, 1)
+    lm_block_size: int = _key(64, 2)
+    lm_merges: int = _key(80, 0)
+    lm_epochs: int = _key(40, 1)
+    lm_batch_size: int = _key(1, 1)
+    lm_lr: float = _key(3e-3, _POSITIVE)
+    lm_clip_norm: float = _key(1.0, _POSITIVE)
 
     # decoding
-    decode_strategy: str = "beam"
-    beam_width: int = 5
-    lm_rank: int = 2
-    lm_max_new: int = 48
-    length_normalize: bool = True
+    decode_strategy: str = _key("beam", choices=("greedy", "beam"))
+    beam_width: int = _key(5, 1)
+    lm_rank: int = _key(2, 1)
+    lm_max_new: int = _key(48, 1)
+    length_normalize: bool = _key(True, choices=(False, True))
 
     def _model_config(self, cls, prefix: str):
         return cls(**{f.name: getattr(self, prefix + f.name) for f in dataclasses.fields(cls)})
@@ -130,65 +150,36 @@ class RunConfig:
         return self._model_config(LmConfig, "lm_")
 
     def validate(self) -> None:
-        for prefix, model_config in (("sat_", self.caption_config), ("lm_", self.lm_config)):
-            try:
-                model_config().validate()
-            except ConfigError as exc:  # every model message starts with its field name
-                raise ConfigError(prefix + str(exc)) from None
-        for name in ("image_side", "min_word_freq", "sat_epochs", "sat_batch_size",
-                     "lm_epochs", "lm_batch_size", "lm_max_new", "beam_width", "lm_rank"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("sat_decoder_lr", "sat_encoder_lr", "lm_lr", "sat_clip_norm", "lm_clip_norm"):
-            if not getattr(self, name) > 0:  # NaN fails this too
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        _check_fields(self, "")
         if abs(self.train_ratio + self.val_ratio + self.test_ratio - 1.0) > 1e-9:
             raise ConfigError("split ratios must sum to 1")
-        if self.lm_merges < 0:
-            raise ConfigError("lm_merges must be non-negative")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.decode_strategy not in ("greedy", "beam"):
-            raise ConfigError(f"unknown decode_strategy {self.decode_strategy!r}")
         if self.lm_rank > self.beam_width:
             raise ConfigError(
                 f"lm_rank {self.lm_rank} cannot exceed beam_width {self.beam_width}"
             )
         if self.image_side < self.sat_pooled_side:
             raise ConfigError("image_side must be at least sat_pooled_side")
+        self.lm_config().validate()  # heads divide model_dim
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
-def _parse_value(name: str, raw: str):
+def _parse_value(name: str, raw: str, where: str = ""):
+    """``raw`` parsed as the type of run key ``name``; errors start with ``where``."""
     field = _FIELDS.get(name)
     if field is None:
-        raise ConfigError(f"unknown configuration key {name!r}")
+        raise ConfigError(f"{where}unknown configuration key {name!r}")
     raw = raw.strip()
-    tp = field.type
-    if tp == "bool":
-        low = raw.lower()
-        if low in ("true", "yes", "1"):
-            return True
-        if low in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"{name}: expected a boolean, got {raw!r}")
-    if tp == "int":
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{name}: expected an integer, got {raw!r}")
-    if tp == "float":
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{name}: expected a number, got {raw!r}")
-    return raw
+    kind = type(field.default)
+    try:
+        return _BOOLS[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{where}{name}: expected {_NOUNS[kind]}, got {raw!r}") from None
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    values = {}
+    values, lines = {}, {}
     for n, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -196,7 +187,11 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{source}:{n}: expected key=value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
-        values[key.strip()] = _parse_value(key.strip(), raw)
+        key = key.strip()
+        if key in lines:
+            raise ConfigError(f"{source}:{n}: {key} is already set on line {lines[key]}")
+        values[key] = _parse_value(key, raw, f"{source}:{n}: ")
+        lines[key] = n
     return values
 
 

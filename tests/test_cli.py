@@ -599,8 +599,47 @@ class TestExitCodes:
         rc = main(["prep", "--corpus", str(corpus_dir / "corpus.jsonl"),
                    "--out", str(out), "--seed", "-1", *FAST])
         assert rc == 1
-        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("settings", [
+        ["train_ratio=nan"],
+        ["train_ratio=-0.5", "val_ratio=1.0", "test_ratio=0.5"],
+    ])
+    def test_bad_split_ratio_writes_nothing(self, corpus_dir, tmp_path, capsys, settings):
+        out = tmp_path / "o"
+        rc = main(["prep", "--corpus", str(corpus_dir / "corpus.jsonl"), "--out", str(out),
+                   *FAST, *[arg for item in settings for arg in ("--set", item)]])
+        assert rc == 1
+        value = settings[0].partition("=")[2]
+        assert capsys.readouterr().err == f"error: train_ratio must be at least 0.0, got {value}\n"
+        assert not out.exists()
+
+    def test_infinite_lm_lr_writes_no_vocabulary(self, prepped, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["train-lm", "--dataset", str(prepped / "dataset.csds"),
+                   "--manifest", str(prepped / "manifest.json"), "--out", str(out),
+                   *FAST, "--set", "lm_lr=inf"])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: lm_lr must be at most 1.7976931348623157e+308, got inf\n"
+        assert not (out / "bpe.vocab").exists()
+
+    def test_key_named_twice_in_a_config_file(self, corpus_dir, tmp_path, capsys):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "o"
+        cfg.write_text("seed = 1\n# again\nseed = 2\n")
+        rc = main(["prep", "--corpus", str(corpus_dir / "corpus.jsonl"), "--out", str(out),
+                   "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {cfg}:3: seed is already set on line 1\n"
+        assert not out.exists()
+
+    def test_repeated_set_keeps_the_last(self, corpus_dir, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["prep", "--corpus", str(corpus_dir / "corpus.jsonl"), "--out", str(out),
+                   *FAST, "--set", "seed=4", "--set", "seed=5"])
+        assert rc == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 5
 
     def test_env_seed_overrides(self, corpus_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("CAPSEQ_SEED", "77")

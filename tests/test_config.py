@@ -1,11 +1,21 @@
 """Run-configuration parsing, precedence, and validation."""
 
 import dataclasses
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
-from capseq import captioner, lm
-from capseq.config import ConfigError, RunConfig, load_run_config, parse_config_text
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+import perfbench.build  # noqa: E402
+import perfbench.pipeline  # noqa: E402
+from capseq import captioner, lm  # noqa: E402
+from capseq.config import (ConfigError, RunConfig, load_run_config,  # noqa: E402
+                           parse_config_text)
+
+FIELDS = dataclasses.fields(RunConfig)
 
 
 class TestParsing:
@@ -57,14 +67,34 @@ class TestParsing:
     ])
     def test_removed_optimizer_options_fail_loudly(self, line, message):
         # Adam with a numeric clip norm is the one optimizer
-        with pytest.raises(ConfigError, match=f"^{message}$"):
+        with pytest.raises(ConfigError, match=f"^<config>:1: {message}$"):
             parse_config_text(line)
 
     @pytest.mark.parametrize("profile", ["configs/desk.cfg", "configs/full.cfg"])
     def test_shipped_profile_names_every_key(self, profile):
         with open(profile, encoding="utf-8") as fh:
             keys = set(parse_config_text(fh.read(), profile))
-        assert keys == {f.name for f in dataclasses.fields(RunConfig)}
+        assert keys == {f.name for f in FIELDS}
+
+    @pytest.mark.parametrize("line, message", [
+        ("sat_epochs = abc", "sat_epochs: expected an integer, got 'abc'"),
+        ("bogus = 1", "unknown configuration key 'bogus'"),
+    ])
+    def test_value_errors_name_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# run\nseed = 1\n{line}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}:3: {message}')}$"):
+            load_run_config(path)
+        key, _, value = line.partition(" = ")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_run_config(None, {key: value})
+
+    def test_key_named_twice_in_a_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\nimage_side = 16\n\nseed = 2\n")
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(f'{path}:4: seed is already set on line 1')}$"):
+            load_run_config(path)
 
 
 class TestPrecedence:
@@ -91,7 +121,7 @@ class TestPrecedence:
 
     def test_negative_env_seed_names_the_seed(self, monkeypatch):
         monkeypatch.setenv("CAPSEQ_SEED", "-3")
-        with pytest.raises(ConfigError, match="^seed must be non-negative, got -3$"):
+        with pytest.raises(ConfigError, match="^seed must be at least 0, got -3$"):
             load_run_config()
 
     def test_missing_file_rejected(self, tmp_path):
@@ -117,7 +147,7 @@ class TestValidation:
             cfg.validate()
 
     def test_negative_seed(self):
-        with pytest.raises(ConfigError, match="^seed must be non-negative, got -1$"):
+        with pytest.raises(ConfigError, match="^seed must be at least 0, got -1$"):
             RunConfig(seed=-1).validate()
         RunConfig(seed=0).validate()
 
@@ -125,13 +155,42 @@ class TestValidation:
                                       "sat_clip_norm", "lm_clip_norm"])
     @pytest.mark.parametrize("value", ["0", "-1", "nan"])
     def test_step_sizes_must_be_positive(self, name, value):
-        with pytest.raises(ConfigError, match=f"^{name} must be positive, got "):
+        with pytest.raises(ConfigError, match=f"^{name} must be at least 5e-324, got "):
             load_run_config(None, {name: value})
 
     def test_image_side_vs_pooled_side(self):
         cfg = RunConfig(image_side=2, sat_pooled_side=4)
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    @pytest.mark.parametrize("name", [f.name for f in FIELDS if f.type == "float"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_floats_name_the_key(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be at (least|most) .*, got {value}$"):
+            load_run_config(None, {name: value})
+
+    @pytest.mark.parametrize("name, value, message", [
+        (f.name, bound + step, f"{f.name} must be at {word} {bound}, got {bound + step}")
+        for f in FIELDS if f.type == "int"
+        for word, bound, step in (("least", f.metadata["lo"], -1), ("most", f.metadata["hi"], 1))
+    ])
+    def test_ints_past_either_bound_name_the_key(self, name, value, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            load_run_config(None, {name: str(value)})
+
+    def test_negative_ratio_is_refused_although_the_sum_is_one(self):
+        with pytest.raises(ConfigError, match="^train_ratio must be at least 0.0, got -0.5$"):
+            load_run_config("configs/desk.cfg",
+                            {"train_ratio": "-0.5", "val_ratio": "1.0", "test_ratio": "0.5"})
+
+    @pytest.mark.parametrize("profile", ["configs/desk.cfg", "configs/full.cfg"])
+    @pytest.mark.parametrize("overrides", sorted(
+        {w.overrides for w in perfbench.pipeline.WORKLOADS.values()}
+        | {m.overrides for m in perfbench.build.MODEL_SETS.values()}))
+    def test_every_bench_override_validates(self, profile, overrides):
+        # the table must never refuse a setting the benchmark runs with
+        items = (*overrides, "sat_epochs=1", "lm_epochs=1")
+        load_run_config(profile, dict(item.split("=") for item in items))
 
 
 class TestModelConfigs:
@@ -157,3 +216,22 @@ class TestModelConfigs:
                 assert getattr(model_config, field.name) == getattr(cfg, prefix + field.name)
         assert captioner.CaptionConfig is type(cfg.caption_config())
         assert lm.LmConfig is type(cfg.lm_config())
+
+
+def _shown(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    return {sys.maxsize: "sys.maxsize", sys.float_info.max: "sys.float_info.max"}.get(
+        value, str(value))
+
+
+def test_readme_rows_match_the_table():
+    rows = []
+    for f in FIELDS:
+        meta = f.metadata
+        allowed = (", ".join(f"`{_shown(c)}`" for c in meta["choices"]) if meta["choices"]
+                   else f"`[{_shown(meta['lo'])}, {_shown(meta['hi'])}]`")
+        rows.append(f"| `{f.name}` | {f.type} | `{_shown(f.default)}` | {allowed} |")
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("### Configuration")[1].split("\n### ")[0]
+    assert [line for line in section.splitlines() if line.startswith("| `")] == rows
