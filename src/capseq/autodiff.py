@@ -636,7 +636,8 @@ def pick(x, ids) -> Tensor:
 # regular kernel: measured for reductions longer than _SMALL_GEMM_SPLIT, which
 # it does not split, and for the LM head's (T, 32) @ (32, 337) product. So a
 # band or row tail of a GEMM above the bound that falls under it can differ
-# from the full product's columns or rows.
+# from the full product's columns or rows. The LM therefore runs its head at
+# full height, zero rows above the tail, from T = 93 on at desk dims.
 SMALL_GEMM_MULADDS = 1_000_000
 _SMALL_GEMM_SPLIT = 384
 

@@ -25,9 +25,12 @@ weights) and look up ``prefix[:-1]`` instead of recomputing it.
 union of everything found. A single fixed-width pass can evict the eventual
 best sequence and end up strictly worse than a narrower search; pooling the
 widths makes the top score monotone in K and never below the greedy result.
-The passes run in lockstep, one step at a time, and step results are
-memoized per prefix across them, so each distinct prefix is evaluated once
-per search. The pool is filled in width order.
+The passes run in lockstep, one step at a time. A pass is a plain list of
+(cumulative log-probability, tokens, finished) triples; ``Beam`` objects are
+built only for the final pool, which is filled in width order. At a step every
+live prefix has the step's length, so the step's distinct prefixes are
+evaluated once, in the order the passes hold them (width order, then beam
+order), and shared by every pass.
 
 Selection rule of a pass: at each step the candidates are laid out in
 generation order, beam-major and token-minor (a finished beam is one
@@ -35,15 +38,18 @@ candidate, itself; a live beam is one candidate per token id), and the
 ``width`` with the highest cumulative log-probability survive. Ties keep
 generation order: the earlier beam first, then the lower token id. The pick
 equals a stable sort of every candidate cut to ``width``, but sorts only a
-few: ``np.partition`` finds the ``width``-th best score, and the candidates
-at or above it, taken in generation order, are stable-sorted. At width 1 the
-pick is the first maximum.
+few: once per step, ``np.partition`` finds the w-th best score in each
+evaluated prefix's row, w the width of the widest live pass, and each pass
+stable-sorts only the tokens at or above it, the only ones it can keep. A
+candidate's score is its parent's cumulative log-probability plus the
+token's, one IEEE addition, the same in every pass that holds the parent.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -123,46 +129,40 @@ def greedy_decode(step_fn, max_len: int, end_token: int | None = None) -> list[i
     return list(prefix)
 
 
-def _top(scores: np.ndarray, width: int) -> np.ndarray:
-    """``np.argsort(-scores, kind="stable")[:width]`` for finite scores,
-    without sorting them all."""
-    n = scores.shape[0]
-    if width == 1:
-        return scores.argmax(keepdims=True)  # the first of tied maxima
-    if n <= width:
-        return np.argsort(-scores, kind="stable")
-    cut = np.partition(scores, n - width)[n - width]
-    keep = np.flatnonzero(scores >= cut)
-    return keep[np.argsort(-scores[keep], kind="stable")[:width]]
+def _shortlists(rows: dict, width: int, end_token: int | None) -> dict:
+    """The candidates of each evaluated prefix that a pass of at most
+    ``width`` beams can keep. ``rows`` maps each prefix to its next-token
+    log-probabilities and its own cumulative log-probability; a shortlist
+    holds, in token order, every token whose candidate score is at or above
+    the row's ``width``-th best (every token of a row shorter than
+    ``width``), as the extended beam (score, tokens, finished). Any other
+    token has ``width`` better candidates in its own row, so no pass keeps
+    it."""
+    prefixes = list(rows)
+    scores = (np.array([logprob for _, logprob in rows.values()])[:, None]
+              + np.array([row for row, _ in rows.values()]))
+    kth = max(scores.shape[1] - width, 0)
+    cut = np.partition(scores, kth, axis=1)[:, kth]
+    owners, tokens = np.nonzero(scores >= cut[:, None])
+    edges = np.searchsorted(owners, np.arange(len(prefixes) + 1)).tolist()
+    picked = list(zip(scores[owners, tokens].tolist(), tokens.tolist()))
+    return {prefix: [(score, prefix + (token,), token == end_token)
+                     for score, token in picked[edges[i]:edges[i + 1]]]
+            for i, prefix in enumerate(prefixes)}
 
 
-def _advance(beams: list[Beam], width: int, memo: dict,
-             end_token: int | None) -> list[Beam]:
-    """One step of a standard beam pass: every live beam extended by every
-    token, top-``width`` by cumulative log-probability kept; finished beams
-    are held and count against the width."""
-    # One row of candidate scores per beam, in generation order (see the
-    # module docstring). float + float64 row is the same IEEE addition per
-    # token as adding the scalars one at a time.
-    rows = [np.array([b.logprob]) if b.finished else b.logprob + memo[b.tokens]
-            for b in beams]
-    starts = np.cumsum([0] + [row.shape[0] for row in rows[:-1]])
-    scores = np.concatenate(rows)
-    picked = _top(scores, width)
-    owners = np.searchsorted(starts, picked, side="right") - 1
-    survivors: list[Beam] = []
-    for flat, owner in zip(picked.tolist(), owners.tolist()):
-        beam = beams[owner]
-        if beam.finished:
-            survivors.append(beam)
-            continue
-        token = flat - int(starts[owner])
-        survivors.append(Beam(
-            beam.tokens + (token,),
-            float(scores[flat]),
-            finished=(end_token is not None and token == end_token),
-        ))
-    return survivors
+def _advance(beams: list, width: int, shortlists: dict) -> list:
+    """One step of a standard beam pass over (cumulative log-probability,
+    tokens, finished) beams: every live beam extended by the tokens of its
+    shortlist, top-``width`` by cumulative log-probability kept; finished
+    beams are held and count against the width."""
+    candidates = []  # in generation order (see the module docstring)
+    for beam in beams:
+        if beam[2]:
+            candidates.append(beam)
+        else:
+            candidates.extend(shortlists[beam[1]])
+    return sorted(candidates, key=itemgetter(0), reverse=True)[:width]  # stable
 
 
 def beam_search(step_fn, k: int, max_len: int, end_token: int | None = None,
@@ -177,33 +177,35 @@ def beam_search(step_fn, k: int, max_len: int, end_token: int | None = None,
         raise ValueError(f"beam width must be at least 1, got {k}")
     if max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
-    memo: dict[tuple[int, ...], np.ndarray] = {(): np.asarray(step_fn(()), dtype=np.float64)}
-    vocab = memo[()].shape[0]
-    reachable = vocab ** max_len
+    first = np.asarray(step_fn(()), dtype=np.float64)
+    reachable = first.shape[0] ** max_len
     if k > reachable:
         logger.warning("beam width %d exceeds the %d reachable sequences; clamping", k, reachable)
         k = reachable
-    passes = {width: [Beam((), 0.0, False)] for width in range(1, k + 1)}
-    for _ in range(max_len):
-        live = [width for width, beams in passes.items()
-                if not all(b.finished for b in beams)]
+    passes = {width: [(0.0, (), False)] for width in range(1, k + 1)}
+    rows = {(): (first, 0.0)}  # this step's prefixes: (log-probabilities, cumulative)
+    for length in range(max_len):
+        live = [width for width, beams in passes.items() if not all(b[2] for b in beams)]
         if not live:
             break
-        # queue every unseen live prefix of this step before converting any,
-        # so a deferring step function can evaluate them as one batch
-        pending = {}
+        if length:
+            # every live prefix holds `length` tokens, so none was evaluated
+            # yet; queue them all before converting any, so a deferring step
+            # function can evaluate them as one batch
+            queued = {}
+            for width in live:
+                for logprob, prefix, finished in passes[width]:
+                    if not (finished or prefix in queued):
+                        queued[prefix] = (step_fn(prefix), logprob)
+            rows = {prefix: (np.asarray(result, dtype=np.float64), logprob)
+                    for prefix, (result, logprob) in queued.items()}
+        shortlists = _shortlists(rows, max(live), end_token)
         for width in live:
-            for b in passes[width]:
-                if not (b.finished or b.tokens in memo or b.tokens in pending):
-                    pending[b.tokens] = step_fn(b.tokens)
-        for prefix, result in pending.items():
-            memo[prefix] = np.asarray(result, dtype=np.float64)
-        for width in live:
-            passes[width] = _advance(passes[width], width, memo, end_token)
+            passes[width] = _advance(passes[width], width, shortlists)
     pool: dict[tuple[int, ...], Beam] = {}
     for beams in passes.values():
-        for beam in beams:
-            pool.setdefault(beam.tokens, beam)
+        for logprob, tokens, finished in beams:
+            pool.setdefault(tokens, Beam(tokens, logprob, finished))
     ranked = sorted(pool.values(), key=lambda b: (-b.score(length_normalize), b.tokens))
     return ranked[:k]
 

@@ -111,7 +111,11 @@ class TransformerLm(ad.ParameterStore):
         of 8, so the tail keeps OpenBLAS's 8-row tiles whole (unaligned
         starts were measured to differ), the tail holds at least 2 rows (a
         1-row product is a gemv), and no full-height product it cuts exceeds
-        ``ad.SMALL_GEMM_MULADDS``: ``_tail_start`` picks such a row.
+        ``ad.SMALL_GEMM_MULADDS``, the head's aside: ``_tail_start`` picks
+        such a row. When the head's full-height product exceeds the bound and
+        the tail's would not, the head runs on T rows, the tail rows in their
+        own places under zero rows, and its logits are narrowed to the tail,
+        so the head's product has the full forward's shape.
 
         ``past``, given with ``start`` > 0, holds each layer's keys and values
         of rows ``0..start-1`` as arrays, (..., heads, d_k, start) and (...,
@@ -176,25 +180,42 @@ class TransformerLm(ad.ParameterStore):
             hidden = ops.relu(self._apply_affine(ops, normed, p + "ffn1"))
             x = x + self._apply_affine(ops, hidden, p + "ffn2")
         x = self._layernorm(ops, x, "final_ln")
-        logits = self._apply_affine(ops, x, "head")
+        if start and self._head_needs_full_height(t, start):
+            # the tail rows in place under zero rows, so the head's product has the
+            # full forward's shape; the bias goes on the tail rows only
+            pad = ops.operand(np.zeros(x.shape[:-2] + (start, cfg.model_dim)))
+            product = ops.matmul(ops.concat([pad, x], -2), self._operand(ops, "head.weight"))
+            logits = ops.narrow(product, -2, start, t - start) + self._operand(ops, "head.bias")
+        else:
+            logits = self._apply_affine(ops, x, "head")
         if present is not None:
             present.extend((ops.array_of(k), ops.array_of(v)) for k, v in kept)
         return logits
+
+    def _head_needs_full_height(self, t: int, start: int) -> bool:
+        """Whether the head of a forward from row ``start`` runs on all T
+        rows: the full forward's head product is above
+        ``ad.SMALL_GEMM_MULADDS`` and the tail's own would fall under it, to
+        the small-matrix kernel (measured: the desk head at T >= 93)."""
+        per_row = self.config.model_dim * self.vocab_size
+        return (t - start) * per_row <= ad.SMALL_GEMM_MULADDS < t * per_row
 
     def _tail_start(self, t: int) -> int:
         """First row of a T-token forward that decoding needs computed: the
         largest multiple of 8 at most T - 2, so the tail holds 2-9 rows on
         whole 8-row tiles. 0 (every row) when a full-height product the tail
-        would cut exceeds ``ad.SMALL_GEMM_MULADDS``: a tail under the bound
-        goes to OpenBLAS's small-matrix kernel and can round unlike the full
-        product (measured: the desk head at T >= 93). Also 0 when the heads
-        are ``WIDE_HEAD_DIM`` or more wide. At ``full.cfg`` shape (d_k = 32,
-        a 128 x 2,257 head) it is 0 for every T, so neither a tail nor the
-        key/value cache of ``step_function`` applies there."""
+        would cut, other than the head's, exceeds ``ad.SMALL_GEMM_MULADDS``:
+        a tail under the bound goes to OpenBLAS's small-matrix kernel and can
+        round unlike the full product. The head is left out because
+        ``forward`` runs it at full height when its tail would fall under
+        the bound (``_head_needs_full_height``). Also 0 when the heads are
+        ``WIDE_HEAD_DIM`` or more wide. At ``full.cfg`` shape (d_k = 32) it
+        is 0 for every T, so neither a tail nor the key/value cache of
+        ``step_function`` applies there."""
         cfg = self.config
         dk = cfg.model_dim // cfg.heads
-        # per slice: q, proj (d x d), ffn1/ffn2 (d x f), head (d x vocab), scores and mix (T x d_k)
-        widest = t * max(cfg.model_dim * max(cfg.model_dim, cfg.ffn_dim, self.vocab_size), t * dk)
+        # per slice: q, proj (d x d), ffn1/ffn2 (d x f), scores and mix (T x d_k)
+        widest = t * max(cfg.model_dim * max(cfg.model_dim, cfg.ffn_dim), t * dk)
         if dk >= WIDE_HEAD_DIM or widest > ad.SMALL_GEMM_MULADDS:
             return 0
         return max(0, (t - 2) // ad.GEMM_TILE * ad.GEMM_TILE)
@@ -246,10 +267,12 @@ class TransformerLm(ad.ParameterStore):
 
         Only the last row of the logits is read, so each forward starts at
         ``_tail_start(T)``: the largest multiple of 8 at most T - 2, whose
-        2-9 tail rows equal the full forward's bitwise, or row 0 when a tail
-        would fall under OpenBLAS's small-matrix bound while the full product
-        is above it (desk dims: T >= 93), or when the heads are
-        ``WIDE_HEAD_DIM`` wide or wider.
+        2-9 tail rows equal the full forward's bitwise, or row 0 when a
+        product other than the head's would fall under OpenBLAS's
+        small-matrix bound in the tail while the full product is above it,
+        or when the heads are ``WIDE_HEAD_DIM`` wide or wider. At desk dims
+        the head passes the bound from T = 93 on; it then runs at full
+        height (see ``forward``), and the tail and the cache still apply.
 
         The step function keeps, for the prefixes of the last evaluated step
         only, every layer's keys and values of rows ``0..8*(T//8)-1``, whole
@@ -258,8 +281,11 @@ class TransformerLm(ad.ParameterStore):
         runs every layer on the tail rows only. A step keeps its rows when
         its window holds ``KV_CACHE_MIN_TOKENS`` tokens or more and the next
         window, one token longer, neither slides nor exceeds
-        ``KV_CACHE_MAX_TOKENS``. At ``full.cfg`` shape ``_tail_start`` is 0
-        for every T, so neither the tail nor the cache applies there.
+        ``KV_CACHE_MAX_TOKENS``. So at desk and fit dims every step whose
+        window holds 17 to 128 tokens and does not slide runs from the cache,
+        when its parents come from the step before. At ``full.cfg`` shape
+        (d_k = 32) ``_tail_start`` is 0 for every T, so neither the tail nor
+        the cache applies there.
         """
         block = self.config.block_size
         if len(seed_ids) >= block:

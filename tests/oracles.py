@@ -130,6 +130,24 @@ def enumerate_sequences(step_fn, vocab_size: int, length: int):
     return scored
 
 
+def _pass_step(beams, width, step_fn, end_token):
+    """One step of a pass, one Python candidate per token: every live beam
+    extended by every token, finished beams held, the candidates
+    stable-sorted by cumulative log-probability (ties keep generation order)
+    and the top ``width`` kept."""
+    candidates = []
+    for tokens, logprob, finished in beams:
+        if finished:
+            candidates.append((tokens, logprob, finished))
+            continue
+        lp = step_fn(tokens)
+        for tok in range(len(lp)):
+            candidates.append((tokens + (tok,), logprob + float(lp[tok]),
+                               end_token is not None and tok == end_token))
+    candidates.sort(key=lambda c: -c[1])
+    return candidates[:width]
+
+
 def pooled_beam_search(step_fn, k, max_len, end_token=None, length_normalize=True):
     """Pooled-width beam search with one Python candidate per token.
 
@@ -147,17 +165,7 @@ def pooled_beam_search(step_fn, k, max_len, end_token=None, length_normalize=Tru
         for _ in range(max_len):
             if all(finished for _, _, finished in beams):
                 break
-            candidates = []
-            for tokens, logprob, finished in beams:
-                if finished:
-                    candidates.append((tokens, logprob, finished))
-                    continue
-                lp = step_fn(tokens)
-                for tok in range(len(lp)):
-                    candidates.append((tokens + (tok,), logprob + float(lp[tok]),
-                                       end_token is not None and tok == end_token))
-            candidates.sort(key=lambda c: -c[1])
-            beams = candidates[:width]
+            beams = _pass_step(beams, width, step_fn, end_token)
         for beam in beams:
             if beam[0]:
                 pool.setdefault(beam[0], beam)
@@ -167,6 +175,28 @@ def pooled_beam_search(step_fn, k, max_len, end_token=None, length_normalize=Tru
         return logprob / len(tokens) if length_normalize and tokens else logprob
 
     return sorted(pool.values(), key=lambda b: (-score(b), b[0]))[:k]
+
+
+def lockstep_step_prefixes(step_fn, k, max_len, end_token=None):
+    """The prefixes a lockstep pooled search asks its step function for, in
+    order: ``()`` first; then, one step at a time, for each width 1..k whose
+    pass has a live beam, the tokens of each of its live beams in the pass's
+    order, each prefix once. The passes advance as in
+    ``pooled_beam_search``; ``step_fn`` itself is not recorded."""
+    vocab = len(step_fn(()))
+    k = min(k, vocab ** max_len)
+    passes = {width: [((), 0.0, False)] for width in range(1, k + 1)}
+    asked = [()]
+    for _ in range(max_len):
+        live = [width for width, beams in passes.items()
+                if not all(finished for _, _, finished in beams)]
+        for width in live:
+            for tokens, _, finished in passes[width]:
+                if not finished and tokens not in asked:
+                    asked.append(tokens)
+        for width in live:
+            passes[width] = _pass_step(passes[width], width, step_fn, end_token)
+    return asked
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from capseq.captioner import CaptionModel
 from capseq.config import RunConfig
-from capseq.decoding import (Beam, _top, beam_search, decode, deferred_step, greedy_decode,
-                             lm_seed, select_beam, two_stage_generate)
+from capseq.decoding import (Beam, _advance, _shortlists, beam_search, decode, deferred_step,
+                             greedy_decode, lm_seed, select_beam, two_stage_generate)
 from capseq.lm import LmConfig, TransformerLm
 from capseq.tokenizers import BpeVocabulary, WordVocabulary
 
-from oracles import enumerate_sequences, pooled_beam_search
+from oracles import enumerate_sequences, lockstep_step_prefixes, pooled_beam_search
 
 
 def random_table_step(seed, vocab, depth=8):
@@ -190,22 +190,48 @@ class TestBeamSearch:
                     end_token, length_normalize)
         assert set(queued) == set(calls)
 
+    @settings(max_examples=300)
+    @given(**TIED_CASES)
+    def test_step_calls_follow_the_lockstep_order(self, seed, vocab, values, end_token, k,
+                                                  max_len, length_normalize):
+        # the LM batches one step's prefixes into one forward, and the
+        # benchmark's tracer counts the calls: both rest on this sequence
+        step = tied_table_step(seed, vocab, values)
+        if end_token is not None:
+            end_token %= vocab
+        calls = []
+        beam_search(lambda prefix: calls.append(tuple(prefix)) or step(prefix), k, max_len,
+                    end_token, length_normalize)
+        assert calls == lockstep_step_prefixes(step, k, max_len, end_token)
+
     @pytest.mark.parametrize("seed", range(40))
     def test_selection_matches_stable_sort_at_lm_size(self, seed):
-        # a step's candidates as _advance lays them out: held finished beams
-        # (one score each) and live beams (one tie-heavy row of V scores each)
+        # one pass's candidates in generation order: held finished beams (one
+        # score each) and live beams (one tie-heavy row of V scores each),
+        # shortlisted for the widest pass of a 5-beam search
         rng = np.random.default_rng(seed)
         vocab = int(rng.integers(330, 350))
+        end_token = int(rng.integers(vocab))
         values = rng.choice([-0.1, -0.2, -0.3, -0.7, -1.0], size=int(rng.integers(1, 4)),
                             replace=False)
         for width in range(1, 6):
             for live in range(width + 1):
-                rows = [np.array([rng.choice(values)]) if i >= live
-                        else rng.choice([0.0, -0.3]) + rng.choice(values, size=vocab)
-                        for i in rng.permutation(width)]
-                scores = np.concatenate(rows)
-                expected = np.argsort(-scores, kind="stable")[:width]
-                assert _top(scores, width).tolist() == expected.tolist(), (width, live)
+                beams, rows, candidates = [], {}, []
+                for i in rng.permutation(width).tolist():
+                    if i >= live:
+                        beam = (float(rng.choice(values)), (i, end_token), True)
+                        candidates.append(beam)
+                    else:
+                        beam = (float(rng.choice([0.0, -0.3])), (i,), False)
+                        rows[beam[1]] = (rng.choice(values, size=vocab), beam[0])
+                        candidates.extend((beam[0] + float(rows[beam[1]][0][t]), (i, t),
+                                           t == end_token) for t in range(vocab))
+                    beams.append(beam)
+                scores = np.array([c[0] for c in candidates])
+                expected = [candidates[j] for j in np.argsort(-scores, kind="stable")[:width]]
+                got = _advance(beams, width, _shortlists(rows, 5, end_token) if rows else {})
+                assert [(c[1], c[2], c[0].hex()) for c in got] == \
+                    [(c[1], c[2], c[0].hex()) for c in expected], (width, live)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_per_candidate_reference_at_lm_size(self, seed):

@@ -160,14 +160,14 @@ def desk_lm(block_size, seed):
                                   block_size=block_size), desk_vocab(), seed=seed)
 
 
-def tail_mismatches(lm, rng, batches=(1, 2, 3, 5, 15)):
-    """(B, T) cases, for every T up to the block and B in ``batches``, where
-    the narrowed forward's rows differ from the full forward's tail rows, or
-    a forward with no tape (narrowed or full) differs from the same forward
-    on the tape ops."""
+def tail_mismatches(lm, rng, batches=(1, 2, 3, 5, 15), lengths=None):
+    """(B, T) cases, for every T in ``lengths`` (by default every T from 2
+    up to the block) and B in ``batches``, where the narrowed forward's rows
+    differ from the full forward's tail rows, or a forward with no tape
+    (narrowed or full) differs from the same forward on the tape ops."""
     bad = []
     for b in batches:
-        for t in range(2, lm.config.block_size + 1):
+        for t in lengths or range(2, lm.config.block_size + 1):
             ids = rng.integers(0, lm.vocab_size, size=(b, t) if b > 1 else t)
             start = lm._tail_start(t)
             got = lm.forward(ids, start).data.tobytes()
@@ -194,10 +194,14 @@ class TestTailForward:
         for t, start in starts.items():
             assert start % 8 == 0 and 0 <= start < t
             assert start == 0 or t - start >= 2, t  # never a 1-row gemv
-        assert [starts[t] for t in (9, 10, 17, 18, 64, 92)] == [0, 8, 8, 16, 56, 88]
-        # 93 * 32 * 337 multiply-adds of the head exceed the small-kernel bound
+        assert [starts[t] for t in (9, 10, 17, 18, 64, 92, 93, 128)] == \
+            [0, 8, 8, 16, 56, 88, 88, 120]
+        # 93 * 32 * 337 multiply-adds of the head exceed the small-kernel bound:
+        # from T = 93 on the head runs at full height and the tail still applies
         assert 92 * 32 * 337 <= ad.SMALL_GEMM_MULADDS < 93 * 32 * 337
-        assert all(starts[t] == 0 for t in range(93, 129))
+        assert all(starts[t] == (t - 2) // 8 * 8 for t in range(93, 129))
+        assert [t for t in range(10, 129) if lm._head_needs_full_height(t, starts[t])] == \
+            list(range(93, 129))
 
     def test_tail_shape_and_start_range(self):
         lm = desk_lm(64, seed=1)
@@ -212,6 +216,8 @@ class TestTailForward:
             from test_lm import desk_lm, tail_mismatches
             lm = desk_lm(128, seed=7)
             assert tail_mismatches(lm, np.random.default_rng(7), batches=(1, 5)) == []
+            assert tail_mismatches(lm, np.random.default_rng(8), batches=(15,),
+                                   lengths=range(93, 128)) == []
         """)
 
     def test_full_cfg_shape_never_narrows(self):
@@ -280,17 +286,17 @@ def spied_steps(lm, seed_ids, steps):
     return calls
 
 
-def cached_mismatches(lm, rng, batches=(1, 2, 3, 5, 15)):
-    """Decode B random paths from a 1-token seed up to the block, for B in
-    ``batches``. Returns the (B, T) cases whose forward, run with no tape,
-    differs from the full forward's rows or from the same forward (with the
-    same ``past``) on the tape ops, and the set of T whose forwards ran from
-    the cache."""
+def cached_mismatches(lm, rng, batches=(1, 2, 3, 5, 15), seed_len=1):
+    """Decode B random paths from a ``seed_len``-token seed up to the block,
+    for B in ``batches``. Returns the (B, T) cases whose forward, run with no
+    tape, differs from the full forward's rows or from the same forward (with
+    the same ``past``) on the tape ops, and the set of T whose forwards ran
+    from the cache."""
     bad, cached = [], set()
     block = lm.config.block_size
     for b in batches:
-        paths = rng.integers(0, lm.vocab_size, size=(b, block - 1))
-        seed_ids = [int(rng.integers(256))]
+        paths = rng.integers(0, lm.vocab_size, size=(b, block - seed_len))
+        seed_ids = [int(rng.integers(256)) for _ in range(seed_len)]
         for ids, start, past, got in spied_steps(lm, seed_ids, path_steps(paths)):
             t = ids.shape[-1]
             if not (got.tobytes() == taped(lm, ids)[..., start:, :].tobytes()
@@ -311,15 +317,19 @@ class TestCachedDecoding:
         lm = desk_lm(block_size, seed=block_size + 1)
         bad, cached = cached_mismatches(lm, np.random.default_rng(block_size))
         assert bad == []
-        # parents kept from 16 tokens on; at block 128 the head's bound stops the tail at 92
-        assert cached == set(range(KV_CACHE_MIN_TOKENS + 1, min(block_size, 92) + 1))
+        # parents kept from 16 tokens on, past the head's bound at T = 93 too
+        assert cached == set(range(KV_CACHE_MIN_TOKENS + 1, block_size + 1))
 
     def test_bitwise_at_one_and_two_blas_threads(self):
         assert_bitwise_at_one_and_two_blas_threads("""
             from test_lm import desk_lm, cached_mismatches
-            bad, cached = cached_mismatches(desk_lm(128, seed=7), np.random.default_rng(7),
-                                            batches=(1, 5))
-            assert bad == [] and len(cached) == 92 - 16, (bad, cached)
+            lm = desk_lm(128, seed=7)
+            bad, cached = cached_mismatches(lm, np.random.default_rng(7), batches=(1, 5))
+            assert bad == [] and len(cached) == 128 - 16, (bad, cached)
+            # 15 paths from a 92-token seed: windows of 93 to 128 tokens from the cache
+            bad, cached = cached_mismatches(lm, np.random.default_rng(8), batches=(15,),
+                                            seed_len=92)
+            assert bad == [] and cached == set(range(93, 129)), (bad, cached)
         """)
 
     @staticmethod
@@ -335,11 +345,12 @@ class TestCachedDecoding:
         steps = self.cached_lengths(desk_lm(64, seed=2), 62, 4)
         assert steps == [(62, False), (63, True), (64, True), (64, False), (64, False)]
 
-    def test_not_used_where_the_tail_is_every_row(self):
+    def test_used_past_the_head_bound(self):
         lm = desk_lm(128, seed=3)
-        assert lm._tail_start(92) and not lm._tail_start(93)
+        assert not lm._head_needs_full_height(92, lm._tail_start(92))
+        assert lm._head_needs_full_height(93, lm._tail_start(93))
         assert self.cached_lengths(lm, 90, 4) == \
-            [(90, False), (91, True), (92, True), (93, False), (94, False)]
+            [(90, False), (91, True), (92, True), (93, True), (94, True)]
 
     def test_not_used_past_128_tokens(self):
         lm = make_lm(seed=4, model_dim=16, ffn_dim=32, block_size=256)
