@@ -205,11 +205,12 @@ def _caption_references(records, max_len: int) -> dict[str, list[str]]:
     return {r.study_id: r.tokens[: max_len - 2] for r in records}
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _entry(data: bytes) -> list:
+    """A committed file's ``[length, sha256]`` in ``{stage}-state.json``."""
+    return [len(data), hashlib.sha256(data).hexdigest()]
 
 
-def _read_state(path: Path, rngs: dict) -> dict:
+def _read_state(path: Path, rngs: dict, owned) -> dict:
     """The epoch commit in ``{stage}-state.json``, checked field by field
     before --resume trusts it; a damaged one names the file."""
     try:
@@ -221,8 +222,10 @@ def _read_state(path: Path, rngs: dict) -> dict:
         best = state["best"]
         if not (type(best["epoch"]) is int and type(best["gm_bleu"]) in (int, float)):
             raise ValueError("best needs an integer epoch and a number gm_bleu")
-        if not isinstance(state["sha256"], dict):
-            raise ValueError("sha256 is not an object")
+        files = state["files"]
+        if not (isinstance(files, dict) and sorted(files) == sorted(owned) and all(
+                type(n) is int and n >= 0 and isinstance(d, str) for n, d in files.values())):
+            raise ValueError("files does not map each file of the run to [length, sha256]")
         for name, rng in rngs.items():  # numpy refuses a state it cannot restore
             type(rng.bit_generator)().state = state["rng"][name]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -231,22 +234,8 @@ def _read_state(path: Path, rngs: dict) -> dict:
     return state
 
 
-def _rows_before(path: Path, epoch: int) -> list[str]:
-    """The rows of the TSV at ``path`` whose first field, the epoch, is below
-    ``epoch``; a row without an epoch number names its line."""
-    kept = []
-    for n, row in enumerate(path.read_text(encoding="utf-8").splitlines(True), start=1):
-        field = (row.split(None, 1) or [""])[0]
-        if not (field.isascii() and field.isdigit()):
-            raise CliValidationError(f"{path}:{n}: row does not start with an epoch number; "
-                                     "pass --overwrite to start over")
-        if int(field) < epoch:
-            kept.append(row)
-    return kept
-
-
-def _train_stage(args, out_dir: Path, stage: str, model, optimizers: dict, cfg: RunConfig,
-                 train, validate) -> int:
+def _train_stage(args, out_dir: Path, stage: str, vocab_file: str, vocab, model,
+                 optimizers: dict, cfg: RunConfig, train, validate) -> int:
     """Epoch driver shared by train-sat and train-lm.
 
     ``train(epoch_callback=, shuffle_rng=, trace=, start_epoch=)`` runs the
@@ -257,27 +246,38 @@ def _train_stage(args, out_dir: Path, stage: str, model, optimizers: dict, cfg: 
     moments (``{stage}-last.opt``, keys prefixed per entry of ``optimizers``)
     and, on a new best score, ``{stage}-best.ckpt``. ``{stage}-state.json``
     is written last and commits the epoch: the next epoch, the best epoch,
-    the shuffle and model RNG states, and the SHA-256 of the last checkpoint
-    and of the moments file. --resume refuses files that are missing or do
-    not match those digests, and otherwise continues bit for bit.
+    the shuffle and model RNG states, and ``files``, the length and SHA-256
+    of every other file the run owns (the five above and ``vocab_file``).
+    --resume checks all of them before it writes anything: each must exist
+    and its committed prefix must match, and ``vocab`` must be the committed
+    vocabulary. Bytes past a prefix are an uncommitted epoch's and are cut;
+    the run then continues bit for bit.
     """
     path = {name: out_dir / f"{stage}-{name}" for name in (
         "last.ckpt", "best.ckpt", "last.opt", "state.json", "loss.tsv", "val-metrics.tsv")}
+    owned = {p.name: p for p in (out_dir / vocab_file, *path.values()) if p != path["state.json"]}
+    vocab_bytes = vocab.text().encode("utf-8")
     epochs = getattr(cfg, f"{stage}_epochs")
     rngs = {"shuffle": np.random.default_rng(cfg.seed), "model": model._rng}
-    committed = ("last.ckpt", "last.opt")
     start_epoch = 0
     best = {"epoch": -1, "gm_bleu": -1.0}
+    files = {}
     if args.resume and path["state.json"].exists():
-        state = _read_state(path["state.json"], rngs)
-        for name in committed:
-            if not path[name].exists():
+        state = _read_state(path["state.json"], rngs, owned)
+        files = state["files"]
+        for name, p in owned.items():
+            if not p.exists():
                 raise CliValidationError(
-                    f"cannot resume: {path[name]} is missing; pass --overwrite to start over")
-            if _sha256(path[name]) != state.get("sha256", {}).get(name):
-                raise CliValidationError(
-                    f"cannot resume: {path[name]} does not match the digest in "
-                    f"{path['state.json'].name}; pass --overwrite to start over")
+                    f"cannot resume: {p} is missing; pass --overwrite to start over")
+            with open(p, "rb") as fh:
+                if _entry(fh.read(files[name][0])) != files[name]:
+                    raise CliValidationError(
+                        f"cannot resume: {p} does not match its length and digest in "
+                        f"{path['state.json'].name}; pass --overwrite to start over")
+        if _entry(vocab_bytes) != files[vocab_file]:
+            raise CliValidationError(
+                "cannot resume: this run's data builds a vocabulary that does not match "
+                f"{owned[vocab_file]}; pass --overwrite to start over")
         start_epoch, best = state["next_epoch"], state["best"]
         checkpoint.load_into_model(path["last.ckpt"], model.parameters())
         arrays = checkpoint.load_tensors(path["last.opt"])
@@ -290,11 +290,10 @@ def _train_stage(args, out_dir: Path, stage: str, model, optimizers: dict, cfg: 
     if start_epoch >= epochs:
         print(f"nothing to do: {start_epoch} epochs already trained")
         return 0
-    # keep the rows of finished epochs only, once both files have been read whole
-    kept = {name: _rows_before(path[name], start_epoch) if start_epoch else []
-            for name in ("loss.tsv", "val-metrics.tsv")}
-    for name, rows in kept.items():
-        path[name].write_text("".join(rows), encoding="utf-8")
+    owned[vocab_file].write_bytes(vocab_bytes)
+    for name in ("loss.tsv", "val-metrics.tsv"):  # cut to the committed rows
+        with open(path[name], "ab") as fh:
+            fh.truncate(files.get(path[name].name, [0])[0])
     trace: list[float] = []
 
     def on_epoch(epoch: int, model) -> None:
@@ -314,7 +313,7 @@ def _train_stage(args, out_dir: Path, stage: str, model, optimizers: dict, cfg: 
             checkpoint.write_atomic(path["best.ckpt"], path["last.ckpt"].read_bytes())
         state = {"next_epoch": epoch + 1, "best": best,
                  "rng": {name: rng.bit_generator.state for name, rng in rngs.items()},
-                 "sha256": {name: _sha256(path[name]) for name in committed}}
+                 "files": {name: _entry(p.read_bytes()) for name, p in owned.items()}}
         checkpoint.write_atomic(path["state.json"],
                                 (json.dumps(state, sort_keys=True) + "\n").encode("utf-8"))
 
@@ -331,7 +330,6 @@ def cmd_train_sat(args) -> int:
     out_dir = _prepare_out_dir(args, "sat")
     train_records, val_records = _split_records(args)
     vocab = WordVocabulary.build([r.tokens for r in train_records], cfg.min_word_freq)
-    vocab.save(out_dir / "words.vocab")
     examples = _caption_examples(train_records, vocab, cfg.sat_max_caption_len)
     refs = _caption_references(val_records, cfg.sat_max_caption_len)
 
@@ -353,8 +351,8 @@ def cmd_train_sat(args) -> int:
 
     train = functools.partial(train_teacher_forcing, model, examples, cfg,
                               optimizers=(dec_opt, enc_opt))
-    return _train_stage(args, out_dir, "sat", model, {"dec.": dec_opt, "enc.": enc_opt},
-                        cfg, train, validate)
+    return _train_stage(args, out_dir, "sat", "words.vocab", vocab, model,
+                        {"dec.": dec_opt, "enc.": enc_opt}, cfg, train, validate)
 
 
 def cmd_train_lm(args) -> int:
@@ -373,7 +371,6 @@ def cmd_train_lm(args) -> int:
         train_lines = [_detok(r.tokens) for r in train_records]
         val_tokens = [r.tokens for r in val_records]
     vocab = BpeVocabulary.train("\n".join(train_lines), cfg.lm_merges)
-    vocab.save(out_dir / "bpe.vocab")
     stream = build_token_stream(train_lines, vocab)
     model = TransformerLm(cfg.lm_config(), vocab, cfg.seed)
     optimizer = make_optimizer(model, cfg)
@@ -391,7 +388,8 @@ def cmd_train_lm(args) -> int:
         return pairs
 
     train = functools.partial(train_lm, model, stream, cfg, optimizer=optimizer)
-    return _train_stage(args, out_dir, "lm", model, {"": optimizer}, cfg, train, validate)
+    return _train_stage(args, out_dir, "lm", "bpe.vocab", vocab, model, {"": optimizer}, cfg,
+                        train, validate)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +461,7 @@ def cmd_generate(args) -> int:
             if stage and result.attention_weights:
                 heatmap_files = _write_heatmaps(
                     stage, study_id, enumerate(result.attention_weights),
-                    cfg.sat_pooled_side, cfg.image_side, cfg.image_side)
+                    cfg.sat_pooled_side, *image.shape)
                 csv_rows = [",".join(f"{v:.12g}" for v in alpha)
                             for alpha in result.attention_weights]
                 (stage / f"{study_id}_alphas.csv").write_text(

@@ -93,11 +93,15 @@ class WordVocabulary:
         toks = [self._id_to_token[i] for i in ids]
         return [t for t in toks if t not in SPECIALS]
 
-    def save(self, path) -> None:
+    def text(self) -> str:
+        """The vocabulary file's contents, as ``save`` writes them."""
         lines = [_WORD_HEADER]
         for i, tok in enumerate(self._id_to_token):
             lines.append(f"{tok}\t{i}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return "\n".join(lines) + "\n"
+
+    def save(self, path) -> None:
+        Path(path).write_text(self.text(), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "WordVocabulary":
@@ -247,7 +251,8 @@ class BpeVocabulary:
     def symbol(self, idx: int) -> bytes:
         return self._id_to_symbol[idx]
 
-    def save(self, path) -> None:
+    def text(self) -> str:
+        """The vocabulary file's contents, as ``save`` writes them."""
         lines = [_BPE_HEADER, f"merges {len(self.merges)}"]
         for left, right in self.merges:
             lines.append(f"{_escape(left)} {_escape(right)}")
@@ -255,7 +260,10 @@ class BpeVocabulary:
         for i, sym in enumerate(self._id_to_symbol):
             lines.append(f"{_escape(sym)}\t{i}")
         lines.append(f"endoftext {self.end_of_text_id}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return "\n".join(lines) + "\n"
+
+    def save(self, path) -> None:
+        Path(path).write_text(self.text(), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "BpeVocabulary":

@@ -1,6 +1,7 @@
 """Command-level behavior: prep exclusions, training outputs, generation
 records, evaluation reports, exit codes, and byte-identical reruns."""
 
+import hashlib
 import json
 import shutil
 
@@ -10,7 +11,7 @@ import pytest
 from capseq import checkpoint, cli
 from capseq.captioner import CaptionModel
 from capseq.cli import main
-from capseq.pgm import write_pgm
+from capseq.pgm import read_pgm, write_pgm
 from capseq.synthetic import write_raw_corpus
 
 FAST = [
@@ -289,26 +290,85 @@ class TestTraining:
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
     @pytest.mark.parametrize("tsv", ["sat-loss.tsv", "sat-val-metrics.tsv"])
-    @pytest.mark.parametrize("damage, bad_line", [
-        (lambda text: text + "\n", lambda rows: rows + 1),
-        (lambda text: "x" + text[1:], lambda rows: 1),
+    @pytest.mark.parametrize("damage, refused", [
+        (lambda text: text + "\n", False),
+        (lambda text: "x" + text[1:], True),
     ], ids=["blank-row", "epoch-not-int"])
-    def test_damaged_tsv_stops_resume(self, prepped, tmp_path, capsys, tsv, damage, bad_line):
-        # both TSVs are checked before either is rewritten: a row without an
-        # epoch number exits 1, names its line and leaves the run directory as it was
-        run = tmp_path / "run"
+    def test_damaged_tsv_stops_resume(self, prepped, tmp_path, capsys, tsv, damage, refused):
+        # -state.json commits each TSV's length and digest: bytes after the
+        # commit are cut and the run equals an uninterrupted one; a changed
+        # committed byte exits 1, names the file and leaves the run directory as it was
+        run, straight = tmp_path / "run", tmp_path / "straight"
         assert self._train(prepped, "sat", run, "--set", "sat_epochs=1") == 0
         path = run / tsv
-        text = path.read_text()
-        path.write_text(damage(text))
+        path.write_text(damage(path.read_text()))
         before = {p.name: p.read_bytes() for p in run.iterdir()}
         capsys.readouterr()
+        if not refused:
+            assert self._train(prepped, "sat", run, "--resume") == 0
+            assert self._train(prepped, "sat", straight) == 0
+            self._assert_same_files(straight, run)
+            return
         assert self._train(prepped, "sat", run, "--resume") == 1
         err = capsys.readouterr().err
-        line = bad_line(len(text.splitlines()))
-        assert err.startswith(f"error: {path}:{line}: ")
+        assert err.startswith(f"error: cannot resume: {path} does not match ")
         assert err.endswith("pass --overwrite to start over\n")
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    def test_torn_row_is_cut_on_resume(self, prepped, tmp_path):
+        # a run killed while appending epoch 10's first loss row leaves "1"
+        # after the commit: --resume cuts it, and every output equals an
+        # uninterrupted 11-epoch run's
+        straight, torn = tmp_path / "straight", tmp_path / "torn"
+        assert self._train(prepped, "sat", straight, "--set", "sat_epochs=11") == 0
+        assert self._train(prepped, "sat", torn, "--set", "sat_epochs=10") == 0
+        with open(torn / "sat-loss.tsv", "a", encoding="utf-8") as fh:
+            fh.write("1")
+        assert self._train(prepped, "sat", torn, "--resume", "--set", "sat_epochs=11") == 0
+        self._assert_same_files(straight, torn)
+
+    def test_lost_committed_rows_stop_resume(self, prepped, tmp_path, capsys):
+        # a TSV shorter than its commit exits 1, names the file and leaves
+        # the run directory as it was
+        run = tmp_path / "run"
+        assert self._train(prepped, "sat", run, "--set", "sat_epochs=3") == 0
+        path = run / "sat-val-metrics.tsv"
+        path.write_text(path.read_text().splitlines(True)[0])
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        capsys.readouterr()
+        assert self._train(prepped, "sat", run, "--resume", "--set", "sat_epochs=4") == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot resume: {path} does not match its length and digest in "
+            "sat-state.json; pass --overwrite to start over\n")
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    def test_resume_on_other_data_stops(self, tmp_path, capsys):
+        # train-lm --resume on a corpus that builds another vocabulary exits 1,
+        # names the vocabulary and leaves the run directory as it was
+        first, other, run = tmp_path / "first.txt", tmp_path / "other.txt", tmp_path / "run"
+        first.write_text("no acute disease\nheart size normal\nlungs are clear\n")
+        other.write_text("no acute disease\nheart size normal\nlungs are clean\n")
+        assert main(["train-lm", "--text", str(first), "--out", str(run), *FAST,
+                     "--set", "lm_epochs=1"]) == 0
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        capsys.readouterr()
+        assert main(["train-lm", "--text", str(other), "--out", str(run), "--resume", *FAST]) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot resume: this run's data builds a vocabulary that does not match "
+            f"{run / 'bpe.vocab'}; pass --overwrite to start over\n")
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    def test_commit_names_every_file_of_the_run(self, trained):
+        # every file train-sat and train-lm leave, bar the two state files, is
+        # in exactly one stage's commit, with its current length and digest
+        commits = [json.loads((trained / f"{stage}-state.json").read_text())["files"]
+                   for stage in ("sat", "lm")]
+        files = {p.name: p.read_bytes() for p in trained.iterdir()
+                 if not p.name.endswith("-state.json")}
+        assert sorted(files) == sorted(name for commit in commits for name in commit)
+        for commit in commits:
+            for name, entry in commit.items():
+                assert entry == [len(files[name]), hashlib.sha256(files[name]).hexdigest()], name
 
 
 class TestGenerate:
@@ -396,6 +456,21 @@ class TestGenerate:
                    "--no-lm", "--out", str(out), *FAST])
         assert rc == 0
         assert len(out.read_text().splitlines()) == 1
+
+    def test_heatmaps_take_the_image_size(self, prepped, trained, tmp_path):
+        # images prepped at 16 px, generated under image_side=32: the heatmaps
+        # are 16x16, the size of the image they explain
+        heatmaps = tmp_path / "heatmaps"
+        rc = main(["generate", "--dataset", str(prepped / "dataset.csds"),
+                   "--sat-checkpoint", str(trained / "sat-best.ckpt"),
+                   "--word-vocab", str(trained / "words.vocab"), "--no-lm",
+                   "--heatmap-dir", str(heatmaps), "--out", str(tmp_path / "reports.jsonl"),
+                   *FAST, "--set", "image_side=32"])
+        assert rc == 0
+        maps = sorted(heatmaps.glob("*.pgm"))
+        assert maps
+        for path in maps:
+            assert read_pgm(path)[0].shape == (16, 16), path
 
     def test_failing_study_leaves_previous_reports_and_heatmaps(
             self, prepped, trained, tmp_path, monkeypatch):
@@ -538,6 +613,25 @@ class TestExitCodes:
         message = (f"error: {bad}: manifest 'splits' must map train, validation, test "
                    "to lists of study ids\n")
         assert capsys.readouterr().err == message * 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["generate", "--no-lm"], "generate needs --dataset or --image"),
+        (["generate", "--no-lm", "--image", "one.pgm", "--dataset", "d.csds"],
+         "generate --image captions one image; drop --dataset, --manifest and --split"),
+        (["generate", "--no-lm", "--dataset", "d.csds", "--split", "test"],
+         "generate needs --manifest and --split together"),
+        (["generate", "--dataset", "d.csds", "--lm-checkpoint", "lm.ckpt"],
+         "generate needs --lm-checkpoint and --bpe-vocab unless --no-lm is set"),
+        (["train-lm", "--dataset", "d.csds"],
+         "train-lm needs --dataset and --manifest, or --text"),
+    ], ids=["no-input", "image-and-dataset", "split-alone", "lm-half-named", "lm-no-input"])
+    def test_cross_flag_check_writes_nothing(self, tmp_path, capsys, argv, message):
+        generate = ["--sat-checkpoint", "sat.ckpt", "--word-vocab", "words.vocab"]
+        rc = main([*argv, *(generate if argv[0] == "generate" else []),
+                   "--out", str(tmp_path / "out"), *FAST])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
 
     def test_manifest_id_missing_from_dataset(self, prepped, trained, tmp_path, capsys):
         manifest = json.loads((prepped / "manifest.json").read_text())
