@@ -243,23 +243,22 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable leaf tensor.
+    """Named leaf tensor of a model.
 
     ``grad`` is allocated at creation and always matches the value shape;
     parameters never reached by a backward pass keep their zero gradient.
-    Non-trainable parameters receive no gradient and no optimizer updates.
+    A parameter trains exactly when an optimizer holds it.
     """
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
-    def __init__(self, data, name: str = "", trainable: bool = True):
+    def __init__(self, data, name: str = ""):
         super().__init__(data)
         self.name = name
-        self.trainable = bool(trainable)
         self.grad = np.zeros_like(self._data)
 
     def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, shape={self.shape}, trainable={self.trainable})"
+        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 _TAPES: list["Tape"] = []
@@ -287,8 +286,7 @@ class Tape:
         """Populate ``grad`` on every tensor reachable from ``loss``.
 
         Rejects non-scalar losses. Accumulators are zeroed first, then the
-        records are replayed newest-to-oldest; frozen parameters are skipped
-        so they keep a zero gradient.
+        records are replayed newest-to-oldest.
         """
         if loss._data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -310,11 +308,8 @@ class Tape:
         for out, inputs, vjp in reversed(self._entries):
             grads = vjp(out.grad)
             for t, g in zip(inputs, grads):
-                if g is None:
-                    continue
-                if isinstance(t, Parameter) and not t.trainable:
-                    continue
-                t.grad += g
+                if g is not None:
+                    t.grad += g
 
 
 def _record(out: Tensor, inputs, vjp) -> None:
@@ -958,17 +953,17 @@ class ParameterStore:
         self._rng = np.random.default_rng(seed)
         self._params: dict[str, Parameter] = {}
 
-    def _matrix(self, name, shape, scale=None, trainable=True) -> None:
+    def _matrix(self, name, shape, scale=None) -> None:
         """Drawn uniformly from [-scale, scale), by default 1/sqrt(shape[0])."""
         s = scale if scale is not None else 1.0 / np.sqrt(shape[0])
-        self._store(name, self._rng.uniform(-s, s, size=shape), trainable)
+        self._store(name, self._rng.uniform(-s, s, size=shape))
 
-    def _store(self, name, values, trainable=True) -> None:
-        self._params[name] = Parameter(values, name, trainable)
+    def _store(self, name, values) -> None:
+        self._params[name] = Parameter(values, name)
 
-    def _affine(self, name, fan_in, fan_out, trainable=True) -> None:
-        self._matrix(f"{name}.weight", (fan_in, fan_out), trainable=trainable)
-        self._store(f"{name}.bias", np.zeros(fan_out), trainable)
+    def _affine(self, name, fan_in, fan_out) -> None:
+        self._matrix(f"{name}.weight", (fan_in, fan_out))
+        self._store(f"{name}.bias", np.zeros(fan_out))
 
     def parameters(self) -> dict[str, Parameter]:
         return dict(self._params)

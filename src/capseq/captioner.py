@@ -41,11 +41,11 @@ class CaptionModel(ad.ParameterStore):
         c = config
         k = c.kernel_size
         f = c.encoder_channels
-        # the two lower conv layers stay frozen random features; fine-tuning
-        # only ever unfreezes the last layer
-        self._conv("encoder.conv1", f, 1, k, trainable=False)
-        self._conv("encoder.conv2", f, f, k, trainable=False)
-        self._conv("encoder.conv3", f, f, k, trainable=c.fine_tune_encoder)
+        # the two lower conv layers stay fixed random features; fine-tuning
+        # only ever trains the last layer (see make_optimizers)
+        self._conv("encoder.conv1", f, 1, k)
+        self._conv("encoder.conv2", f, f, k)
+        self._conv("encoder.conv3", f, f, k)
 
         self._affine("init_h", f, c.decoder_dim)
         self._affine("init_c", f, c.decoder_dim)
@@ -60,16 +60,9 @@ class CaptionModel(ad.ParameterStore):
 
     # -- parameter plumbing --------------------------------------------------
 
-    def _conv(self, name, out_ch, in_ch, k, trainable):
-        self._matrix(f"{name}.weight", (out_ch, in_ch, k, k), 1.0 / np.sqrt(in_ch * k * k),
-                     trainable)
-        self._store(f"{name}.bias", np.zeros(out_ch), trainable)
-
-    def encoder_parameters(self) -> list[ad.Parameter]:
-        return [p for name, p in self._params.items() if name.startswith("encoder.")]
-
-    def decoder_parameters(self) -> list[ad.Parameter]:
-        return [p for name, p in self._params.items() if not name.startswith("encoder.")]
+    def _conv(self, name, out_ch, in_ch, k):
+        self._matrix(f"{name}.weight", (out_ch, in_ch, k, k), 1.0 / np.sqrt(in_ch * k * k))
+        self._store(f"{name}.bias", np.zeros(out_ch))
 
     # -- forward pieces -------------------------------------------------------
 
@@ -313,10 +306,17 @@ def effective_batch_sizes(sorted_lengths) -> list[int]:
     return [int(np.sum(lengths > t)) for t in range(int(lengths.max()))]
 
 
-def make_optimizers(model: CaptionModel, cfg: RunConfig):
-    """Decoder and encoder optimizers from the ``sat_*`` keys."""
-    return (Adam(model.decoder_parameters(), cfg.sat_decoder_lr, cfg.sat_clip_norm),
-            Adam(model.encoder_parameters(), cfg.sat_encoder_lr, cfg.sat_clip_norm))
+def make_optimizers(model: CaptionModel, cfg: RunConfig) -> dict[str, Adam]:
+    """The run's optimizers from the ``sat_*`` keys, keyed by their prefix in
+    ``sat-last.opt``: ``dec.`` over every parameter outside the encoder, and
+    ``enc.`` over the last conv layer only when ``fine_tune_encoder`` is on."""
+    params = model.parameters()
+    optimizers = {"dec.": Adam([p for n, p in params.items() if not n.startswith("encoder.")],
+                               cfg.sat_decoder_lr, cfg.sat_clip_norm)}
+    if model.config.fine_tune_encoder:
+        optimizers["enc."] = Adam([params["encoder.conv3.weight"], params["encoder.conv3.bias"]],
+                                  cfg.sat_encoder_lr, cfg.sat_clip_norm)
+    return optimizers
 
 
 def train_teacher_forcing(model: CaptionModel, examples: list[CaptionExample],
@@ -325,16 +325,17 @@ def train_teacher_forcing(model: CaptionModel, examples: list[CaptionExample],
     """Train with teacher forcing for ``cfg.sat_epochs`` epochs of
     ``cfg.sat_batch_size``; returns the per-batch loss trace.
 
-    When the encoder is frozen the annotation grids are computed once up
-    front (they cannot change), which keeps desk-scale runs fast; with
-    fine-tuning enabled the encoder runs inside the tape every batch.
-    ``shuffle_rng`` (by default seeded with ``cfg.seed``), ``trace`` and
-    ``start_epoch`` are passed on to ``optim.train_epochs``.
+    Each batch steps every value of ``optimizers``, by default
+    ``make_optimizers(model, cfg)``. When the encoder is frozen the
+    annotation grids are computed once up front (they cannot change), which
+    keeps desk-scale runs fast; with fine-tuning enabled the encoder runs
+    inside the tape every batch. ``shuffle_rng`` (by default seeded with
+    ``cfg.seed``), ``trace`` and ``start_epoch`` go to ``optim.train_epochs``.
     """
     cfg.validate()
     if not examples:
         raise ValueError("no training examples")
-    dec_opt, enc_opt = optimizers if optimizers else make_optimizers(model, cfg)
+    optimizers = optimizers or make_optimizers(model, cfg)
     if shuffle_rng is None:
         shuffle_rng = np.random.default_rng(cfg.seed)
     fine_tune = model.config.fine_tune_encoder
@@ -355,8 +356,7 @@ def train_teacher_forcing(model: CaptionModel, examples: list[CaptionExample],
             annotations = ad.operand(np.stack([cached[i] for i in sorted_idx]))
         return model.sequence_loss(annotations, captions, lengths)
 
-    return train_epochs(model, len(examples), batch_loss,
-                        [dec_opt, enc_opt] if fine_tune else [dec_opt],
+    return train_epochs(model, len(examples), batch_loss, list(optimizers.values()),
                         cfg.sat_epochs, cfg.sat_batch_size, shuffle_rng,
                         epoch_callback, trace, start_epoch)
 

@@ -165,9 +165,9 @@ def cmd_prep(args) -> int:
 # training commands
 
 
-def _prepare_out_dir(args, stem: str) -> Path:
+def _out_dir(args, stem: str) -> Path:
+    """``--out``, checked only: ``_train_stage`` creates it after every check."""
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     last = out_dir / f"{stem}-last.ckpt"
     if last.exists() and not (args.overwrite or args.resume):
         raise CliValidationError(
@@ -249,9 +249,11 @@ def _train_stage(args, out_dir: Path, stage: str, vocab_file: str, vocab, model,
     the shuffle and model RNG states, and ``files``, the length and SHA-256
     of every other file the run owns (the five above and ``vocab_file``).
     --resume checks all of them before it writes anything: each must exist
-    and its committed prefix must match, and ``vocab`` must be the committed
-    vocabulary. Bytes past a prefix are an uncommitted epoch's and are cut;
-    the run then continues bit for bit.
+    and its committed prefix must match, ``vocab`` must be the committed
+    vocabulary, and ``{stage}-last.opt`` must hold moments for each entry of
+    ``optimizers`` (others are ignored). Bytes past a prefix are an
+    uncommitted epoch's and are cut; the run then continues bit for bit.
+    ``out_dir`` is created only once every check has passed.
     """
     path = {name: out_dir / f"{stage}-{name}" for name in (
         "last.ckpt", "best.ckpt", "last.opt", "state.json", "loss.tsv", "val-metrics.tsv")}
@@ -282,14 +284,19 @@ def _train_stage(args, out_dir: Path, stage: str, vocab_file: str, vocab, model,
         checkpoint.load_into_model(path["last.ckpt"], model.parameters())
         arrays = checkpoint.load_tensors(path["last.opt"])
         for prefix, opt in optimizers.items():
-            opt.load_state_arrays(
-                {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)})
+            held = {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
+            if not held:
+                raise CliValidationError(
+                    f"cannot resume: {path['last.opt']} holds no moments for optimizer "
+                    f"{prefix!r}; pass --overwrite to start over")
+            opt.load_state_arrays(held)
         for name, rng in rngs.items():
             rng.bit_generator.state = state["rng"][name]
         logger.info("resuming from epoch %d", start_epoch)
     if start_epoch >= epochs:
         print(f"nothing to do: {start_epoch} epochs already trained")
         return 0
+    out_dir.mkdir(parents=True, exist_ok=True)
     owned[vocab_file].write_bytes(vocab_bytes)
     for name in ("loss.tsv", "val-metrics.tsv"):  # cut to the committed rows
         with open(path[name], "ab") as fh:
@@ -327,14 +334,14 @@ def _train_stage(args, out_dir: Path, stage: str, vocab_file: str, vocab, model,
 
 def cmd_train_sat(args) -> int:
     cfg = _config_from(args)
-    out_dir = _prepare_out_dir(args, "sat")
+    out_dir = _out_dir(args, "sat")
     train_records, val_records = _split_records(args)
     vocab = WordVocabulary.build([r.tokens for r in train_records], cfg.min_word_freq)
     examples = _caption_examples(train_records, vocab, cfg.sat_max_caption_len)
     refs = _caption_references(val_records, cfg.sat_max_caption_len)
 
     model = CaptionModel(cfg.caption_config(), len(vocab), cfg.seed)
-    dec_opt, enc_opt = make_optimizers(model, cfg)
+    optimizers = make_optimizers(model, cfg)
 
     # a frozen encoder cannot change a validation image's annotations, so
     # each image is then encoded once per run, not once per epoch
@@ -350,14 +357,14 @@ def cmd_train_sat(args) -> int:
         return pairs
 
     train = functools.partial(train_teacher_forcing, model, examples, cfg,
-                              optimizers=(dec_opt, enc_opt))
-    return _train_stage(args, out_dir, "sat", "words.vocab", vocab, model,
-                        {"dec.": dec_opt, "enc.": enc_opt}, cfg, train, validate)
+                              optimizers=optimizers)
+    return _train_stage(args, out_dir, "sat", "words.vocab", vocab, model, optimizers, cfg,
+                        train, validate)
 
 
 def cmd_train_lm(args) -> int:
     cfg = _config_from(args)
-    out_dir = _prepare_out_dir(args, "lm")
+    out_dir = _out_dir(args, "lm")
     if args.text:
         # plain UTF-8 corpus, one report per line; also used for validation
         lines = [l for l in _require_file(args.text, "text corpus")

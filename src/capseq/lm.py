@@ -290,10 +290,7 @@ class TransformerLm(ad.ParameterStore):
         block = self.config.block_size
         if len(seed_ids) >= block:
             raise ValueError(f"seed length {len(seed_ids)} already at block size {block}")
-        seed_ids = list(seed_ids)
-
-        def window(prefix) -> list[int]:
-            return (seed_ids + list(prefix))[-block:]
+        seed = np.asarray(seed_ids, dtype=np.int64)
 
         # the last evaluated step's prefixes, each with its batch row, and each
         # layer's keys and values of their windows over whole 8-row tiles
@@ -304,7 +301,7 @@ class TransformerLm(ad.ParameterStore):
             """Each window's next-token log-probabilities, one row per
             prefix, from its parent's cached keys and values when every
             parent has them; keeps this step's in their place."""
-            t = len(seed_ids) + len(prefixes[0])
+            t = len(seed) + len(prefixes[0])
             start = self._tail_start(min(t, block))
             parents = [rows.get(p[:-1]) if p else None for p in prefixes]
             past = None
@@ -312,7 +309,11 @@ class TransformerLm(ad.ParameterStore):
                 past = [(k[parents, ..., :start], v[parents, ..., :start, :]) for k, v in cache]
             keep = KV_CACHE_MIN_TOKENS <= t < min(block, KV_CACHE_MAX_TOKENS)
             present = [] if keep else None
-            last = self.forward([window(p) for p in prefixes], start, past, present).data[:, -1]
+            # (B, T) windows, seed + prefix cut to the block; mixed lengths raise ValueError
+            tails = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), -1)[:, -block:]
+            head = seed[max(0, len(seed) + tails.shape[1] - block):]
+            ids = np.concatenate((np.broadcast_to(head, (len(tails), len(head))), tails), 1)
+            last = self.forward(ids, start, past, present).data[:, -1]
             rows.clear()
             cache.clear()
             if keep:

@@ -1,9 +1,11 @@
 """Adam with global-norm clipping, and the shuffled minibatch epoch loop
 both training stages share.
 
-A step refuses to update when any gradient is non-finite: it emits a
-diagnostic and returns False, leaving parameter values untouched. After a
-successful update the optimizer zeroes the gradients it consumed.
+An optimizer holds exactly the parameters that train: a step updates every
+parameter it holds and no other. A step refuses to update when any gradient
+is non-finite: it emits a diagnostic and returns False, leaving parameter
+values untouched. After a successful update the optimizer zeroes the
+gradients it consumed.
 """
 
 from __future__ import annotations
@@ -47,33 +49,29 @@ class _Optimizer:
         self.lr = lr
         self.clip_norm = clip_norm
 
-    def _trainable(self) -> list[Parameter]:
-        return [p for p in self.params if p.trainable]
-
-    def _grads_finite(self, params) -> bool:
-        for p in params:
+    def _grads_finite(self) -> bool:
+        for p in self.params:
             if not np.all(np.isfinite(p.grad)):
                 logger.error("optimizer step refused: non-finite gradient in %r", p.name)
                 return False
         return True
 
     def step(self) -> bool:
-        active = self._trainable()
-        if not self._grads_finite(active):
+        if not self._grads_finite():
             return False
-        clip_gradients(active, self.clip_norm)
-        self._apply(active)
-        for p in active:
+        clip_gradients(self.params, self.clip_norm)
+        self._apply()
+        for p in self.params:
             p.grad[...] = 0.0
         return True
 
-    def _apply(self, params) -> None:  # pragma: no cover - abstract
+    def _apply(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
 
 class Adam(_Optimizer):
-    """Adam with bias correction; first-moment/second-moment state per
-    parameter, kept by parameter identity so freeze toggles do not shift it."""
+    """Adam with bias correction; first-moment/second-moment state per held
+    parameter, in the order the parameters were given."""
 
     def __init__(self, params, lr: float, clip_norm: float):
         super().__init__(params, lr, clip_norm)
@@ -81,14 +79,11 @@ class Adam(_Optimizer):
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
 
-    def _apply(self, params) -> None:
+    def _apply(self) -> None:
         self.t += 1
         b1c = 1.0 - BETA1 ** self.t
         b2c = 1.0 - BETA2 ** self.t
-        for i, p in enumerate(self.params):
-            if not p.trainable:
-                continue
-            m, v = self._m[i], self._v[i]
+        for p, m, v in zip(self.params, self._m, self._v):
             m *= BETA1
             m += (1.0 - BETA1) * p.grad
             v *= BETA2

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 from capseq import autodiff as ad
-from capseq.captioner import CaptionExample, CaptionModel, train_teacher_forcing
+from capseq.captioner import (CaptionExample, CaptionModel, make_optimizers,
+                              train_teacher_forcing)
 from capseq.cli import main
 from capseq.config import RunConfig
 from capseq.decoding import beam_search, decode, greedy_decode, select_beam
@@ -81,7 +82,8 @@ class TestCriterion1GradientFidelity:
         with ad.Tape() as tape:
             loss = compute()
         tape.backward(loss)
-        params = [(n, p) for n, p in model.parameters().items() if p.trainable]
+        held = {id(p) for opt in make_optimizers(model, RunConfig()).values() for p in opt.params}
+        params = [(n, p) for n, p in model.parameters().items() if id(p) in held]
         assert sum(p.data.size for _, p in params) >= 400  # whole trainable chain
         ad_grads = {n: p.grad.copy() for n, p in params}
         fd = finite_difference_gradients(compute, params, eps=1e-5)

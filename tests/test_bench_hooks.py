@@ -1,4 +1,4 @@
-"""The step contract that the benchmark's workload guards read.
+"""The step contract and training hooks that the benchmark reads.
 
 ``perfbench.tracer.Tracer`` counts LM steps from outside the package: it
 wraps the step that ``TransformerLm.step_function`` returns and the step that
@@ -6,9 +6,13 @@ wraps the step that ``TransformerLm.step_function`` returns and the step that
 ``slides``/``fits`` guards compare ``lm.step.slid`` with ``lm.step.calls``.
 These tests run a traced beam decode and check that each of those counts
 equals what an untraced spy step sees, so a change to the step contract that
-would silently skew the guards fails here. The tracer is imported read-only.
+would silently skew the guards fails here. On training, the tracer rewrites
+the ``epoch_callback=`` keyword of both training loops to label epochs, and
+wraps ``optim._Optimizer.step``; a traced training run checks both. The
+tracer is imported read-only.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -17,9 +21,13 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
+import capseq.captioner  # noqa: E402
 import capseq.cli  # noqa: E402
 import capseq.decoding  # noqa: E402
+import capseq.lm  # noqa: E402
 import capseq.optim  # noqa: E402
+from capseq.captioner import CaptionExample, CaptionModel  # noqa: E402
+from capseq.config import RunConfig  # noqa: E402
 from capseq.lm import LmConfig, TransformerLm  # noqa: E402
 from capseq.tokenizers import BpeVocabulary  # noqa: E402
 from perfbench.tracer import Tracer  # noqa: E402
@@ -74,3 +82,29 @@ def test_traced_step_counts_match_an_untraced_spy(block_size, slides):
 def test_names_the_pipeline_patches_exist():
     assert capseq.cli.two_stage_generate is capseq.decoding.two_stage_generate
     assert "step" in capseq.optim._Optimizer.__dict__
+
+
+def test_traced_training_labels_epochs_and_keeps_the_callers_callback():
+    cfg = RunConfig(sat_epochs=1, sat_batch_size=2, lm_epochs=1, lm_batch_size=2, seed=0)
+    captioner = CaptionModel(dataclasses.replace(
+        cfg.caption_config(), embed_dim=4, decoder_dim=5, attention_dim=4, pooled_side=2,
+        encoder_channels=3, max_caption_len=8, fine_tune_encoder=True), vocab_size=8, seed=0)
+    examples = [CaptionExample(f"s{i}", np.random.default_rng(i).random((8, 8)),
+                               np.array([1, 4, 5, 2, 0]), 3) for i in range(3)]
+    lm, _ = tiny_lm(16)
+    stream = list(lm.vocab.encode("abc defg hab cdef gha bcd efgh"))
+    seen = []
+    tracer = Tracer()
+    tracer.install()
+    try:
+        capseq.captioner.train_teacher_forcing(
+            captioner, examples, cfg, epoch_callback=lambda epoch, _: seen.append(("sat", epoch)))
+        capseq.lm.train_lm(lm, stream, cfg,
+                           epoch_callback=lambda epoch, _: seen.append(("lm", epoch)))
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    assert seen == [("sat", 0), ("lm", 0)]
+    assert {"sat:epoch1", "lm:epoch1"} <= set(tracer.contexts)
+    assert totals["optim.step.calls"] > 0
+    assert totals["autodiff.Tape.backward.calls"] > 0

@@ -358,6 +358,21 @@ class TestTraining:
             f"{run / 'bpe.vocab'}; pass --overwrite to start over\n")
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
+    def test_resume_with_fine_tuning_switched_on_stops(self, prepped, tmp_path, capsys):
+        # a frozen run's -last.opt holds no encoder moments: --resume with
+        # fine-tuning on exits 1, names the file and leaves the run as it was
+        run = tmp_path / "run"
+        assert self._train(prepped, "sat", run, "--set", "sat_epochs=1") == 0
+        assert not any(k.startswith("enc.") for k in checkpoint.load_tensors(run / "sat-last.opt"))
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        capsys.readouterr()
+        assert self._train(prepped, "sat", run, "--resume",
+                           "--set", "sat_fine_tune_encoder=true") == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot resume: {run / 'sat-last.opt'} holds no moments for optimizer "
+            "'enc.'; pass --overwrite to start over\n")
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
     def test_commit_names_every_file_of_the_run(self, trained):
         # every file train-sat and train-lm leave, bar the two state files, is
         # in exactly one stage's commit, with its current length and digest
@@ -606,6 +621,7 @@ class TestExitCodes:
         bad.write_text(json.dumps(manifest))
         dataset = ["--dataset", str(prepped / "dataset.csds"), "--manifest", str(bad)]
         assert main(["train-sat", *dataset, "--out", str(tmp_path / "sat"), *FAST]) == 1
+        assert not (tmp_path / "sat").exists()
         assert main(["generate", *dataset, "--split", "test", "--no-lm",
                      "--sat-checkpoint", str(trained / "sat-best.ckpt"),
                      "--word-vocab", str(trained / "words.vocab"),
@@ -641,6 +657,7 @@ class TestExitCodes:
         bad.write_text(json.dumps(manifest))
         dataset = ["--dataset", str(prepped / "dataset.csds"), "--manifest", str(bad)]
         assert main(["train-sat", *dataset, "--out", str(tmp_path / "sat"), *FAST]) == 1
+        assert not (tmp_path / "sat").exists()
         assert main(["generate", *dataset, "--split", "test", "--no-lm",
                      "--sat-checkpoint", str(trained / "sat-best.ckpt"),
                      "--word-vocab", str(trained / "words.vocab"),
@@ -648,6 +665,14 @@ class TestExitCodes:
         message = f"error: {bad}: manifest ids missing from dataset: ['nosuchstudy']\n"
         assert capsys.readouterr().err == message * 2
         assert not (tmp_path / "reports.jsonl").exists()
+
+    def test_empty_text_corpus_writes_nothing(self, tmp_path, capsys):
+        corpus = tmp_path / "reports.txt"
+        corpus.write_text("\n  \n")
+        out = tmp_path / "run"
+        assert main(["train-lm", "--text", str(corpus), "--out", str(out), *FAST]) == 1
+        assert capsys.readouterr().err == f"error: {corpus}: corpus is empty\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, line, reason", [
         ("", 1, "Expecting value"),
