@@ -7,9 +7,11 @@ records in exact reverse execution order, accumulating gradients into the
 the start of each backward pass, so repeated backward calls from the same tape
 state are bit-identical.
 
-The engine is single-threaded: one tape, one execution context. With no tape
-active the ops are pure numpy functions and may run concurrently (inference),
-and so may the array executor below.
+The recording tape is per context, like the executor and the ``FpTraps``
+scope below: a ``Tape`` records only the ops of the thread that entered it,
+so another thread's decode neither lands on it nor draws dropout masks.
+With no tape recording the ops are pure numpy functions and may run
+concurrently (inference), and so may the array executor below.
 
 Every op that computes on values rejects NaN and infinities in its inputs. A
 tensor's array is scanned once: a passing scan marks the tensor finite, and
@@ -261,7 +263,8 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
 
-_TAPES: list["Tape"] = []
+# the tape recording in this context, if any
+_TAPE: contextvars.ContextVar = contextvars.ContextVar("capseq_tape", default=None)
 
 
 class Tape:
@@ -271,12 +274,11 @@ class Tape:
         self._entries: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
 
     def __enter__(self) -> "Tape":
-        _TAPES.append(self)
+        self._token = _TAPE.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPES.pop()
-        assert popped is self
+        _TAPE.reset(self._token)
         return False
 
     def __len__(self) -> int:
@@ -313,8 +315,9 @@ class Tape:
 
 
 def _record(out: Tensor, inputs, vjp) -> None:
-    if _TAPES:
-        _TAPES[-1]._entries.append((out, tuple(inputs), vjp))
+    tape = _TAPE.get()
+    if tape is not None:
+        tape._entries.append((out, tuple(inputs), vjp))
 
 
 def _coerce(value) -> Tensor:
@@ -809,7 +812,7 @@ def dropout(x, rate: float, rng: np.random.Generator) -> Tensor:
     1/(1-rate). The identity with no tape recording, or at rate 0."""
     _check_rate(rate)
     x = _coerce(x)
-    if not _TAPES or rate == 0.0:
+    if _TAPE.get() is None or rate == 0.0:
         return x
     _require_finite("dropout", x)  # before the mask is drawn
     mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
@@ -911,7 +914,7 @@ def executed(body):
     def run(*args, **kwargs):
         if _STEP_OPS.get() is not None:
             return body(*args, **kwargs)
-        if not _TAPES:
+        if _TAPE.get() is None:
             token = _STEP_OPS.set(ArrayOps)
             try:
                 with FpTraps():
@@ -929,7 +932,7 @@ def executed(body):
                 out = body(*args, **kwargs)
         finally:
             _STEP_OPS.reset(token)
-        if not _TAPES:
+        if _TAPE.get() is None:
             for t in (out if isinstance(out, tuple) else (out,)):
                 if not (t._finite or np.isfinite(t._data).all()):
                     raise NonFiniteInputError(

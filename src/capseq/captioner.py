@@ -179,20 +179,20 @@ class CaptionModel(ad.ParameterStore):
 
     # -- loss ------------------------------------------------------------------
 
-    def sequence_loss(self, annotations: ad.Tensor, captions: np.ndarray,
-                      lengths: np.ndarray) -> ad.Tensor:
+    def sequence_loss(self, annotations: ad.Tensor, captions: np.ndarray) -> ad.Tensor:
         """Teacher-forced loss over a batch already sorted by decreasing length.
 
-        captions: (B, L) ids starting with <start>; lengths[i] counts the
-        predictions for caption i (content tokens plus <end>). Step t feeds
-        the ground-truth token t and scores only the captions still active,
-        so padding never contributes. Loss = mean token NLL, plus the
-        attention-coverage penalty sum_i (1 - sum_t alpha_ti)^2 per sample
-        (averaged over the batch) when its weight is positive.
+        captions: (B, L) ids starting with <start>; caption i makes
+        ``caption_lengths(captions)[i]`` predictions (content tokens plus
+        <end>). Step t feeds the ground-truth token t and scores only the
+        captions still active, so padding never contributes. Loss = mean
+        token NLL, plus the attention-coverage penalty
+        sum_i (1 - sum_t alpha_ti)^2 per sample (averaged over the batch)
+        when its weight is positive.
         """
-        lengths = np.asarray(lengths)
         if captions.shape[0] == 0:
             raise ValueError("empty batch")
+        lengths = caption_lengths(captions)
         if np.any(np.diff(lengths) > 0):
             raise ValueError("captions must be sorted by decreasing length")
         b = captions.shape[0]
@@ -290,14 +290,25 @@ class CaptionModel(ad.ParameterStore):
 class CaptionExample:
     study_id: str
     image: np.ndarray            # (H, W) normalized
-    caption: np.ndarray          # (L,) ids beginning with <start>
-    decode_len: int              # predictions to make: content tokens + <end>
+    caption: np.ndarray          # (L,) ids: <start>, content, <end>, padding
 
 
-def sort_batch_by_length(captions: np.ndarray, lengths: np.ndarray):
-    """Stable decreasing-length order; returns (captions, lengths, order)."""
-    order = np.argsort(-np.asarray(lengths), kind="stable")
-    return captions[order], np.asarray(lengths)[order], order
+def caption_lengths(captions) -> np.ndarray:
+    """Predictions each row of ``captions`` makes: the position of its last
+    <end>, the terminator ``WordVocabulary.encode`` appends after the
+    content tokens (a content token may itself be <end>). A row with no
+    <end> after its first position raises ``ValueError``."""
+    is_end = np.asarray(captions)[:, 1:] == END_ID
+    ended = is_end.any(axis=1)
+    if not ended.all():
+        raise ValueError(f"caption {int(np.argmin(ended))} has no <end> after its first position")
+    return is_end.shape[1] - np.argmax(is_end[:, ::-1], axis=1)
+
+
+def sort_batch_by_length(captions: np.ndarray):
+    """Stable decreasing-length order; returns (captions, order)."""
+    order = np.argsort(-caption_lengths(captions), kind="stable")
+    return captions[order], order
 
 
 def effective_batch_sizes(sorted_lengths) -> list[int]:
@@ -319,6 +330,12 @@ def make_optimizers(model: CaptionModel, cfg: RunConfig) -> dict[str, Adam]:
     return optimizers
 
 
+def trains_encoder(optimizers: dict) -> bool:
+    """Whether any of ``optimizers`` holds an encoder parameter: the one
+    record of whether an image's annotations can change during training."""
+    return any(p.name.startswith("encoder.") for opt in optimizers.values() for p in opt.params)
+
+
 def train_teacher_forcing(model: CaptionModel, examples: list[CaptionExample],
                           cfg: RunConfig, optimizers=None, epoch_callback=None,
                           shuffle_rng=None, trace=None, start_epoch: int = 0) -> list[float]:
@@ -326,11 +343,12 @@ def train_teacher_forcing(model: CaptionModel, examples: list[CaptionExample],
     ``cfg.sat_batch_size``; returns the per-batch loss trace.
 
     Each batch steps every value of ``optimizers``, by default
-    ``make_optimizers(model, cfg)``. When the encoder is frozen the
-    annotation grids are computed once up front (they cannot change), which
-    keeps desk-scale runs fast; with fine-tuning enabled the encoder runs
-    inside the tape every batch. ``shuffle_rng`` (by default seeded with
-    ``cfg.seed``), ``trace`` and ``start_epoch`` go to ``optim.train_epochs``.
+    ``make_optimizers(model, cfg)``. When no optimizer holds an encoder
+    parameter (``trains_encoder``) the annotation grids are computed once up
+    front (they cannot change), which keeps desk-scale runs fast; otherwise
+    the encoder runs inside the tape every batch. ``shuffle_rng`` (by
+    default seeded with ``cfg.seed``), ``trace`` and ``start_epoch`` go to
+    ``optim.train_epochs``.
     """
     cfg.validate()
     if not examples:
@@ -338,23 +356,19 @@ def train_teacher_forcing(model: CaptionModel, examples: list[CaptionExample],
     optimizers = optimizers or make_optimizers(model, cfg)
     if shuffle_rng is None:
         shuffle_rng = np.random.default_rng(cfg.seed)
-    fine_tune = model.config.fine_tune_encoder
-    cached = None
-    if not fine_tune:
-        # one image per call: a batched call would hold every image's
-        # activation maps at once
-        cached = [model.encode(ex.image).data[0] for ex in examples]
+    encoder_trains = trains_encoder(optimizers)
+    # one image per call: a batched call would hold every image's
+    # activation maps at once
+    cached = None if encoder_trains else [model.encode(ex.image).data[0] for ex in examples]
 
     def batch_loss(idx):
-        captions = np.stack([examples[i].caption for i in idx])
-        lengths = np.array([examples[i].decode_len for i in idx])
-        captions, lengths, sort_order = sort_batch_by_length(captions, lengths)
+        captions, sort_order = sort_batch_by_length(np.stack([examples[i].caption for i in idx]))
         sorted_idx = idx[sort_order]
-        if fine_tune:
+        if encoder_trains:
             annotations = model.encode(np.stack([examples[i].image for i in sorted_idx]))
         else:
             annotations = ad.operand(np.stack([cached[i] for i in sorted_idx]))
-        return model.sequence_loss(annotations, captions, lengths)
+        return model.sequence_loss(annotations, captions)
 
     return train_epochs(model, len(examples), batch_loss, list(optimizers.values()),
                         cfg.sat_epochs, cfg.sat_batch_size, shuffle_rng,

@@ -25,10 +25,15 @@ class CheckpointError(BinaryFormatError):
 
 
 def write_atomic(path, payload: bytes) -> None:
-    """Write ``<path>.tmp`` and rename it over ``path``."""
+    """Write ``<path>.tmp`` and rename it over ``path``; a failed rename
+    deletes ``<path>.tmp`` and re-raises."""
     tmp = Path(f"{path}.tmp")
     tmp.write_bytes(payload)
-    os.replace(tmp, path)
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        tmp.unlink()
+        raise
 
 
 def save_tensors(path, named: dict) -> None:

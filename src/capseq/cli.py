@@ -13,6 +13,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import shutil
 import sys
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import checkpoint
 from .captioner import (CaptionExample, CaptionModel, attention_heatmap, make_optimizers,
-                        train_teacher_forcing)
+                        train_teacher_forcing, trains_encoder)
 from .config import RunConfig, load_run_config
 from .decoding import decode, lm_seed, two_stage_generate
 from .lm import TransformerLm, build_token_stream, make_optimizer, train_lm
@@ -50,6 +51,14 @@ def _require_file(path, what: str) -> Path:
     p = Path(path)
     if not p.is_file():
         raise CliValidationError(f"{what} not found: {p}")
+    return p
+
+
+def _out_file(path) -> Path:
+    """An output file's ``--out``, refused when it names a directory."""
+    p = Path(path)
+    if p.is_dir():
+        raise CliValidationError(f"--out {p} is a directory; name a file")
     return p
 
 
@@ -189,16 +198,9 @@ def _split_records(args) -> tuple[list[PackedRecord], list[PackedRecord]]:
 
 
 def _caption_examples(records, vocab: WordVocabulary, max_len: int) -> list[CaptionExample]:
-    examples = []
-    for rec in records:
-        content = min(len(rec.tokens), max_len - 2)
-        examples.append(CaptionExample(
-            study_id=rec.study_id,
-            image=rec.image,
-            caption=np.asarray(vocab.encode(rec.tokens, max_len), dtype=np.int64),
-            decode_len=content + 1,
-        ))
-    return examples
+    return [CaptionExample(rec.study_id, rec.image,
+                           np.asarray(vocab.encode(rec.tokens, max_len), dtype=np.int64))
+            for rec in records]
 
 
 def _caption_references(records, max_len: int) -> dict[str, list[str]]:
@@ -220,8 +222,9 @@ def _read_state(path: Path, rngs: dict, owned) -> dict:
         if not (type(state["next_epoch"]) is int and state["next_epoch"] >= 0):
             raise ValueError("next_epoch is not an integer >= 0")
         best = state["best"]
-        if not (type(best["epoch"]) is int and type(best["gm_bleu"]) in (int, float)):
-            raise ValueError("best needs an integer epoch and a number gm_bleu")
+        if not (type(best["epoch"]) is int and type(best["gm_bleu"]) in (int, float)
+                and math.isfinite(best["gm_bleu"])):
+            raise ValueError("best needs an integer epoch and a finite number gm_bleu")
         files = state["files"]
         if not (isinstance(files, dict) and sorted(files) == sorted(owned) and all(
                 type(n) is int and n >= 0 and isinstance(d, str) for n, d in files.values())):
@@ -343,14 +346,15 @@ def cmd_train_sat(args) -> int:
     model = CaptionModel(cfg.caption_config(), len(vocab), cfg.seed)
     optimizers = make_optimizers(model, cfg)
 
-    # a frozen encoder cannot change a validation image's annotations, so
-    # each image is then encoded once per run, not once per epoch
+    # an encoder no optimizer trains cannot change a validation image's
+    # annotations, so each image is then encoded once per run, not per epoch
     annotations = {}
+    encoder_trains = trains_encoder(optimizers)
 
     def validate(model: CaptionModel) -> list[EvalPair]:
         pairs = []
         for i, rec in enumerate(val_records):
-            if model.config.fine_tune_encoder or i not in annotations:
+            if encoder_trains or i not in annotations:
                 annotations[i] = model.encode(rec.image)
             ids, _ = model.decode_caption(annotations[i], strategy="greedy")
             pairs.append(EvalPair(vocab.decode(ids) or [""], [refs[rec.study_id]]))
@@ -428,12 +432,13 @@ def _write_heatmaps(out_dir: Path, stem: str, steps, pooled_side: int, height: i
 
 
 def cmd_generate(args) -> int:
+    out_path = _out_file(args.out)
     cfg = _config_from(args)
     word_vocab = WordVocabulary.load(_require_file(args.word_vocab, "word vocabulary"))
-    bpe_vocab = lm = None
+    lm = None
     if not args.no_lm:
-        bpe_vocab = BpeVocabulary.load(_require_file(args.bpe_vocab, "BPE vocabulary"))
-        lm = _load_lm(cfg, args.lm_checkpoint, bpe_vocab)
+        lm = _load_lm(cfg, args.lm_checkpoint,
+                      BpeVocabulary.load(_require_file(args.bpe_vocab, "BPE vocabulary")))
     model = _load_caption_model(cfg, args.sat_checkpoint, word_vocab)
 
     inputs: list[tuple[str, np.ndarray]] = []
@@ -455,15 +460,13 @@ def cmd_generate(args) -> int:
     if heatmap_dir:
         heatmap_dir.mkdir(parents=True, exist_ok=True)
         stage = Path(tempfile.mkdtemp(prefix=".generate-", dir=heatmap_dir))
-    out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     # the heatmaps and reports go into place after the last study, so a
     # failing study leaves the previous ones whole and matching each other
     lines = []
     try:
         for study_id, image in inputs:
-            result = two_stage_generate(image, model, word_vocab, lm, bpe_vocab,
-                                        cfg, study_id=study_id)
+            result = two_stage_generate(image, model, word_vocab, lm, cfg, study_id=study_id)
             heatmap_files = []
             if stage and result.attention_weights:
                 heatmap_files = _write_heatmaps(
@@ -497,6 +500,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    out_path = _out_file(args.out) if args.out else None
     cand_lines = _require_file(args.candidates, "candidates file").read_text(
         encoding="utf-8").splitlines()
     ref_lines = _require_file(args.references, "references file").read_text(
@@ -516,9 +520,9 @@ def cmd_evaluate(args) -> int:
         pairs.append(EvalPair(normalize_text(cand) or [""], references))
     report = evaluate_corpus(pairs)
     text = report.format()
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text, encoding="utf-8")
+    if out_path:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0
 

@@ -261,17 +261,18 @@ class PipelineOutput:
         return " ".join(self.seed_tokens)
 
 
-def two_stage_generate(image: np.ndarray, captioner, word_vocab, lm, bpe_vocab,
-                       cfg: RunConfig, study_id: str = "") -> PipelineOutput:
+def two_stage_generate(image: np.ndarray, captioner, word_vocab, lm, cfg: RunConfig,
+                       study_id: str = "") -> PipelineOutput:
     """Caption the image, then let the language model continue the text.
 
     The caption seed is detokenized and ``lm_seed`` turns it into the
     language model's seed, which the model continues with a beam search until
-    it emits its end-of-text token or hits the cap. The combined report is
-    the seed text plus the continuation separated by one space; per-step
-    caption attention weights ride along for heatmap export. With ``lm``
-    None the report is the caption alone. Both stages search with
-    ``cfg.beam_width``; the continuation is taken from beam ``cfg.lm_rank``.
+    it emits its end-of-text token or hits the cap; both go through
+    ``lm.vocab``. The combined report is the seed text plus the continuation
+    separated by one space; per-step caption attention weights ride along
+    for heatmap export. With ``lm`` None the report is the caption alone.
+    Both stages search with ``cfg.beam_width``; the continuation is taken
+    from beam ``cfg.lm_rank``.
     """
     cfg.validate()
     seed_ids, alphas = captioner.decode_caption(
@@ -288,6 +289,7 @@ def two_stage_generate(image: np.ndarray, captioner, word_vocab, lm, bpe_vocab,
     out = PipelineOutput(study_id, seed_tokens, "", " ".join(seed_tokens), list(alphas))
     if lm is None:
         return out
+    bpe_vocab = lm.vocab
     continuation_ids = decode(
         lm.step_function(lm_seed(out.seed_text, bpe_vocab, lm.config.block_size)),
         cfg.lm_max_new,

@@ -41,7 +41,6 @@ KINK_MARGIN = 4e-4  # safe headroom over the 1e-5 finite-difference step
 def _caption_fd_instance():
     """First seed whose loss keeps every relu input clear of the FD window."""
     caption = np.array([[1, 4, 5, 6, 2, 0, 0]])
-    lengths = np.array([4])
     for seed in range(200):
         cfg = dataclasses.replace(RunConfig().caption_config(),
                                   embed_dim=4, decoder_dim=5, attention_dim=4, dropout=0.0,
@@ -52,7 +51,7 @@ def _caption_fd_instance():
         image = np.random.default_rng(1000 + seed).random((8, 8))
 
         def compute():
-            return model.sequence_loss(model.encode(image[None]), caption, lengths)
+            return model.sequence_loss(model.encode(image[None]), caption)
 
         if relu_kink_margin(compute) > KINK_MARGIN:
             return model, compute
@@ -176,7 +175,7 @@ class TestCriterion3DoublyStochastic:
     def test_weight_zero_equals_plain_cross_entropy_bit_exact(self):
         model, image, captions, lengths = self._instance(0.0)
         annotations = model.encode(image[None])
-        loss = model.sequence_loss(annotations, captions, lengths).item()
+        loss = model.sequence_loss(annotations, captions).item()
         h, c = model.init_state(annotations)
         total = 0.0
         for t in range(int(lengths[0])):
@@ -190,9 +189,9 @@ class TestCriterion3DoublyStochastic:
         weight = 0.35
         model, image, captions, lengths = self._instance(weight)
         annotations = model.encode(image[None])
-        with_pen = model.sequence_loss(annotations, captions, lengths).item()
+        with_pen = model.sequence_loss(annotations, captions).item()
         model.config.doubly_stochastic_weight = 0.0
-        without = model.sequence_loss(annotations, captions, lengths).item()
+        without = model.sequence_loss(annotations, captions).item()
         # collect the per-step attention maps independently
         h, c = model.init_state(annotations)
         alphas = []
@@ -309,8 +308,7 @@ class TestCriterion7Trainability:
         pairs = overfit_pairs(side=32)
         vocab = WordVocabulary.build([toks for _, _, toks in pairs])
         max_len = max(len(t) for _, _, t in pairs) + 2
-        examples = [CaptionExample(sid, img, np.asarray(vocab.encode(toks, max_len)),
-                                   len(toks) + 1)
+        examples = [CaptionExample(sid, img, np.asarray(vocab.encode(toks, max_len)))
                     for sid, img, toks in pairs]
         cfg = dataclasses.replace(RunConfig().caption_config(),
                                   embed_dim=24, decoder_dim=64, attention_dim=32, dropout=0.0,
@@ -359,8 +357,7 @@ class TestCriterion8Pipeline:
         captions = [toks for _, _, toks in pairs]
         word_vocab = WordVocabulary.build(captions)
         max_len = max(len(t) for t in captions) + 2
-        examples = [CaptionExample(sid, img, np.asarray(word_vocab.encode(t, max_len)),
-                                   len(t) + 1)
+        examples = [CaptionExample(sid, img, np.asarray(word_vocab.encode(t, max_len)))
                     for (sid, img, t) in pairs]
         model = CaptionModel(dataclasses.replace(RunConfig().caption_config(),
                                                  embed_dim=12, decoder_dim=24, attention_dim=12,
@@ -382,7 +379,7 @@ class TestCriterion8Pipeline:
         pairs, model, word_vocab, lm, bpe = self._stack()
         cfg = RunConfig(decode_strategy="greedy", beam_width=3, lm_rank=2, lm_max_new=8)
         for sid, img, _ in pairs:
-            out = two_stage_generate(img, model, word_vocab, lm, bpe, cfg, sid)
+            out = two_stage_generate(img, model, word_vocab, lm, cfg, sid)
             if out.continuation_text:
                 assert out.combined_text == out.seed_text + " " + out.continuation_text
             else:

@@ -24,7 +24,7 @@ from capseq import autodiff as ad
 from capseq.binio import BinaryFormatError
 from capseq.captioner import CaptionModel, make_optimizers
 from capseq.checkpoint import (CheckpointError, load_into_model, load_tensors, save_model,
-                               save_tensors)
+                               save_tensors, write_atomic)
 from capseq.config import load_run_config
 from capseq.lm import MASK_VALUE, LmConfig, TransformerLm, make_optimizer
 from capseq.optim import Adam, clip_gradients, global_grad_norm, train_epochs
@@ -1160,6 +1160,15 @@ class TestCheckpointFormat:
         path.write_bytes(data[:-16])
         with pytest.raises(BinaryFormatError, match="offset"):
             load_tensors(path)
+
+    def test_failed_rename_leaves_no_tmp(self, tmp_path):
+        target = tmp_path / "out"
+        target.mkdir()
+        (target / "keep").write_text("x")
+        with pytest.raises(OSError):
+            write_atomic(target, b"payload")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+        assert [p.name for p in target.iterdir()] == ["keep"]
 
 
 def _parameter_digest(model, optimizers) -> str:

@@ -90,7 +90,7 @@ def test_traced_training_labels_epochs_and_keeps_the_callers_callback():
         cfg.caption_config(), embed_dim=4, decoder_dim=5, attention_dim=4, pooled_side=2,
         encoder_channels=3, max_caption_len=8, fine_tune_encoder=True), vocab_size=8, seed=0)
     examples = [CaptionExample(f"s{i}", np.random.default_rng(i).random((8, 8)),
-                               np.array([1, 4, 5, 2, 0]), 3) for i in range(3)]
+                               np.array([1, 4, 5, 2, 0])) for i in range(3)]
     lm, _ = tiny_lm(16)
     stream = list(lm.vocab.encode("abc defg hab cdef gha bcd efgh"))
     seen = []

@@ -4,6 +4,7 @@ fine-tuning, and heatmap export."""
 
 import dataclasses
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -11,10 +12,13 @@ import pytest
 
 from capseq import autodiff as ad
 from capseq.captioner import (CaptionExample, CaptionModel, attention_heatmap,
-                              effective_batch_sizes, sort_batch_by_length,
-                              train_teacher_forcing)
+                              caption_lengths, effective_batch_sizes, make_optimizers,
+                              sort_batch_by_length, train_teacher_forcing, trains_encoder)
+from capseq.cli import _caption_examples
 from capseq.config import RunConfig, load_run_config
 from capseq.decoding import beam_search, greedy_decode
+from capseq.optim import Adam
+from capseq.reportprep import PackedRecord
 from capseq.synthetic import overfit_pairs
 from capseq.tokenizers import WordVocabulary
 
@@ -182,11 +186,10 @@ class TestOutputDistribution:
 class TestSequenceLoss:
     def test_lambda_zero_equals_plain_cross_entropy_bit_exact(self):
         captions = np.array([[1, 4, 5, 2, 0]])
-        lengths = np.array([3])
         image = np.random.default_rng(8).random((8, 8))
         model_a = tiny_model(seed=9, doubly_stochastic_weight=0.0)
         ann = model_a.encode(image)
-        loss_a = model_a.sequence_loss(ann, captions, lengths).item()
+        loss_a = model_a.sequence_loss(ann, captions).item()
 
         # identical model, penalty path exercised with weight zero via manual CE
         model_b = tiny_model(seed=9, doubly_stochastic_weight=0.0)
@@ -208,12 +211,11 @@ class TestSequenceLoss:
         model = tiny_model(seed=10, doubly_stochastic_weight=weight)
         zero_params(model, ["attn.score.weight", "attn.score.bias"])
         captions = np.array([[1, 4, 5, 6, 2, 0]])
-        lengths = np.array([4])
         image = np.random.default_rng(11).random((8, 8))
         ann = model.encode(image)
-        with_pen = model.sequence_loss(ann, captions, lengths).item()
+        with_pen = model.sequence_loss(ann, captions).item()
         model.config.doubly_stochastic_weight = 0.0
-        without = model.sequence_loss(ann, captions, lengths).item()
+        without = model.sequence_loss(ann, captions).item()
         r, t = 4.0, 4.0
         expect = weight * r * (1 - t / r) ** 2
         assert with_pen - without == pytest.approx(expect, abs=1e-12)
@@ -221,7 +223,6 @@ class TestSequenceLoss:
     def test_perfect_predictions_zero_loss(self):
         model = tiny_model(seed=12)
         captions = np.array([[1, 4, 2, 0]])
-        lengths = np.array([2])
         ann = model.encode(np.random.default_rng(12).random((8, 8)))
 
         real_output = model.output_distribution
@@ -233,7 +234,7 @@ class TestSequenceLoss:
 
         model.output_distribution = perfect
         try:
-            loss = model.sequence_loss(ann, captions, lengths).item()
+            loss = model.sequence_loss(ann, captions).item()
         finally:
             model.output_distribution = real_output
         assert loss == pytest.approx(0.0, abs=1e-12)
@@ -242,8 +243,34 @@ class TestSequenceLoss:
         model = tiny_model()
         ann = model.encode(np.random.default_rng(0).random((2, 8, 8)))
         with pytest.raises(ValueError, match="sorted"):
-            model.sequence_loss(ann, np.array([[1, 4, 2, 0], [1, 4, 5, 2]]),
-                                np.array([2, 3]))
+            model.sequence_loss(ann, np.array([[1, 4, 2, 0], [1, 4, 5, 2]]))
+
+
+class TestCaptionLengths:
+    """A caption's prediction count is the position of its last <end>."""
+
+    def test_count_of_every_example_the_cli_builds(self):
+        # short, exact-fit and truncated captions, and body tokens that
+        # spell <end> (the terminator is the last one)
+        bodies = [["heart"], ["heart", "normal", "."], ["heart"] * 9,
+                  ["<end>", "heart"], ["heart", "<end>"], ["<end>"] * 12, []]
+        vocab = WordVocabulary.build([["heart", "normal", "."]])
+        records = [PackedRecord(f"s{i}", [], tokens, np.zeros((4, 4)))
+                   for i, tokens in enumerate(bodies)]
+        for max_len in (2, 3, 5, 8):
+            examples = _caption_examples(records, vocab, max_len)
+            got = caption_lengths(np.stack([ex.caption for ex in examples]))
+            assert list(got) == [min(len(t), max_len - 2) + 1 for t in bodies], max_len
+
+    @pytest.mark.parametrize("caption", [[1, 4, 5, 0], [2, 4, 5, 0], [1, 0, 0, 0]],
+                             ids=["no-end", "end-only-first", "start-only"])
+    def test_caption_without_end_rejected(self, caption):
+        captions = np.array([[1, 4, 2, 0], caption])
+        with pytest.raises(ValueError, match="caption 1 has no <end>"):
+            caption_lengths(captions)
+        model = tiny_model()
+        with pytest.raises(ValueError, match="caption 1 has no <end>"):
+            model.sequence_loss(model.encode(np.ones((2, 8, 8))), captions)
 
 
 class TestTeacherForcing:
@@ -251,18 +278,16 @@ class TestTeacherForcing:
         assert effective_batch_sizes([5, 3, 2]) == [3, 3, 2, 1, 1]
 
     def test_sorting(self):
-        caps = np.array([[1, 2], [3, 4], [5, 6]])
-        lengths = np.array([2, 5, 3])
-        _, sorted_lengths, order = sort_batch_by_length(caps, lengths)
-        assert list(sorted_lengths) == [5, 3, 2]
+        caps = np.array([[1, 4, 2, 0, 0, 0], [1, 4, 4, 4, 4, 2], [1, 4, 4, 2, 0, 0]])
+        sorted_caps, order = sort_batch_by_length(caps)
+        assert list(caption_lengths(sorted_caps)) == [5, 3, 2]
         assert list(order) == [1, 2, 0]
 
     def test_loss_decreases_monotonically_first_20_epochs(self):
         pairs = overfit_pairs(side=32)
         vocab = WordVocabulary.build([toks for _, _, toks in pairs])
         max_len = max(len(t) for _, _, t in pairs) + 2
-        examples = [CaptionExample(sid, img, np.array(vocab.encode(toks, max_len)),
-                                   len(toks) + 1)
+        examples = [CaptionExample(sid, img, np.array(vocab.encode(toks, max_len)))
                     for sid, img, toks in pairs]
         cfg = dataclasses.replace(RunConfig().caption_config(),
                                   embed_dim=24, decoder_dim=64, attention_dim=32, dropout=0.0,
@@ -280,8 +305,7 @@ class TestFinetuneToggle:
         pairs = overfit_pairs(side=16)[:4]
         vocab = WordVocabulary.build([toks for _, _, toks in pairs])
         max_len = max(len(t) for _, _, t in pairs) + 2
-        examples = [CaptionExample(sid, img, np.array(vocab.encode(toks, max_len)),
-                                   len(toks) + 1)
+        examples = [CaptionExample(sid, img, np.array(vocab.encode(toks, max_len)))
                     for sid, img, toks in pairs]
         model = CaptionModel(dataclasses.replace(RunConfig().caption_config(),
                                                  embed_dim=8, decoder_dim=12, attention_dim=8,
@@ -301,7 +325,7 @@ class TestFinetuneToggle:
         # holds the two lower ones, so they keep their bytes
         model = tiny_model(fine_tune_encoder=True)
         examples = [CaptionExample(f"s{i}", np.random.default_rng(3 + i).random((8, 8)),
-                                   np.array([1, 4, 5, 2, 0]), 3) for i in range(2)]
+                                   np.array([1, 4, 5, 2, 0])) for i in range(2)]
         before = {n: p.data.copy() for n, p in model.parameters().items()
                   if n.startswith("encoder.")}
         train_teacher_forcing(model, examples,
@@ -309,6 +333,42 @@ class TestFinetuneToggle:
         for name, data in before.items():
             changed = not np.array_equal(data, model.parameters()[name].data)
             assert changed == name.startswith("encoder.conv3."), name
+
+    def test_an_encoder_optimizer_trains_conv3_with_the_flag_off(self):
+        # the optimizers alone say whether the encoder trains: annotations
+        # are not cached as constants while one holds conv3
+        model = tiny_model(fine_tune_encoder=False)
+        cfg = RunConfig(sat_epochs=2, sat_batch_size=2, seed=0)
+        params = model.parameters()
+        conv3 = [params["encoder.conv3.weight"], params["encoder.conv3.bias"]]
+        optimizers = {**make_optimizers(model, cfg), "enc.": Adam(conv3, 1e-3, 5.0)}
+        assert trains_encoder(optimizers)
+        before = [p.data.copy() for p in conv3]
+        train_teacher_forcing(model, self._examples(), cfg, optimizers=optimizers)
+        for p, data in zip(conv3, before):
+            assert not np.array_equal(data, p.data), p.name
+
+    def test_without_an_encoder_optimizer_each_image_is_encoded_once(self, monkeypatch):
+        model = tiny_model(fine_tune_encoder=True)
+        cfg = RunConfig(sat_epochs=2, sat_batch_size=2, seed=0)
+        optimizers = {"dec.": make_optimizers(model, cfg)["dec."]}
+        assert not trains_encoder(optimizers)
+        encoded = []
+        encode = CaptionModel.encode
+
+        def counting_encode(self, images):
+            encoded.append(np.asarray(images).tobytes())
+            return encode(self, images)
+
+        monkeypatch.setattr(CaptionModel, "encode", counting_encode)
+        examples = self._examples()
+        train_teacher_forcing(model, examples, cfg, optimizers=optimizers)
+        assert encoded == [ex.image.tobytes() for ex in examples]
+
+    @staticmethod
+    def _examples():
+        return [CaptionExample(f"s{i}", np.random.default_rng(3 + i).random((8, 8)),
+                               np.array([1, 4, 5, 2, 0])) for i in range(3)]
 
 
 class TestHeatmap:
@@ -389,8 +449,28 @@ class TestDecodeCaption:
         assert ids == want_ids
         assert [a.tobytes() for a in alphas] == [a.tobytes() for a in want_alphas]
         with ad.Tape():
-            model.sequence_loss(model.encode(image), np.array([[1, 4, 5, 2]]), np.array([3]))
+            model.sequence_loss(model.encode(image), np.array([[1, 4, 5, 2]]))
         assert model._rng.bit_generator.state != untouched
+
+    def test_a_tape_records_nothing_of_another_threads_decode(self):
+        # a tape records only the ops of the context that entered it: a beam
+        # decode in another thread neither lands on it nor draws dropout masks
+        model = tiny_model(seed=4, dropout=0.5)
+        image = np.random.default_rng(4).random((8, 8))
+        want_ids, want_alphas = model.decode_caption(image, strategy="beam", beam_width=3)
+        untouched = model._rng.bit_generator.state
+        results = []
+        with ad.Tape() as tape:
+            worker = threading.Thread(target=lambda: results.append(
+                model.decode_caption(image, strategy="beam", beam_width=3)))
+            worker.start()
+            worker.join(60)
+            assert not worker.is_alive()
+            assert len(tape) == 0
+        assert model._rng.bit_generator.state == untouched
+        (ids, alphas), = results
+        assert ids == want_ids
+        assert [a.tobytes() for a in alphas] == [a.tobytes() for a in want_alphas]
 
 
 class TestDeferredStep:

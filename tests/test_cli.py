@@ -274,7 +274,12 @@ class TestTraining:
         lambda text: "[]",
         lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "rng"}),
         lambda text: json.dumps(dict(json.loads(text), next_epoch="x")),
-    ], ids=["cut-short", "not-an-object", "no-rng", "epoch-not-int"])
+        # json writes and reads NaN and Infinity; a best score no epoch can
+        # beat would stop -best.ckpt from updating
+        *(lambda text, v=v: json.dumps(dict(json.loads(text), best={"epoch": 0, "gm_bleu": v}))
+          for v in (float("nan"), float("inf"), float("-inf"))),
+    ], ids=["cut-short", "not-an-object", "no-rng", "epoch-not-int", "best-nan", "best-inf",
+            "best-minus-inf"])
     def test_damaged_state_stops_resume(self, prepped, tmp_path, capsys, damage):
         # a state file that is not the epoch commit exits 1, names the file
         # and leaves the run directory as it was
@@ -372,6 +377,33 @@ class TestTraining:
             f"error: cannot resume: {run / 'sat-last.opt'} holds no moments for optimizer "
             "'enc.'; pass --overwrite to start over\n")
         assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    def test_resume_with_fine_tuning_switched_off_keeps_conv3(self, prepped, tmp_path,
+                                                              monkeypatch):
+        # the resumed run has no enc. optimizer: it ignores the enc. moments,
+        # conv3 keeps the 2-epoch checkpoint's bytes while the decoder
+        # trains, and the training annotations come from the loaded conv3
+        run = tmp_path / "run"
+        assert self._train(prepped, "sat", run, "--set", "sat_fine_tune_encoder=true") == 0
+        two = checkpoint.load_tensors(run / "sat-last.ckpt")
+        assert any(k.startswith("enc.") for k in checkpoint.load_tensors(run / "sat-last.opt"))
+        conv3_seen = []
+        encode = CaptionModel.encode
+
+        def recording_encode(model, images):
+            conv3_seen.append(model.parameters()["encoder.conv3.weight"].data.tobytes())
+            return encode(model, images)
+
+        monkeypatch.setattr(CaptionModel, "encode", recording_encode)
+        assert self._train(prepped, "sat", run, "--resume", "--set", "sat_epochs=3",
+                           "--set", "sat_fine_tune_encoder=false") == 0
+        assert json.loads((run / "sat-state.json").read_text())["next_epoch"] == 3
+        three = checkpoint.load_tensors(run / "sat-last.ckpt")
+        for name, data in two.items():
+            same = data.tobytes() == three[name].tobytes()
+            assert same == name.startswith("encoder."), name
+        assert conv3_seen and set(conv3_seen) == {two["encoder.conv3.weight"].tobytes()}
+        assert not any(k.startswith("enc.") for k in checkpoint.load_tensors(run / "sat-last.opt"))
 
     def test_commit_names_every_file_of_the_run(self, trained):
         # every file train-sat and train-lm leave, bar the two state files, is
@@ -487,6 +519,20 @@ class TestGenerate:
         for path in maps:
             assert read_pgm(path)[0].shape == (16, 16), path
 
+    def test_out_that_is_a_directory_stops_before_loading(self, tmp_path, capsys):
+        # the check runs before any vocabulary, checkpoint or dataset loads
+        # (none of these exist), and leaves no <dir>.tmp behind
+        out = tmp_path / "reports"
+        out.mkdir()
+        rc = main(["generate", "--dataset", str(tmp_path / "none.csds"),
+                   "--sat-checkpoint", str(tmp_path / "none.ckpt"),
+                   "--word-vocab", str(tmp_path / "none.vocab"),
+                   "--no-lm", "--out", str(out), *FAST])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --out {out} is a directory; name a file\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["reports"]
+        assert not any(out.iterdir())
+
     def test_failing_study_leaves_previous_reports_and_heatmaps(
             self, prepped, trained, tmp_path, monkeypatch):
         out, heatmaps = tmp_path / "reports.jsonl", tmp_path / "heatmaps"
@@ -528,6 +574,15 @@ class TestEvaluate:
         report = (tmp_path / "report.txt").read_text()
         for key in ("bleu_1", "bleu_4", "rouge_l"):
             assert f"{key} 1.000000" in report
+
+    def test_out_that_is_a_directory_stops_before_reading(self, tmp_path, capsys):
+        out = tmp_path / "report"
+        out.mkdir()
+        rc = main(["evaluate", "--candidates", str(tmp_path / "none.txt"),
+                   "--references", str(tmp_path / "none.txt"), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --out {out} is a directory; name a file\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report"]
 
     def test_line_count_mismatch_names_both(self, tmp_path, capsys):
         (tmp_path / "c.txt").write_text("a\nb\n")

@@ -337,7 +337,7 @@ class TestTwoStage:
     def test_combined_is_seed_plus_continuation(self):
         model, word_vocab, lm, bpe = _tiny_models()
         image = np.random.default_rng(0).random((8, 8))
-        out = two_stage_generate(image, model, word_vocab, lm, bpe,
+        out = two_stage_generate(image, model, word_vocab, lm,
                                  RunConfig(decode_strategy="greedy", beam_width=2,
                                            lm_rank=2, lm_max_new=6), "s0")
         if out.continuation_text:
@@ -348,7 +348,7 @@ class TestTwoStage:
     def test_attention_weights_match_seed_length(self):
         model, word_vocab, lm, bpe = _tiny_models()
         image = np.random.default_rng(1).random((8, 8))
-        out = two_stage_generate(image, model, word_vocab, lm, bpe,
+        out = two_stage_generate(image, model, word_vocab, lm,
                                  RunConfig(decode_strategy="greedy", beam_width=2,
                                            lm_rank=2, lm_max_new=4), "s1")
         assert len(out.attention_weights) == len(out.seed_tokens)
@@ -356,7 +356,7 @@ class TestTwoStage:
     def test_no_lm_keeps_seed_only(self):
         model, word_vocab, lm, bpe = _tiny_models()
         image = np.random.default_rng(2).random((8, 8))
-        out = two_stage_generate(image, model, word_vocab, None, None,
+        out = two_stage_generate(image, model, word_vocab, None,
                                  RunConfig(decode_strategy="greedy"), "s2")
         assert out.continuation_text == ""
         assert out.combined_text == out.seed_text
@@ -368,6 +368,7 @@ class TestTwoStage:
             """Forces <|endoftext|> with a space as runner-up, so the rank-2
             beam (space, <|endoftext|>) carries no text either."""
             config = lm.config
+            vocab = bpe
 
             def step_function(self, seed_ids):
                 def step(prefix):
@@ -378,7 +379,7 @@ class TestTwoStage:
                 return step
 
         image = np.random.default_rng(3).random((8, 8))
-        out = two_stage_generate(image, model, word_vocab, InstantStop(), bpe,
+        out = two_stage_generate(image, model, word_vocab, InstantStop(),
                                  RunConfig(decode_strategy="greedy", beam_width=2,
                                            lm_rank=2, lm_max_new=4), "s3")
         assert out.continuation_text == ""
@@ -387,7 +388,7 @@ class TestTwoStage:
     def test_empty_caption_returns_seed_only_with_diagnostic(self, caplog):
         model, word_vocab, lm, bpe = _tiny_models()
         model.decode_caption = lambda *a, **k: ([], [])
-        out = two_stage_generate(np.zeros((8, 8)), model, word_vocab, lm, bpe,
+        out = two_stage_generate(np.zeros((8, 8)), model, word_vocab, lm,
                                  RunConfig(decode_strategy="greedy", beam_width=2,
                                            lm_rank=2), "s4")
         assert out.seed_tokens == []
